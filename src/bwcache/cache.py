@@ -32,6 +32,7 @@ at all, which makes policy questions cheap to answer offline.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -156,8 +157,8 @@ class CachePolicyConfig:
     static_stride: int = 3
 
     def __post_init__(self):
-        if self.delta < 0.0:
-            raise ValueError("delta must be nonnegative")
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
         if self.reuse_interval < 1:
             raise ValueError("reuse_interval must be at least 1")
         if self.static_stride < 1:
@@ -186,7 +187,6 @@ class BlockCacheState:
     trigger_step: int | None = None
     reuse_run_length: int = 0
     cached_outputs: list[Tensor] | None = None
-    cached_at_step: int | None = None
 
 
 @dataclass(frozen=True)
@@ -326,14 +326,16 @@ def run_policy(
 
     _require_valid_tail(policy, config.steps)
     total = config.steps
-    weights = init_weights(config)
-    schedule = NoiseSchedule.linear(total)
-    readout = readout_matrix(config)
     x = sample_initial_latent(config) if initial_latent is None else initial_latent
     if x.shape != (config.tokens, config.hidden_dim):
         raise DimensionError(
             f"initial latent shape {x.shape} != ({config.tokens}, {config.hidden_dim})"
         )
+    if x.dtype != np.float32:
+        raise ValueError(f"initial latent dtype {x.dtype} is not float32")
+    weights = init_weights(config)
+    schedule = NoiseSchedule.linear(total)
+    readout = readout_matrix(config)
 
     state = BlockCacheState()
     mean_l1: float | None = None
@@ -357,7 +359,6 @@ def run_policy(
                 mean_l1 = None
                 decisions.append(StepDecision(step, action, None, None, None))
             state.cached_outputs = outputs
-            state.cached_at_step = step
         else:
             outputs = state.cached_outputs
             if outputs is None:

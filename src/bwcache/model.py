@@ -26,6 +26,11 @@ Sampling is the deterministic (zero extra noise) variant of the standard
 ancestral update: predict eps, form x0_hat, re-noise analytically to the
 previous level. All weights are float32 and drawn from the package's own
 seeded stream, so a seed pins the whole trajectory.
+
+The seeded builds (block weights, readout, decode) are pure functions of the
+ModelConfig, so each is built once per config and kept for the two most
+recently used configs. Every cached array is read-only: the same objects
+serve every later run of that config.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -66,6 +72,11 @@ _SALT_LATENT = 0x4C415431
 _SALT_READOUT = 0x52454144
 _SALT_DECODE = 0x44454331
 
+# One config's block weights are 16 d^2 N float32 values (32 MiB at d=256,
+# N=8). Two entries cover a compare (both sides share one config) while
+# bounding what a long-lived caller keeps alive.
+_CACHED_CONFIGS = 2
+
 
 class Axis(str, Enum):
     SPATIAL = "spatial"
@@ -95,6 +106,10 @@ class ModelConfig:
             raise ValueError("frames and tokens_per_frame must be positive")
         if self.steps < 1:
             raise ValueError("steps must be positive")
+        if not 0 <= self.seed < 1 << 64:
+            # The stream masks seeds to 64 bits; out-of-range seeds would
+            # alias in-range ones under a different fingerprint.
+            raise ValueError(f"seed {self.seed} outside [0, 2**64)")
 
     @property
     def tokens(self) -> int:
@@ -145,31 +160,37 @@ class NoiseSchedule:
         return len(self.betas)
 
 
-def init_weights(config: ModelConfig) -> list[DiTBlockWeights]:
+def _read_only(x: Tensor) -> Tensor:
+    x.flags.writeable = False
+    return x
+
+
+@lru_cache(maxsize=_CACHED_CONFIGS)
+def init_weights(config: ModelConfig) -> tuple[DiTBlockWeights, ...]:
     """Draw all block weights from one stream, N(0, WEIGHT_STD^2), float32.
 
     Per block the draw order is fixed: qkv_proj, out_proj, mlp_in, mlp_out,
     adaln_proj. Changing it would silently re-seed every regression number.
+    The result is cached per config and its arrays are read-only; copy one
+    before perturbing it.
     """
     d = config.hidden_dim
     rng = Rng(mix_seed(config.seed, _SALT_WEIGHTS))
 
     def draw(shape):
-        return rand_normal(rng, shape) * WEIGHT_STD
+        return _read_only(rand_normal(rng, shape) * WEIGHT_STD)
 
-    blocks = []
-    for axis in block_axes(config):
-        blocks.append(
-            DiTBlockWeights(
-                axis=axis,
-                qkv_proj=draw((d, 3 * d)),
-                out_proj=draw((d, d)),
-                mlp_in=draw((d, 4 * d)),
-                mlp_out=draw((4 * d, d)),
-                adaln_proj=draw((d, 4 * d)),
-            )
+    return tuple(
+        DiTBlockWeights(
+            axis=axis,
+            qkv_proj=draw((d, 3 * d)),
+            out_proj=draw((d, d)),
+            mlp_in=draw((d, 4 * d)),
+            mlp_out=draw((4 * d, d)),
+            adaln_proj=draw((d, 4 * d)),
         )
-    return blocks
+        for axis in block_axes(config)
+    )
 
 
 def timestep_embedding(t: int, dim: int) -> Tensor:
@@ -230,7 +251,7 @@ def dit_block_forward(h: Tensor, weights: DiTBlockWeights, t_emb: Tensor, config
     return mlp + h1
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=_CACHED_CONFIGS)
 def readout_matrix(config: ModelConfig) -> Tensor:
     """Fixed seeded linear projection from the last block's features to eps_pred.
 
@@ -242,13 +263,15 @@ def readout_matrix(config: ModelConfig) -> Tensor:
     rng = Rng(mix_seed(config.seed, _SALT_READOUT))
     mix = rand_normal(rng, (d, d)) * (READOUT_MIX_GAIN / math.sqrt(d))
     eye = np.eye(d, dtype=np.float32) * np.float32(READOUT_SELF_GAIN)
-    return (eye + mix).astype(np.float32)
+    return _read_only((eye + mix).astype(np.float32))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=_CACHED_CONFIGS)
 def decode_matrix(config: ModelConfig) -> Tensor:
     rng = Rng(mix_seed(config.seed, _SALT_DECODE))
-    return rand_normal(rng, (config.hidden_dim, 3)) * (1.0 / math.sqrt(config.hidden_dim))
+    return _read_only(
+        rand_normal(rng, (config.hidden_dim, 3)) * (1.0 / math.sqrt(config.hidden_dim))
+    )
 
 
 def sample_initial_latent(config: ModelConfig) -> Tensor:
@@ -260,7 +283,7 @@ def sample_initial_latent(config: ModelConfig) -> Tensor:
 def denoiser_forward(
     x_t: Tensor,
     t: int,
-    weights: list[DiTBlockWeights],
+    weights: Sequence[DiTBlockWeights],
     config: ModelConfig,
     cond: Tensor | None = None,
 ) -> tuple[Tensor, list[Tensor]]:

@@ -140,8 +140,9 @@ class TestTailRule:
 
 class TestPolicyConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CachePolicyConfig(delta=-0.1)
+        for delta in (-0.1, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="delta"):
+                CachePolicyConfig(delta=delta)
         with pytest.raises(ValueError):
             CachePolicyConfig(reuse_interval=0)
         with pytest.raises(ValueError):
@@ -454,6 +455,15 @@ class TestRunPolicy:
                 config,
                 CachePolicyConfig(kind=PolicyKind.NONE),
                 initial_latent=np.zeros((1, 1), dtype=np.float32),
+            )
+
+    def test_initial_latent_must_be_float32(self):
+        config = toy_config()
+        with pytest.raises(ValueError, match="float64"):
+            run_policy(
+                config,
+                CachePolicyConfig(kind=PolicyKind.NONE),
+                initial_latent=np.zeros((config.tokens, config.hidden_dim)),
             )
 
     def test_live_matches_replay_of_own_heatmap(self):

@@ -12,6 +12,7 @@ import pytest
 
 from bwcache import tensor
 from bwcache.cli import _policy_from_args, build_parser, main
+from bwcache.model import init_weights
 from bwcache.traceio import read_latent
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -129,6 +130,14 @@ class TestGenerate:
     def test_malformed_tail_rule_is_config_error(self, tmp_path):
         assert run_generate(tmp_path, "--tail", "fixed:lots") == 2
 
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+    def test_non_finite_delta_is_config_error(self, tmp_path, delta):
+        assert run_generate(tmp_path, "--delta", delta) == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_is_config_error(self, tmp_path, seed):
+        assert run_generate(tmp_path, "--seed", seed) == 2
+
     def test_unknown_flag_exits_two(self):
         assert main(["generate", "--no-such-flag"]) == 2
 
@@ -153,6 +162,14 @@ class TestCompare:
         doc = json.loads((tmp_path / "comparison.json").read_text())
         assert isinstance(doc["speedup"], float)
         assert doc["speedup"] > 0.0
+
+    def test_draws_block_weights_once(self, tmp_path):
+        """Both sides share one config, so the second run reuses the first's build."""
+        init_weights.cache_clear()
+        rc = main(["compare", *TINY_SHAPE, "--delta-b", "0.9", "--out", str(tmp_path)])
+        assert rc == 0
+        info = init_weights.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_speedup_null_in_deterministic_mode(self, tmp_path):
         """Zeroed timings make a wall-clock ratio meaningless, so it is null."""

@@ -9,17 +9,21 @@ pass-through, axis grouping, schedule shape) are checked exactly.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from bwcache.cache import Action, CachePolicyConfig, PolicyKind, run_policy
 from bwcache.model import (
+    _SALT_WEIGHTS,
     Axis,
     DiTBlockWeights,
     ModelConfig,
     NoiseSchedule,
     block_axes,
     decode_latent,
+    decode_matrix,
     denoiser_forward,
     dit_block_forward,
     forward_diffuse,
@@ -30,7 +34,7 @@ from bwcache.model import (
     timestep_embedding,
     WEIGHT_STD,
 )
-from bwcache.tensor import DimensionError
+from bwcache.tensor import DimensionError, Rng, mix_seed, rand_normal
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -165,6 +169,65 @@ class TestWeights:
             ModelConfig(steps=0)
         with pytest.raises(ValueError):
             ModelConfig(n_blocks=0)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                ModelConfig(seed=seed)
+        assert ModelConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+
+class TestBuildCache:
+    def test_weights_match_one_independent_stream_in_documented_order(self):
+        """Blocks in order, each qkv, out, mlp_in, mlp_out, adaln, all cut from
+        one bulk draw of the weight stream (every size is even, so per-array
+        draws and one bulk draw consume the stream identically)."""
+        config = tiny_config(seed=11)
+        d = config.hidden_dim
+        names = ("qkv_proj", "out_proj", "mlp_in", "mlp_out", "adaln_proj")
+        shapes = [(d, 3 * d), (d, d), (d, 4 * d), (4 * d, d), (d, 4 * d)]
+        per_block = sum(a * b for a, b in shapes)
+        flat = rand_normal(Rng(mix_seed(config.seed, _SALT_WEIGHTS)), per_block * config.n_blocks)
+        flat = flat * WEIGHT_STD
+
+        weights = init_weights(config)
+        assert init_weights(config) is weights
+        offset = 0
+        for w in weights:
+            for name, shape in zip(names, shapes):
+                n = shape[0] * shape[1]
+                want = flat[offset : offset + n].reshape(shape)
+                offset += n
+                assert getattr(w, name).tobytes() == want.tobytes(), name
+        assert offset == flat.size
+
+    def test_cached_arrays_are_read_only(self):
+        config = tiny_config(seed=12)
+        weights = init_weights(config)
+        arrays = [getattr(w, f.name) for w in weights for f in fields(w) if f.name != "axis"]
+        arrays += [readout_matrix(config), decode_matrix(config)]
+        assert len(arrays) == 5 * config.n_blocks + 2
+        for a in arrays:
+            before = a.copy()
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                a *= 2.0
+            assert np.array_equal(a, before)
+        with pytest.raises(TypeError):
+            weights[0] = weights[1]
+
+    def test_none_run_after_cached_run_matches_fresh_build(self):
+        """A cached run leaves the shared build untouched: a none run that
+        follows it is bit-identical to one on a freshly drawn model."""
+        config = tiny_config(hidden_dim=16, n_blocks=4, tokens_per_frame=4, steps=12, seed=13)
+        none = CachePolicyConfig(kind=PolicyKind.NONE)
+        _, cached = run_policy(config, CachePolicyConfig(delta=1e9, reuse_interval=3))
+        assert any(d.action is Action.REUSED for d in cached.decisions)
+        after_cached, _ = run_policy(config, none)
+        for build in (init_weights, readout_matrix, decode_matrix):
+            build.cache_clear()
+        fresh, _ = run_policy(config, none)
+        assert init_weights.cache_info().misses == 1
+        assert after_cached.tobytes() == fresh.tobytes()
 
 
 class TestTimestepEmbedding:
