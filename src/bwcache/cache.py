@@ -310,7 +310,6 @@ def _feature_digest(x: Tensor) -> str:
 def run_policy(
     config: ModelConfig,
     policy: CachePolicyConfig,
-    cond: Tensor | None = None,
     initial_latent: Tensor | None = None,
     collect_digests: bool = False,
 ):
@@ -319,8 +318,10 @@ def run_policy(
     Computed steps run the full block stack, measure per-block distances
     against the previous cache when one exists, and replace the cache.
     Reused steps substitute the cached block features unchanged and re-run
-    only the readout. In deterministic tensor mode the recorded timings are
-    zeroed so exports are byte-stable.
+    only the readout. Cached features are read-only, so nothing can alter
+    what a later reused step substitutes. An ``initial_latent`` replaces the
+    seeded x_T and is hashed into the run's fingerprint. In deterministic
+    tensor mode the recorded timings are zeroed so exports are byte-stable.
     """
     from bwcache.traceio import RunTrace, config_fingerprint
 
@@ -347,7 +348,9 @@ def run_policy(
         t0 = time.perf_counter()
         action, state = decide(state, mean_l1, step, total, policy)
         if action is Action.COMPUTED:
-            eps_pred, outputs = denoiser_forward(x, step, weights, config, cond)
+            eps_pred, outputs = denoiser_forward(x, step, weights, config)
+            for o in outputs:
+                o.flags.writeable = False
             if state.cached_outputs is not None:
                 per_block = tuple(
                     relative_l1(outputs[i], state.cached_outputs[i])
@@ -376,7 +379,7 @@ def run_policy(
     trace = RunTrace(
         decisions=decisions,
         timings=timings,
-        config_fingerprint=config_fingerprint(config, policy),
+        config_fingerprint=config_fingerprint(config, policy, initial_latent),
         final_latent=x,
         feature_digests=digests if collect_digests else None,
     )

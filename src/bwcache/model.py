@@ -203,18 +203,22 @@ def timestep_embedding(t: int, dim: int) -> Tensor:
     return np.concatenate([np.sin(ang), np.cos(ang)]).astype(np.float32)
 
 
-def _group_heads(z: Tensor, axis: Axis, frames: int, tokens_per_frame: int, n_heads: int) -> Tensor:
-    """[F*S, d] -> [groups * heads, L, head_dim] where L is the attended axis."""
+def _group_qkv(qkv: Tensor, axis: Axis, frames: int, tokens_per_frame: int, n_heads: int) -> Tensor:
+    """[F*S, 3d] -> [3, groups * heads, L, head_dim] where L is the attended axis.
+
+    Index 0, 1, 2 along the first axis is q, k, v; all three are regrouped
+    by one transpose and one copy.
+    """
     f, s, h = frames, tokens_per_frame, n_heads
-    dh = z.shape[1] // h
-    z = z.reshape(f, s, h, dh)
+    dh = qkv.shape[1] // (3 * h)
+    z = qkv.reshape(f, s, 3, h, dh)
     if axis is Axis.SPATIAL:
-        return z.transpose(0, 2, 1, 3).reshape(f * h, s, dh)
-    return z.transpose(1, 2, 0, 3).reshape(s * h, f, dh)
+        return z.transpose(2, 0, 3, 1, 4).reshape(3, f * h, s, dh)
+    return z.transpose(2, 1, 3, 0, 4).reshape(3, s * h, f, dh)
 
 
 def _ungroup_heads(z: Tensor, axis: Axis, frames: int, tokens_per_frame: int, n_heads: int) -> Tensor:
-    """Inverse of _group_heads, back to frame-major [F*S, d]."""
+    """Inverse of the per-tensor grouping of _group_qkv, back to frame-major [F*S, d]."""
     f, s, h = frames, tokens_per_frame, n_heads
     dh = z.shape[2]
     if axis is Axis.SPATIAL:
@@ -233,22 +237,23 @@ def dit_block_forward(h: Tensor, weights: DiTBlockWeights, t_emb: Tensor, config
         raise DimensionError(f"timestep embedding shape {t_emb.shape} != ({d},)")
 
     mod = matmul(t_emb[None, :], weights.adaln_proj)[0]
-    scale1, shift1, scale2, shift2 = np.split(mod, 4)
+    scale1, shift1, scale2, shift2 = mod[:d], mod[d : 2 * d], mod[2 * d : 3 * d], mod[3 * d :]
 
+    # In-place updates touch only arrays this block just created.
     a = layer_norm(h, scale1, shift1)
     qkv = matmul(a, weights.qkv_proj)
-    q, k, v = qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
-    qg = _group_heads(q, weights.axis, config.frames, config.tokens_per_frame, config.n_heads)
-    kg = _group_heads(k, weights.axis, config.frames, config.tokens_per_frame, config.n_heads)
-    vg = _group_heads(v, weights.axis, config.frames, config.tokens_per_frame, config.n_heads)
-    scores = batched_matmul(qg, kg.transpose(0, 2, 1)) * (1.0 / math.sqrt(config.head_dim))
+    qg, kg, vg = _group_qkv(qkv, weights.axis, config.frames, config.tokens_per_frame, config.n_heads)
+    scores = batched_matmul(qg, kg.transpose(0, 2, 1))
+    scores *= 1.0 / math.sqrt(config.head_dim)
     ctx = batched_matmul(softmax_rows(scores), vg)
     ctx = _ungroup_heads(ctx, weights.axis, config.frames, config.tokens_per_frame, config.n_heads)
-    h1 = matmul(ctx, weights.out_proj) + h
+    h1 = matmul(ctx, weights.out_proj)
+    h1 += h
 
     b = layer_norm(h1, scale2, shift2)
-    mlp = matmul(gelu(matmul(b, weights.mlp_in)), weights.mlp_out)
-    return mlp + h1
+    out = matmul(gelu(matmul(b, weights.mlp_in)), weights.mlp_out)
+    out += h1
+    return out
 
 
 @lru_cache(maxsize=_CACHED_CONFIGS)
@@ -285,7 +290,6 @@ def denoiser_forward(
     t: int,
     weights: Sequence[DiTBlockWeights],
     config: ModelConfig,
-    cond: Tensor | None = None,
 ) -> tuple[Tensor, list[Tensor]]:
     """Run the block stack at timestep t.
 
@@ -297,10 +301,6 @@ def denoiser_forward(
     if t < 0:
         raise ValueError("timestep must be nonnegative")
     t_emb = timestep_embedding(t, config.hidden_dim)
-    if cond is not None:
-        if cond.shape != t_emb.shape:
-            raise DimensionError(f"cond shape {cond.shape} != {t_emb.shape}")
-        t_emb = t_emb + cond
 
     h = x_t
     block_outputs: list[Tensor] = []

@@ -6,6 +6,11 @@ float64 on top of these primitives. Every op validates shapes up front and
 checks its output for NaN/Inf, so failures surface at the op that produced
 them instead of three modules later.
 
+Ops may work in place on temporaries they allocated themselves, never on an
+array they were given, and each still checks its own output. The in-place
+forms keep numpy's evaluation order and dtype promotion, so each result is
+bit-identical to the op written as one plain numpy expression.
+
 Determinism has two tiers:
 
 * Default mode dispatches matmuls to BLAS. On a given machine and build this
@@ -105,9 +110,17 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
             f"layer_norm modulation shapes {scale.shape}/{shift.shape} "
             f"do not match feature width {x.shape[1]}"
         )
-    mean = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)  # population variance, not sample
-    normed = (x - mean) / np.sqrt(var + LAYER_NORM_EPS)
+    # np.mean / np.var arithmetic with the mean taken once: a row sum
+    # (float64 for integer input) divided by the intp row count.
+    n = np.intp(x.shape[1])
+    acc = np.float64 if x.dtype.kind in "biu" else None
+    mean = np.add.reduce(x, axis=1, dtype=acc, keepdims=True)
+    np.true_divide(mean, n, out=mean, casting="unsafe")
+    normed = x - mean
+    var = np.add.reduce(np.square(normed), axis=1, keepdims=True)  # population variance
+    np.true_divide(var, n, out=var, casting="unsafe")
+    var += LAYER_NORM_EPS
+    normed /= np.sqrt(var, out=var)
     out = normed * (1.0 + scale) + shift
     return _check_finite(out, "layer_norm")
 
@@ -116,17 +129,42 @@ def softmax_rows(x: Tensor) -> Tensor:
     """Softmax along the last axis, max-subtracted so large scores stay finite."""
     if x.ndim < 1 or x.shape[-1] == 0:
         raise DimensionError(f"softmax_rows needs a non-empty last axis, got {x.shape}")
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-    return _check_finite(out, "softmax_rows")
+    e = x - _row_max(x)
+    # Integer scores promote in exp, so only a float difference is reused.
+    e = np.exp(e, out=e if e.dtype.kind == "f" else None)
+    e /= e.sum(axis=-1, keepdims=True)
+    return _check_finite(e, "softmax_rows")
+
+
+def _row_max(x: Tensor) -> Tensor:
+    """The values of x.max(axis=-1, keepdims=True), taken across slabs.
+
+    Reducing the last axis of short rows runs numpy's reduction loop once per
+    row. In a C-order copy of x.T that axis comes first, so the max becomes
+    len - 1 elementwise np.maximum passes over whole slabs, several times
+    faster at attention's row lengths. A max is exact in any order and
+    np.maximum propagates NaN, so the values are those of the reduction (of
+    +0 and -0 either may come out; x minus either is the same after exp).
+    """
+    return np.maximum.reduce(x.T.copy(), axis=0).T[..., None]
 
 
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))."""
     c = math.sqrt(2.0 / math.pi)
-    out = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x * x * x)))
-    return _check_finite(out, "gelu")
+    t = 0.044715 * x
+    t *= x
+    t *= x
+    t += x
+    t *= c
+    np.tanh(t, out=t)
+    t += 1.0
+    # (0.5 (1 + tanh)) x equals (0.5 x)(1 + tanh) bit for bit: 0.5 (1 + tanh)
+    # is exact, 0.5 x is inexact only where it is subnormal and 1 + tanh
+    # rounds to 1 anyway, and a factor <= 1 cannot overflow.
+    t *= 0.5
+    t *= x
+    return _check_finite(t, "gelu")
 
 
 def _mix64(z: int) -> int:

@@ -82,8 +82,16 @@ def _fmt(value: float) -> str:
     return "%.9g" % value
 
 
-def config_fingerprint(config: "ModelConfig", policy: "CachePolicyConfig") -> str:
-    """sha256 over the canonical JSON form of (model config, policy)."""
+def config_fingerprint(
+    config: "ModelConfig", policy: "CachePolicyConfig", initial_latent: Tensor | None = None
+) -> str:
+    """sha256 over the canonical JSON form of (model config, policy).
+
+    A run that starts from a given ``initial_latent`` instead of the seeded
+    one adds an ``initial_latent`` key: the blake2b-128 digest of its dtype,
+    shape and bytes. Without one the document has no such key, so runs from
+    the seeded latent hash exactly the version-1 document.
+    """
     doc = {
         "model": {
             "n_blocks": config.n_blocks,
@@ -103,8 +111,17 @@ def config_fingerprint(config: "ModelConfig", policy: "CachePolicyConfig") -> st
         },
         "version": 1,
     }
+    if initial_latent is not None:
+        doc["initial_latent"] = _latent_digest(initial_latent)
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
+
+
+def _latent_digest(x: Tensor) -> str:
+    h = hashlib.blake2b(digest_size=16)
+    h.update(json.dumps([x.dtype.str, list(x.shape)]).encode("ascii"))
+    h.update(x.tobytes())
+    return h.hexdigest()
 
 
 def write_heatmap(decisions: Sequence["StepDecision"], n_blocks: int, path) -> None:

@@ -9,10 +9,13 @@ run-length bound, frozen protected tail, and trigger monotonicity in delta.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bwcache import cache as cache_module
 from bwcache.cache import (
     Action,
     BlockCacheState,
@@ -29,7 +32,14 @@ from bwcache.cache import (
     replay_trace,
     run_policy,
 )
-from bwcache.model import ModelConfig
+from bwcache.model import (
+    ModelConfig,
+    NoiseSchedule,
+    denoiser_forward,
+    init_weights,
+    reverse_step,
+    sample_initial_latent,
+)
 from bwcache.tensor import DimensionError
 
 C = Action.COMPUTED
@@ -431,6 +441,48 @@ class TestRunPolicy:
                 reused_seen += 1
                 assert trace.feature_digests[i] == latest_computed
         assert reused_seen > 0
+
+    def test_cached_features_are_read_only(self, monkeypatch):
+        """Every block output kept as the cache refuses writes, so no
+        in-place op can alter what a later reused step substitutes."""
+        stored = []
+
+        def spy(*args):
+            eps_pred, outputs = denoiser_forward(*args)
+            stored.append(outputs)
+            return eps_pred, outputs
+
+        monkeypatch.setattr(cache_module, "denoiser_forward", spy)
+        config = toy_config(seed=2)
+        _, trace = run_policy(config, bw(1e9, 3, TailRule.half()))
+        assert any(d.action is R for d in trace.decisions)
+        assert len(stored) == sum(d.action is C for d in trace.decisions)
+        for outputs in stored:
+            assert len(outputs) == config.n_blocks
+            for o in outputs:
+                with pytest.raises(ValueError, match="read-only"):
+                    o[0, 0] = 0.0
+
+    def test_digests_are_those_of_the_model_features(self):
+        """A none run's digests are blake2b-128 of each step's block outputs,
+        recomputed here straight from the model; collecting them changes
+        neither the decisions nor the final latent."""
+        config = toy_config(seed=6, steps=5)
+        policy = CachePolicyConfig(kind=PolicyKind.NONE)
+        final, trace = run_policy(config, policy, collect_digests=True)
+        weights = init_weights(config)
+        schedule = NoiseSchedule.linear(config.steps)
+        x = sample_initial_latent(config)
+        for i, step in enumerate(range(config.steps - 1, -1, -1)):
+            eps_pred, outputs = denoiser_forward(x, step, weights, config)
+            want = tuple(hashlib.blake2b(o.tobytes(), digest_size=16).hexdigest() for o in outputs)
+            assert trace.feature_digests[i] == want
+            x = reverse_step(x, eps_pred, step, schedule)
+        assert final.tobytes() == x.tobytes()
+        plain_final, plain = run_policy(config, policy)
+        assert plain.feature_digests is None
+        assert plain.decisions == trace.decisions
+        assert plain_final.tobytes() == final.tobytes()
 
     def test_static_policy_runs_and_counts(self):
         config = toy_config()

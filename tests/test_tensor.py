@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bwcache import tensor
 from bwcache.tensor import (
@@ -240,6 +242,125 @@ class TestGelu:
         """gelu(10) is 10 to within 1e-3 relative; the tanh saturates to one."""
         x = np.array([10.0], dtype=np.float32)
         assert abs(float(gelu(x)[0]) - 10.0) / 10.0 < 1e-3
+
+
+# The plain numpy expressions the ops must reproduce bit for bit, whatever
+# in-place evaluation the ops use internally.
+def layer_norm_numpy(x, scale, shift):
+    mean = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    return (x - mean) / np.sqrt(var + 1e-5) * (1.0 + scale) + shift
+
+
+def softmax_numpy(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def gelu_numpy(x):
+    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x * x * x)))
+
+
+FLOAT_DTYPES = st.sampled_from([np.dtype(np.float32), np.dtype(np.float64)])
+
+
+@st.composite
+def float_arrays(draw, shape, dtype=None, max_magnitude=2.0**14):
+    dtype = draw(FLOAT_DTYPES) if dtype is None else dtype
+    elements = st.floats(
+        -max_magnitude, max_magnitude, width=8 * dtype.itemsize, allow_subnormal=False
+    )
+    return draw(hnp.arrays(dtype, shape, elements=elements))
+
+
+def last_axis_shapes(min_dims, max_dims):
+    """Shapes whose last axis is 1-33 long, odd lengths included."""
+    return st.tuples(
+        st.lists(st.integers(1, 4), min_size=min_dims - 1, max_size=max_dims - 1),
+        st.integers(1, 33),
+    ).map(lambda p: (*p[0], p[1]))
+
+
+def assert_bit_equal_and_inputs_kept(op, oracle, *args):
+    before = [a.copy() for a in args]
+    with np.errstate(all="ignore"):
+        want = oracle(*args)
+    if np.isfinite(want).all():
+        with np.errstate(all="ignore"):
+            got = op(*args)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    else:
+        with pytest.raises(NonFiniteError), np.errstate(all="ignore"):
+            op(*args)
+    for a, b in zip(args, before):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestLeanOpsMatchNumpyExpressions:
+    """The ops are byte-equal to the textbook numpy expressions and never
+    write into their inputs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 5), width=st.integers(1, 33))
+    def test_layer_norm(self, data, rows, width):
+        x = data.draw(float_arrays((rows, width)))
+        # The modulation's dtype is drawn separately: float32 x with float64
+        # scale must promote exactly as the expression does.
+        scale = data.draw(float_arrays((width,), max_magnitude=4.0))
+        shift = data.draw(float_arrays((width,), dtype=scale.dtype, max_magnitude=4.0))
+        assert_bit_equal_and_inputs_kept(layer_norm, layer_norm_numpy, x, scale, shift)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), shape=last_axis_shapes(1, 3))
+    def test_softmax_rows(self, data, shape):
+        x = data.draw(float_arrays(shape, max_magnitude=2.0**10))
+        assert_bit_equal_and_inputs_kept(softmax_rows, softmax_numpy, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), shape=last_axis_shapes(1, 3))
+    def test_gelu(self, data, shape):
+        # Magnitudes up to 2^66 push x^3 past float32's range.
+        x = data.draw(float_arrays(shape, max_magnitude=2.0**66))
+        assert_bit_equal_and_inputs_kept(gelu, gelu_numpy, x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_on_dense_random_inputs(self, dtype):
+        """Normal draws exercise rounding in every position, which small or
+        round values from the strategies above can leave untested."""
+        x = make_random((48, 33), seed=33, dtype=dtype) * 3.0
+        scale = make_random((33,), seed=34, dtype=dtype) * 0.5
+        shift = make_random((33,), seed=35, dtype=dtype)
+        assert_bit_equal_and_inputs_kept(layer_norm, layer_norm_numpy, x, scale, shift)
+        assert_bit_equal_and_inputs_kept(softmax_rows, softmax_numpy, x.reshape(16, 3, 33))
+        assert_bit_equal_and_inputs_kept(gelu, gelu_numpy, x)
+
+    def test_row_max_keeps_nan_in_any_position(self):
+        for n in (1, 2, 3, 4, 5, 7, 16, 33):
+            for pos in range(n):
+                x = np.zeros((2, n), dtype=np.float32)
+                x[1, pos] = np.nan
+                m = tensor._row_max(x)
+                assert m.shape == (2, 1)
+                assert m[0, 0] == 0.0 and np.isnan(m[1, 0])
+
+    def test_non_finite_errors_name_their_op(self):
+        # Rows shifted near float32's maximum: their sum, so the mean, overflows.
+        x = make_random((3, 8), seed=30) + np.float32(3e38)
+        zeros = np.zeros(8, dtype=np.float32)
+        with pytest.raises(NonFiniteError, match="layer_norm"), np.errstate(all="ignore"):
+            layer_norm(x, zeros, zeros)
+        # -inf is not here: exp absorbs it as a zero weight.
+        for bad in (np.inf, np.nan):
+            scores = make_random((2, 4, 5), seed=31)
+            scores[1, 2, 3] = bad
+            with pytest.raises(NonFiniteError, match="softmax_rows"), np.errstate(invalid="ignore"):
+                softmax_rows(scores)
+        for bad in (np.inf, np.nan):
+            y = make_random((4, 6), seed=32)
+            y[0, 5] = bad
+            with pytest.raises(NonFiniteError, match="gelu"), np.errstate(invalid="ignore"):
+                gelu(y)
 
 
 class TestRng:
