@@ -25,19 +25,21 @@ step (and still records distances, which is how full heatmaps are made), and
 ``static`` recomputes on a fixed stride regardless of the indicator.
 
 ``decide`` is a pure function from (state, indicator, position) to (action,
-new state); ``run_policy`` drives it against the real model, and
-``replay_trace`` drives it against a recorded distance table with no model
-at all, which makes policy questions cheap to answer offline.
+new state); the state is the frozen trigger step and the current reuse run
+length, while the cached features are storage owned by the runner. One
+driver runs the ``decide`` loop for both runners: ``run_policy`` steps the
+real model, and ``replay_trace`` reads a recorded distance table with no
+model at all, which makes policy questions cheap to answer offline.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,11 +65,6 @@ class PolicyKind(str, Enum):
 class Action(str, Enum):
     COMPUTED = "computed"
     REUSED = "reused"
-
-
-class Mode(str, Enum):
-    COMPUTING = "computing"
-    CACHING = "caching"
 
 
 class ZeroDenominatorError(ValueError):
@@ -175,18 +172,18 @@ class CachePolicyConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockCacheState:
-    """Mutable per-run cache state.
+    """Policy state between steps: the frozen trigger and the current reuse run.
 
-    ``decide`` only transitions the policy fields (mode, trigger_step,
-    reuse_run_length); the runner owns the cached feature arrays.
+    ``trigger_step`` is the step where reuse first triggered (None until
+    then); ``reuse_run_length`` counts the consecutive reused steps just
+    taken, 0 after a computed step. The cached block features are not part
+    of it: the runner owns them.
     """
 
-    mode: Mode = Mode.COMPUTING
     trigger_step: int | None = None
     reuse_run_length: int = 0
-    cached_outputs: list[Tensor] | None = None
 
 
 @dataclass(frozen=True)
@@ -238,55 +235,38 @@ def decide(
     if not 0 <= step < total_steps:
         raise ValueError(f"step {step} outside run of {total_steps} steps")
     exec_idx = total_steps - 1 - step
+    trigger, run = state.trigger_step, state.reuse_run_length
 
     if policy.kind is PolicyKind.NONE:
-        return Action.COMPUTED, replace(state, mode=Mode.COMPUTING, reuse_run_length=0)
-
-    if policy.kind is PolicyKind.STATIC:
-        if exec_idx % policy.static_stride == 0:
-            return Action.COMPUTED, replace(state, mode=Mode.COMPUTING, reuse_run_length=0)
-        return Action.REUSED, replace(
-            state, mode=Mode.CACHING, reuse_run_length=state.reuse_run_length + 1
-        )
-
-    # bwcache
-    if exec_idx < 2:
+        reuse = False
+    elif policy.kind is PolicyKind.STATIC:
+        reuse = exec_idx % policy.static_stride != 0
+    elif exec_idx < 2:
         # Warmup: the first two executed steps establish cache and indicator.
-        return Action.COMPUTED, replace(state, mode=Mode.COMPUTING, reuse_run_length=0)
-
-    if state.trigger_step is not None and step < policy.tail.size(state.trigger_step):
+        reuse = False
+    elif trigger is not None and step < policy.tail.size(trigger):
         # Frozen protected tail: always recompute, trigger_step stays put.
-        return Action.COMPUTED, replace(state, mode=Mode.COMPUTING, reuse_run_length=0)
-
-    if state.mode is Mode.COMPUTING:
-        if mean_l1 is None:
-            raise ProtocolError(
-                f"decide at step {step} needs an indicator but none was measured"
-            )
-        if mean_l1 < policy.delta:
-            if state.trigger_step is None and step < policy.tail.size(step):
-                # The candidate trigger would land inside its own tail: refuse.
-                return Action.COMPUTED, replace(state, reuse_run_length=0)
-            trigger = state.trigger_step if state.trigger_step is not None else step
-            return Action.REUSED, replace(
-                state, mode=Mode.CACHING, trigger_step=trigger, reuse_run_length=1
-            )
-        return Action.COMPUTED, replace(state, reuse_run_length=0)
-
-    # caching mode
-    if state.reuse_run_length >= policy.reuse_interval:
+        reuse = False
+    elif run >= policy.reuse_interval:
         # Mandatory refresh; next call re-evaluates against the fresh features.
-        return Action.COMPUTED, replace(state, reuse_run_length=0)
-    if state.reuse_run_length == 0:
-        # Immediately after a refresh: the indicator decides whether to resume.
-        if mean_l1 is None:
-            raise ProtocolError(
-                f"decide at step {step} follows a refresh but has no indicator"
-            )
-        if mean_l1 < policy.delta:
-            return Action.REUSED, replace(state, reuse_run_length=1)
-        return Action.COMPUTED, replace(state, mode=Mode.COMPUTING, reuse_run_length=0)
-    return Action.REUSED, replace(state, reuse_run_length=state.reuse_run_length + 1)
+        reuse = False
+    elif run > 0:
+        reuse = True
+    # The last step was computed (possibly a refresh): the indicator decides.
+    elif mean_l1 is None:
+        raise ProtocolError(f"decide at step {step} needs an indicator but none was measured")
+    elif not mean_l1 < policy.delta:
+        reuse = False
+    elif trigger is None:
+        # A first trigger is refused if it would land inside its own tail.
+        reuse = step >= policy.tail.size(step)
+        trigger = step if reuse else None
+    else:
+        reuse = True
+
+    if reuse:
+        return Action.REUSED, BlockCacheState(trigger, run + 1)
+    return Action.COMPUTED, BlockCacheState(trigger, 0)
 
 
 def _require_valid_tail(policy: CachePolicyConfig, total_steps: int) -> None:
@@ -299,6 +279,29 @@ def _require_valid_tail(policy: CachePolicyConfig, total_steps: int) -> None:
             f"fixed tail of {policy.tail.fixed_count} covers the whole run "
             f"of {total_steps} steps"
         )
+
+
+def _drive(total_steps: int, policy: CachePolicyConfig, run_step: Callable) -> list[StepDecision]:
+    """Decide every step of a run in execution order and record each decision.
+
+    ``run_step(step, action, measure)`` carries out one decided step and, if
+    ``measure``, returns its per-block distances to the previous computed
+    step's features, else None. Only computed steps after the first are
+    measured: the first executed step has nothing to compare against.
+    """
+    _require_valid_tail(policy, total_steps)
+    state = BlockCacheState()
+    mean_l1: float | None = None
+    decisions: list[StepDecision] = []
+    for step in range(total_steps - 1, -1, -1):
+        action, state = decide(state, mean_l1, step, total_steps, policy)
+        measure = action is Action.COMPUTED and step < total_steps - 1
+        per_block = run_step(step, action, measure)
+        arl1 = mean_l1 = None
+        if measure:
+            arl1, mean_l1 = aggregate_distances(per_block)
+        decisions.append(StepDecision(step, action, per_block, mean_l1, arl1))
+    return decisions
 
 
 def _feature_digest(x: Tensor) -> str:
@@ -325,7 +328,6 @@ def run_policy(
     """
     from bwcache.traceio import RunTrace, config_fingerprint
 
-    _require_valid_tail(policy, config.steps)
     total = config.steps
     x = sample_initial_latent(config) if initial_latent is None else initial_latent
     if x.shape != (config.tokens, config.hidden_dim):
@@ -338,42 +340,35 @@ def run_policy(
     schedule = NoiseSchedule.linear(total)
     readout = readout_matrix(config)
 
-    state = BlockCacheState()
-    mean_l1: float | None = None
-    decisions: list[StepDecision] = []
+    features: list[Tensor] | None = None  # block outputs of the last computed step
     timings: list[float] = []
     digests: list[tuple[str, ...]] = []
 
-    for step in range(total - 1, -1, -1):
-        t0 = time.perf_counter()
-        action, state = decide(state, mean_l1, step, total, policy)
+    def run_step(step: int, action: Action, measure: bool) -> tuple[float, ...] | None:
+        nonlocal x, features, last
+        per_block = None
         if action is Action.COMPUTED:
             eps_pred, outputs = denoiser_forward(x, step, weights, config)
             for o in outputs:
                 o.flags.writeable = False
-            if state.cached_outputs is not None:
-                per_block = tuple(
-                    relative_l1(outputs[i], state.cached_outputs[i])
-                    for i in range(config.n_blocks)
-                )
-                arl1, mean_l1 = aggregate_distances(per_block)
-                decisions.append(StepDecision(step, action, per_block, mean_l1, arl1))
-            else:
-                mean_l1 = None
-                decisions.append(StepDecision(step, action, None, None, None))
-            state.cached_outputs = outputs
+            if measure:
+                per_block = tuple(relative_l1(o, f) for o, f in zip(outputs, features))
+            features = outputs
         else:
-            outputs = state.cached_outputs
-            if outputs is None:
+            if features is None:
                 raise ProtocolError(f"reuse decided at step {step} with an empty cache")
-            eps_pred = matmul(outputs[-1], readout)
-            mean_l1 = None
-            decisions.append(StepDecision(step, action, None, None, None))
+            eps_pred = matmul(features[-1], readout)
         if collect_digests:
-            digests.append(tuple(_feature_digest(o) for o in outputs))
+            digests.append(tuple(_feature_digest(o) for o in features))
         x = reverse_step(x, eps_pred, step, schedule)
-        timings.append(time.perf_counter() - t0)
+        # Timed from the end of the previous step, so the decision is included.
+        now = time.perf_counter()
+        timings.append(now - last)
+        last = now
+        return per_block
 
+    last = time.perf_counter()
+    decisions = _drive(total, policy, run_step)
     if _tensor.is_deterministic():
         timings = [0.0] * total
     trace = RunTrace(
@@ -410,29 +405,17 @@ def replay_trace(
             raise ValueError(
                 f"ragged trace: execution index {i} has {len(row)} values, expected {n_blocks}"
             )
-    _require_valid_tail(policy, total)
 
-    state = BlockCacheState()
-    mean_l1: float | None = None
-    decisions: list[StepDecision] = []
-    for exec_idx, step in enumerate(range(total - 1, -1, -1)):
-        action, state = decide(state, mean_l1, step, total, policy)
-        if action is Action.COMPUTED:
-            if exec_idx == 0:
-                # Live, the first computed step has nothing to compare against.
-                mean_l1 = None
-                decisions.append(StepDecision(step, action, None, None, None))
-            else:
-                row = rows[exec_idx]
-                if any(v is None for v in row):
-                    raise ValueError(
-                        f"trace is missing distances at step {step} "
-                        f"(execution index {exec_idx}), needed for a computed step"
-                    )
-                per_block = tuple(float(v) for v in row)
-                arl1, mean_l1 = aggregate_distances(per_block)
-                decisions.append(StepDecision(step, action, per_block, mean_l1, arl1))
-        else:
-            mean_l1 = None
-            decisions.append(StepDecision(step, action, None, None, None))
-    return decisions
+    def read_row(step: int, action: Action, measure: bool) -> tuple[float, ...] | None:
+        if not measure:
+            return None
+        exec_idx = total - 1 - step
+        row = rows[exec_idx]
+        if any(v is None for v in row):
+            raise ValueError(
+                f"trace is missing distances at step {step} "
+                f"(execution index {exec_idx}), needed for a computed step"
+            )
+        return tuple(float(v) for v in row)
+
+    return _drive(total, policy, read_row)

@@ -129,11 +129,11 @@ def _parse_emit(text: str) -> list[str]:
     return parts
 
 
-def _policy_from_args(args, suffix: str = "", total_steps: int = 30) -> CachePolicyConfig:
+def _policy_from_args(args, suffix: str = "", *, total_steps: int) -> CachePolicyConfig:
     get = lambda name: getattr(args, f"{name}_{suffix}" if suffix else name)
     interval = get("reuse_interval")
     if interval is None:
-        interval = -(-total_steps // 10)
+        interval = CachePolicyConfig.recommended(total_steps).reuse_interval
     return CachePolicyConfig(
         kind=PolicyKind(get("policy")),
         delta=get("delta"),
@@ -185,8 +185,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _model_from_args(args)
-    policy_a = _policy_from_args(args, "a", config.steps)
-    policy_b = _policy_from_args(args, "b", config.steps)
+    policy_a = _policy_from_args(args, "a", total_steps=config.steps)
+    policy_b = _policy_from_args(args, "b", total_steps=config.steps)
     out = _resolve_out_dir(args)
 
     final_a, trace_a = run_policy(config, policy_a)

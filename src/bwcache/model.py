@@ -27,10 +27,12 @@ ancestral update: predict eps, form x0_hat, re-noise analytically to the
 previous level. All weights are float32 and drawn from the package's own
 seeded stream, so a seed pins the whole trajectory.
 
-The seeded builds (block weights, readout, decode) are pure functions of the
-ModelConfig, so each is built once per config and kept for the two most
-recently used configs. Every cached array is read-only: the same objects
-serve every later run of that config.
+The seeded builds are pure functions of the few config fields they read: the
+block weights of (seed, hidden_dim, n_blocks), the readout and decode
+matrices of (seed, hidden_dim). Each is built once per such key and kept for
+the two most recently used keys, so configs that differ only in steps, heads
+or frame grid share one build. Every cached array is read-only: the same
+objects serve every later run that reads them.
 """
 
 from __future__ import annotations
@@ -72,10 +74,10 @@ _SALT_LATENT = 0x4C415431
 _SALT_READOUT = 0x52454144
 _SALT_DECODE = 0x44454331
 
-# One config's block weights are 16 d^2 N float32 values (32 MiB at d=256,
-# N=8). Two entries cover a compare (both sides share one config) while
+# One model's block weights are 16 d^2 N float32 values (32 MiB at d=256,
+# N=8). Two entries cover a compare (both sides share one model) while
 # bounding what a long-lived caller keeps alive.
-_CACHED_CONFIGS = 2
+_CACHED_BUILDS = 2
 
 
 class Axis(str, Enum):
@@ -120,9 +122,13 @@ class ModelConfig:
         return self.hidden_dim // self.n_heads
 
 
+def _axis(block: int) -> Axis:
+    return Axis.SPATIAL if block % 2 == 0 else Axis.TEMPORAL
+
+
 def block_axes(config: ModelConfig) -> list[Axis]:
     """Attention axis per block: spatial on even indices, temporal on odd."""
-    return [Axis.SPATIAL if i % 2 == 0 else Axis.TEMPORAL for i in range(config.n_blocks)]
+    return [_axis(i) for i in range(config.n_blocks)]
 
 
 @dataclass(frozen=True)
@@ -165,31 +171,34 @@ def _read_only(x: Tensor) -> Tensor:
     return x
 
 
-@lru_cache(maxsize=_CACHED_CONFIGS)
 def init_weights(config: ModelConfig) -> tuple[DiTBlockWeights, ...]:
     """Draw all block weights from one stream, N(0, WEIGHT_STD^2), float32.
 
     Per block the draw order is fixed: qkv_proj, out_proj, mlp_in, mlp_out,
     adaln_proj. Changing it would silently re-seed every regression number.
-    The result is cached per config and its arrays are read-only; copy one
-    before perturbing it.
+    The result is cached per (seed, hidden_dim, n_blocks) and its arrays are
+    read-only; copy one before perturbing it.
     """
-    d = config.hidden_dim
-    rng = Rng(mix_seed(config.seed, _SALT_WEIGHTS))
+    return _build_weights(config.seed, config.hidden_dim, config.n_blocks)
+
+
+@lru_cache(maxsize=_CACHED_BUILDS)
+def _build_weights(seed: int, d: int, n_blocks: int) -> tuple[DiTBlockWeights, ...]:
+    rng = Rng(mix_seed(seed, _SALT_WEIGHTS))
 
     def draw(shape):
         return _read_only(rand_normal(rng, shape) * WEIGHT_STD)
 
     return tuple(
         DiTBlockWeights(
-            axis=axis,
+            axis=_axis(i),
             qkv_proj=draw((d, 3 * d)),
             out_proj=draw((d, d)),
             mlp_in=draw((d, 4 * d)),
             mlp_out=draw((4 * d, d)),
             adaln_proj=draw((d, 4 * d)),
         )
-        for axis in block_axes(config)
+        for i in range(n_blocks)
     )
 
 
@@ -256,27 +265,33 @@ def dit_block_forward(h: Tensor, weights: DiTBlockWeights, t_emb: Tensor, config
     return out
 
 
-@lru_cache(maxsize=_CACHED_CONFIGS)
 def readout_matrix(config: ModelConfig) -> Tensor:
     """Fixed seeded linear projection from the last block's features to eps_pred.
 
     Identity component scaled by READOUT_SELF_GAIN plus a random matrix with
     entries N(0, (READOUT_MIX_GAIN / sqrt(d))^2), so the prediction's scale is
-    width-independent.
+    width-independent. Cached per (seed, hidden_dim), read-only.
     """
-    d = config.hidden_dim
-    rng = Rng(mix_seed(config.seed, _SALT_READOUT))
+    return _build_readout(config.seed, config.hidden_dim)
+
+
+@lru_cache(maxsize=_CACHED_BUILDS)
+def _build_readout(seed: int, d: int) -> Tensor:
+    rng = Rng(mix_seed(seed, _SALT_READOUT))
     mix = rand_normal(rng, (d, d)) * (READOUT_MIX_GAIN / math.sqrt(d))
     eye = np.eye(d, dtype=np.float32) * np.float32(READOUT_SELF_GAIN)
     return _read_only((eye + mix).astype(np.float32))
 
 
-@lru_cache(maxsize=_CACHED_CONFIGS)
 def decode_matrix(config: ModelConfig) -> Tensor:
-    rng = Rng(mix_seed(config.seed, _SALT_DECODE))
-    return _read_only(
-        rand_normal(rng, (config.hidden_dim, 3)) * (1.0 / math.sqrt(config.hidden_dim))
-    )
+    """Fixed seeded [d, 3] pixel projection; cached per (seed, hidden_dim), read-only."""
+    return _build_decode(config.seed, config.hidden_dim)
+
+
+@lru_cache(maxsize=_CACHED_BUILDS)
+def _build_decode(seed: int, d: int) -> Tensor:
+    rng = Rng(mix_seed(seed, _SALT_DECODE))
+    return _read_only(rand_normal(rng, (d, 3)) * (1.0 / math.sqrt(d)))
 
 
 def sample_initial_latent(config: ModelConfig) -> Tensor:

@@ -73,10 +73,6 @@ class RunTrace:
         if steps != list(range(len(steps) - 1, -1, -1)):
             raise ValueError("decisions must cover steps T-1 .. 0 in execution order")
 
-    @property
-    def total_steps(self) -> int:
-        return len(self.decisions)
-
 
 def _fmt(value: float) -> str:
     return "%.9g" % value

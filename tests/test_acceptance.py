@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from bwcache import tensor
 from bwcache.cache import (
     Action,
     CachePolicyConfig,
@@ -38,12 +37,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 TOY = ModelConfig()
 
 TAIL_VARIANTS = (TailRule.third(), TailRule.half(), TailRule.twothirds(), TailRule.fixed(4))
-
-
-@pytest.fixture(autouse=True)
-def reset_deterministic():
-    yield
-    tensor.set_deterministic(False)
 
 
 @pytest.fixture(scope="module")

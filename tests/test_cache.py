@@ -10,6 +10,9 @@ run-length bound, frozen protected tail, and trigger monotonicity in delta.
 from __future__ import annotations
 
 import hashlib
+import tempfile
+from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,6 @@ from bwcache.cache import (
     Action,
     BlockCacheState,
     CachePolicyConfig,
-    Mode,
     PolicyKind,
     ProtocolError,
     StepDecision,
@@ -41,6 +43,7 @@ from bwcache.model import (
     sample_initial_latent,
 )
 from bwcache.tensor import DimensionError
+from bwcache.traceio import read_heatmap, write_heatmap
 
 C = Action.COMPUTED
 R = Action.REUSED
@@ -247,7 +250,6 @@ class TestDecideDirect:
         state = BlockCacheState()
         action, new = decide(state, 0.10, 7, 10, bw(0.15, 3, TailRule.fixed(1)))
         assert action is R
-        assert new.mode is Mode.CACHING
         assert new.trigger_step == 7
         assert new.reuse_run_length == 1
 
@@ -255,15 +257,33 @@ class TestDecideDirect:
         state = BlockCacheState()
         action, new = decide(state, 0.20, 7, 10, bw(0.15, 3, TailRule.fixed(1)))
         assert action is C
-        assert new.mode is Mode.COMPUTING
         assert new.trigger_step is None
 
     def test_tail_overrides_any_indicator(self):
-        state = BlockCacheState(mode=Mode.CACHING, trigger_step=8, reuse_run_length=1)
+        state = BlockCacheState(trigger_step=8, reuse_run_length=1)
         action, new = decide(state, 0.0, 1, 10, bw(0.15, 3, TailRule.fixed(3)))
         assert action is C
-        assert new.mode is Mode.COMPUTING
+        assert new.reuse_run_length == 0
         assert new.trigger_step == 8  # frozen, never cleared
+
+    def test_just_refreshed_state_resumes_below_delta(self):
+        """After a refresh (trigger set, run 0) the indicator alone decides."""
+        state = BlockCacheState(trigger_step=8, reuse_run_length=0)
+        action, new = decide(state, 0.10, 5, 10, bw(0.15, 3, TailRule.fixed(1)))
+        assert action is R
+        assert new == BlockCacheState(trigger_step=8, reuse_run_length=1)
+
+    @pytest.mark.parametrize("mean_l1", [0.15, 0.20])
+    def test_just_refreshed_state_computes_at_or_above_delta(self, mean_l1):
+        state = BlockCacheState(trigger_step=8, reuse_run_length=0)
+        action, new = decide(state, mean_l1, 5, 10, bw(0.15, 3, TailRule.fixed(1)))
+        assert action is C
+        assert new == state
+
+    def test_just_refreshed_state_needs_an_indicator(self):
+        state = BlockCacheState(trigger_step=8, reuse_run_length=0)
+        with pytest.raises(ProtocolError):
+            decide(state, None, 5, 10, bw(0.15, 3, TailRule.fixed(1)))
 
     def test_immediate_trigger_with_empty_tail(self):
         """All-zero means, tail fixed:0, R=T: everything after warmup reuses."""
@@ -284,10 +304,16 @@ class TestDecideEdges:
             decide(BlockCacheState(), 0.1, 10, 10, bw(0.15, 3, TailRule.half()))
 
     def test_decide_does_not_mutate_input_state(self):
-        state = BlockCacheState(mode=Mode.COMPUTING, trigger_step=None, reuse_run_length=0)
+        state = BlockCacheState(trigger_step=None, reuse_run_length=0)
         decide(state, 0.01, 7, 10, bw(0.15, 3, TailRule.half()))
-        assert state.mode is Mode.COMPUTING
         assert state.trigger_step is None
+        assert state.reuse_run_length == 0
+
+    def test_state_is_frozen_with_two_fields(self):
+        state = BlockCacheState()
+        assert [f.name for f in fields(state)] == ["trigger_step", "reuse_run_length"]
+        with pytest.raises(FrozenInstanceError):
+            state.reuse_run_length = 1
 
     def test_trigger_interval_one_alternates(self):
         """R=1 allows single reuses separated by refreshes."""
@@ -541,3 +567,40 @@ class TestRunPolicy:
             assert [d.action for d in replayed[:first_reuse]] == [
                 d.action for d in live.decisions[:first_reuse]
             ]
+
+
+def policy_strategy():
+    return st.one_of(
+        st.just(CachePolicyConfig(kind=PolicyKind.NONE)),
+        st.integers(min_value=1, max_value=4).map(
+            lambda stride: CachePolicyConfig(kind=PolicyKind.STATIC, static_stride=stride)
+        ),
+        st.builds(
+            bw,
+            delta=st.floats(min_value=0.0, max_value=0.5),
+            interval=st.integers(min_value=1, max_value=4),
+            tail=tail_strategy(),
+        ),
+    )
+
+
+class TestLiveReplayAgreement:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        steps=st.integers(min_value=4, max_value=12),
+        policy=policy_strategy(),
+    )
+    def test_replayed_heatmap_reproduces_live_actions(self, seed, steps, policy):
+        """A live run's heatmap, written and read back, replays under the same
+        policy to exactly the live actions: both runs decide by one driver and
+        the heatmap holds every distance the policy read."""
+        config = ModelConfig(
+            n_blocks=2, hidden_dim=8, n_heads=2, frames=2, tokens_per_frame=3, steps=steps, seed=seed
+        )
+        _, trace = run_policy(config, policy)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "heatmap.csv"
+            write_heatmap(trace.decisions, config.n_blocks, path)
+            rows = read_heatmap(path)
+        assert actions(replay_trace(rows, policy)) == actions(trace.decisions)

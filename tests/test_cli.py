@@ -12,7 +12,7 @@ import pytest
 
 from bwcache import tensor
 from bwcache.cli import _policy_from_args, build_parser, main
-from bwcache.model import init_weights
+from bwcache.model import _build_weights
 from bwcache.traceio import read_latent
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -24,12 +24,6 @@ TINY_SHAPE = TINY + ["--steps", "7", "--blocks", "2"]
 
 def run_generate(out, *extra):
     return main(["generate", *TINY_SHAPE, "--out", str(out), *extra])
-
-
-@pytest.fixture(autouse=True)
-def reset_deterministic():
-    yield
-    tensor.set_deterministic(False)
 
 
 class TestGenerate:
@@ -165,10 +159,10 @@ class TestCompare:
 
     def test_draws_block_weights_once(self, tmp_path):
         """Both sides share one config, so the second run reuses the first's build."""
-        init_weights.cache_clear()
+        _build_weights.cache_clear()
         rc = main(["compare", *TINY_SHAPE, "--delta-b", "0.9", "--out", str(tmp_path)])
         assert rc == 0
-        info = init_weights.cache_info()
+        info = _build_weights.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
     def test_speedup_null_in_deterministic_mode(self, tmp_path):

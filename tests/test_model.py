@@ -9,7 +9,7 @@ pass-through, axis grouping, schedule shape) are checked exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,9 @@ import pytest
 from bwcache.cache import Action, CachePolicyConfig, PolicyKind, run_policy
 from bwcache.model import (
     _SALT_WEIGHTS,
+    _build_decode,
+    _build_readout,
+    _build_weights,
     Axis,
     DiTBlockWeights,
     ModelConfig,
@@ -271,11 +274,36 @@ class TestBuildCache:
         _, cached = run_policy(config, CachePolicyConfig(delta=1e9, reuse_interval=3))
         assert any(d.action is Action.REUSED for d in cached.decisions)
         after_cached, _ = run_policy(config, none)
-        for build in (init_weights, readout_matrix, decode_matrix):
+        for build in (_build_weights, _build_readout, _build_decode):
             build.cache_clear()
         fresh, _ = run_policy(config, none)
-        assert init_weights.cache_info().misses == 1
+        assert _build_weights.cache_info().misses == 1
         assert after_cached.tobytes() == fresh.tobytes()
+
+    def test_builds_are_keyed_on_the_fields_they_read(self):
+        """Steps, heads and the frame grid enter no build, so configs that
+        differ only there share one build of each; n_blocks enters only the
+        block weights."""
+        builds = (_build_weights, _build_readout, _build_decode)
+        for build in builds:
+            build.cache_clear()
+        base = tiny_config(hidden_dim=8, seed=21)
+        weights, readout, decode = init_weights(base), readout_matrix(base), decode_matrix(base)
+        for config in (
+            replace(base, steps=30),
+            replace(base, steps=100),
+            replace(base, n_heads=4),
+            replace(base, frames=3, tokens_per_frame=1),
+        ):
+            assert init_weights(config) is weights
+            assert readout_matrix(config) is readout
+            assert decode_matrix(config) is decode
+        assert [b.cache_info().misses for b in builds] == [1, 1, 1]
+
+        deeper = replace(base, n_blocks=3)
+        assert init_weights(deeper) is not weights
+        assert readout_matrix(deeper) is readout
+        assert [b.cache_info().misses for b in builds] == [2, 1, 1]
 
 
 class TestTimestepEmbedding:
@@ -327,14 +355,11 @@ class TestBlockForward:
         t_emb = timestep_embedding(6, config.hidden_dim)
         h_before, t_before = h.copy(), t_emb.copy()
         tensor.set_deterministic(deterministic)
-        try:
-            for weights in init_weights(config):
-                want = block_forward_numpy(h, weights, t_emb, config, deterministic)
-                got = dit_block_forward(h, weights, t_emb, config)
-                assert got.dtype == want.dtype == np.float32
-                assert got.tobytes() == want.tobytes()
-        finally:
-            tensor.set_deterministic(False)
+        for weights in init_weights(config):
+            want = block_forward_numpy(h, weights, t_emb, config, deterministic)
+            got = dit_block_forward(h, weights, t_emb, config)
+            assert got.dtype == want.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
         assert h.tobytes() == h_before.tobytes()
         assert t_emb.tobytes() == t_before.tobytes()
 

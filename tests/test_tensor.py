@@ -64,12 +64,6 @@ def make_random(shape, seed=0, dtype=np.float32):
     return np.random.default_rng(seed).standard_normal(shape).astype(dtype)
 
 
-@pytest.fixture(autouse=True)
-def reset_deterministic():
-    yield
-    tensor.set_deterministic(False)
-
-
 class TestMatmul:
     def test_matches_triple_loop_oracle(self):
         """matmul agrees with an explicit triple loop in float64."""
