@@ -15,7 +15,7 @@ from bwcache.cache import (
 )
 from bwcache.metrics import RunSummary, block_flops, psnr, ssim_global, summarize
 from bwcache.model import ModelConfig, NoiseSchedule, init_weights
-from bwcache.tensor import Rng, Tensor, set_deterministic
+from bwcache.tensor import Rng, Tensor, deterministic
 from bwcache.traceio import RunTrace
 
 __version__ = "0.1.0"
@@ -36,12 +36,12 @@ __all__ = [
     "aggregate_distances",
     "block_flops",
     "decide",
+    "deterministic",
     "init_weights",
     "psnr",
     "relative_l1",
     "replay_trace",
     "run_policy",
-    "set_deterministic",
     "ssim_global",
     "summarize",
     "__version__",

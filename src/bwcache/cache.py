@@ -43,7 +43,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from bwcache import tensor as _tensor
 from bwcache.model import (
     ModelConfig,
     NoiseSchedule,
@@ -53,7 +52,7 @@ from bwcache.model import (
     reverse_step,
     sample_initial_latent,
 )
-from bwcache.tensor import DimensionError, Tensor, matmul
+from bwcache.tensor import DimensionError, Tensor, is_deterministic, matmul
 
 
 class PolicyKind(str, Enum):
@@ -323,8 +322,9 @@ def run_policy(
     Reused steps substitute the cached block features unchanged and re-run
     only the readout. Cached features are read-only, so nothing can alter
     what a later reused step substitutes. An ``initial_latent`` replaces the
-    seeded x_T and is hashed into the run's fingerprint. In deterministic
-    tensor mode the recorded timings are zeroed so exports are byte-stable.
+    seeded x_T and is hashed into the run's fingerprint. Inside a
+    ``deterministic()`` scope the recorded timings are zeroed so exports are
+    byte-stable.
     """
     from bwcache.traceio import RunTrace, config_fingerprint
 
@@ -369,7 +369,7 @@ def run_policy(
 
     last = time.perf_counter()
     decisions = _drive(total, policy, run_step)
-    if _tensor.is_deterministic():
+    if is_deterministic():
         timings = [0.0] * total
     trace = RunTrace(
         decisions=decisions,

@@ -263,15 +263,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 
-    was_deterministic = tensor.is_deterministic()
-    if getattr(args, "deterministic", False):
-        tensor.set_deterministic(True)
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        return _cmd_replay(args)
+        with tensor.deterministic(args.deterministic):
+            if args.command == "generate":
+                return _cmd_generate(args)
+            if args.command == "compare":
+                return _cmd_compare(args)
+            return _cmd_replay(args)
     except ZeroDenominatorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -281,8 +279,6 @@ def main(argv=None) -> int:
     except (OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        tensor.set_deterministic(was_deterministic)
 
 
 def entry() -> None:

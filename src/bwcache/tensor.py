@@ -16,10 +16,13 @@ Determinism has two tiers:
 * Default mode dispatches matmuls to BLAS. On a given machine and build this
   is bit-reproducible run to run, which is what the reproducibility tests
   rely on, but the exact bits may differ across machines or BLAS builds.
-* Deterministic mode (``set_deterministic(True)``) routes matmuls through a
-  fixed-order einsum contraction that never changes its accumulation order
-  with thread count or kernel selection. It is several times slower and only
-  worth it when byte-stable exports matter more than speed.
+* Deterministic mode (inside a ``with deterministic():`` scope) routes
+  matmuls through a fixed-order einsum contraction that never changes its
+  accumulation order with thread count or kernel selection. It is several
+  times slower and only worth it when byte-stable exports matter more than
+  speed. The mode is a context variable: it is restored when the scope exits,
+  by an exception too, and a scope in one thread or context never reaches
+  another.
 
 The random stream is a SplitMix64 counter generator (golden-gamma increment,
 two xor-multiply finalizer rounds) mapped to normals with Box-Muller. It is
@@ -29,7 +32,10 @@ package, independent of numpy's own Generator machinery.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -51,17 +57,21 @@ class NonFiniteError(ArithmeticError):
     """Raised when an op produces NaN or Inf."""
 
 
-_deterministic = False
+_deterministic = contextvars.ContextVar("bwcache_deterministic", default=False)
 
 
-def set_deterministic(enabled: bool) -> None:
-    """Toggle fixed-order accumulation for all subsequent matmuls."""
-    global _deterministic
-    _deterministic = bool(enabled)
+@contextlib.contextmanager
+def deterministic(enabled: bool = True) -> Iterator[None]:
+    """Run the enclosed matmuls with fixed-order accumulation (or, with False, BLAS)."""
+    token = _deterministic.set(bool(enabled))
+    try:
+        yield
+    finally:
+        _deterministic.reset(token)
 
 
 def is_deterministic() -> bool:
-    return _deterministic
+    return _deterministic.get()
 
 
 def _check_finite(out: Tensor, op: str) -> Tensor:
@@ -76,7 +86,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    if _deterministic:
+    if _deterministic.get():
         out = np.einsum("ik,kj->ij", a, b)
     else:
         out = a @ b
@@ -89,7 +99,7 @@ def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"batched_matmul expects 3-d operands, got {a.shape} @ {b.shape}")
     if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise DimensionError(f"batched_matmul shapes incompatible: {a.shape} @ {b.shape}")
-    if _deterministic:
+    if _deterministic.get():
         out = np.einsum("gik,gkj->gij", a, b)
     else:
         out = a @ b

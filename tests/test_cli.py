@@ -87,10 +87,21 @@ class TestGenerate:
         assert not (tmp_path / "ignored").exists()
 
     def test_deterministic_zeroes_wall_seconds(self, tmp_path):
-        """--deterministic reports zero timings and restores the global flag."""
+        """--deterministic reports zero timings and leaves default mode on return."""
         assert run_generate(tmp_path, "--deterministic") == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["wall_seconds"] == 0.0
+        assert not tensor.is_deterministic()
+
+    @pytest.mark.parametrize(
+        "extra, code",
+        [(["--delta", "nan"], 2), (["--reference-latent", "missing.bin"], 1)],
+        ids=["bad-config", "missing-reference"],
+    )
+    def test_deterministic_failure_leaves_default_mode(self, tmp_path, monkeypatch, extra, code):
+        """A --deterministic run that fails still leaves default mode on return."""
+        monkeypatch.chdir(tmp_path)
+        assert run_generate(tmp_path, "--deterministic", *extra) == code
         assert not tensor.is_deterministic()
 
     def test_deterministic_reruns_are_byte_identical(self, tmp_path):

@@ -354,12 +354,12 @@ class TestBlockForward:
         h = make_latent(config, seed=15)
         t_emb = timestep_embedding(6, config.hidden_dim)
         h_before, t_before = h.copy(), t_emb.copy()
-        tensor.set_deterministic(deterministic)
-        for weights in init_weights(config):
-            want = block_forward_numpy(h, weights, t_emb, config, deterministic)
-            got = dit_block_forward(h, weights, t_emb, config)
-            assert got.dtype == want.dtype == np.float32
-            assert got.tobytes() == want.tobytes()
+        with tensor.deterministic(deterministic):
+            for weights in init_weights(config):
+                want = block_forward_numpy(h, weights, t_emb, config, deterministic)
+                got = dit_block_forward(h, weights, t_emb, config)
+                assert got.dtype == want.dtype == np.float32
+                assert got.tobytes() == want.tobytes()
         assert h.tobytes() == h_before.tobytes()
         assert t_emb.tobytes() == t_before.tobytes()
 

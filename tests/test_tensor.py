@@ -9,6 +9,7 @@ hand. The oracles deliberately share no code with the implementation.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -64,6 +65,13 @@ def make_random(shape, seed=0, dtype=np.float32):
     return np.random.default_rng(seed).standard_normal(shape).astype(dtype)
 
 
+# Each matmul op with its fixed-order contraction and its leading (batch) axes.
+MATMUL_OPS = [
+    pytest.param(matmul, "ik,kj->ij", (), id="matmul"),
+    pytest.param(batched_matmul, "gik,gkj->gij", (3,), id="batched_matmul"),
+]
+
+
 class TestMatmul:
     def test_matches_triple_loop_oracle(self):
         """matmul agrees with an explicit triple loop in float64."""
@@ -80,22 +88,66 @@ class TestMatmul:
         want = np.array([[19.0, 22.0], [43.0, 50.0]], dtype=np.float32)
         assert np.array_equal(matmul(a, b), want)
 
-    def test_deterministic_mode_matches_oracle_too(self):
-        """The einsum path computes the same product as the BLAS path."""
-        a = make_random((4, 6), seed=3)
-        b = make_random((6, 8), seed=4)
-        want = matmul_reference(a, b)
-        tensor.set_deterministic(True)
-        got = matmul(a, b)
+    @pytest.mark.parametrize("op, subscripts, lead", MATMUL_OPS)
+    def test_deterministic_mode_matches_oracle_too(self, op, subscripts, lead):
+        """The einsum path computes the same product as the BLAS path; inside
+        the scope each op is byte-equal to the einsum, outside to ``a @ b``."""
+        a = make_random((*lead, 4, 6), seed=3)
+        b = make_random((*lead, 6, 8), seed=4)
+        want = np.stack(
+            [matmul_reference(x, y) for x, y in zip(a.reshape(-1, 4, 6), b.reshape(-1, 6, 8))]
+        ).reshape(*lead, 4, 8)
+        with tensor.deterministic():
+            got = op(a, b)
+        assert got.tobytes() == np.einsum(subscripts, a, b).tobytes()
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+        assert op(a, b).tobytes() == (a @ b).tobytes()
 
-    def test_identity_is_exact_in_deterministic_mode(self):
+    @pytest.mark.parametrize("op, subscripts, lead", MATMUL_OPS)
+    def test_identity_is_exact_in_deterministic_mode(self, op, subscripts, lead):
         """I @ A and A @ I reproduce A bit for bit under fixed-order accumulation."""
-        tensor.set_deterministic(True)
-        a = make_random((6, 6), seed=5)
-        eye = np.eye(6, dtype=np.float32)
-        assert np.array_equal(matmul(eye, a), a)
-        assert np.array_equal(matmul(a, eye), a)
+        a = make_random((*lead, 6, 6), seed=5)
+        eye = np.broadcast_to(np.eye(6, dtype=np.float32), a.shape).copy()
+        with tensor.deterministic():
+            assert np.array_equal(op(eye, a), a)
+            assert np.array_equal(op(a, eye), a)
+            assert op(eye, a).tobytes() == np.einsum(subscripts, eye, a).tobytes()
+        assert op(eye, a).tobytes() == (eye @ a).tobytes()
+
+    def test_scope_restores_the_outer_mode(self):
+        """Nested scopes and a raising scope restore the mode they entered
+        from, and a scope in another thread never reaches this one."""
+        assert not tensor.is_deterministic()
+        with tensor.deterministic():
+            with tensor.deterministic(False):
+                assert not tensor.is_deterministic()
+            assert tensor.is_deterministic()
+        assert not tensor.is_deterministic()
+
+        with pytest.raises(RuntimeError):
+            with tensor.deterministic():
+                raise RuntimeError("inside the scope")
+        assert not tensor.is_deterministic()
+
+        entered, release = threading.Event(), threading.Event()
+        seen = []
+
+        def worker():
+            with tensor.deterministic():
+                seen.append(tensor.is_deterministic())
+                entered.set()
+                release.wait(timeout=10)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        try:
+            assert entered.wait(timeout=10)
+            assert not tensor.is_deterministic()
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == [True]
 
     def test_shape_mismatch_raises(self):
         """Mismatched inner dimensions raise DimensionError naming both shapes."""

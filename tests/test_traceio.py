@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -240,18 +241,43 @@ class TestRunTrace:
             RunTrace(decisions=bad, timings=[0.0] * 3, config_fingerprint="x")
 
 
+# One non-default value per config field; every one must move the fingerprint.
+FINGERPRINT_ALTERNATES = {
+    (ModelConfig, "n_blocks"): 4,
+    (ModelConfig, "hidden_dim"): 32,
+    (ModelConfig, "n_heads"): 2,
+    (ModelConfig, "frames"): 2,
+    (ModelConfig, "tokens_per_frame"): 8,
+    (ModelConfig, "steps"): 20,
+    (ModelConfig, "seed"): 1,
+    (CachePolicyConfig, "kind"): PolicyKind.STATIC,
+    (CachePolicyConfig, "delta"): 0.2,
+    (CachePolicyConfig, "reuse_interval"): 4,
+    (CachePolicyConfig, "tail"): TailRule.third(),
+    (CachePolicyConfig, "static_stride"): 2,
+}
+CONFIG_FIELDS = [
+    (cls, f.name) for cls in (ModelConfig, CachePolicyConfig) for f in dataclasses.fields(cls)
+]
+
+
 class TestFingerprint:
-    def test_stable_and_sensitive(self):
-        config = ModelConfig()
-        policy = CachePolicyConfig()
+    @pytest.mark.parametrize(
+        "cls, name", CONFIG_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in CONFIG_FIELDS]
+    )
+    def test_stable_and_sensitive(self, cls, name):
+        """Equal configs hash equal; changing any one field changes the hash."""
+        assert set(FINGERPRINT_ALTERNATES) == set(CONFIG_FIELDS)
+        config, policy = ModelConfig(), CachePolicyConfig()
         a = config_fingerprint(config, policy)
         assert a == config_fingerprint(ModelConfig(), CachePolicyConfig())
         assert len(a) == 64
-        assert a != config_fingerprint(ModelConfig(seed=1), policy)
-        assert a != config_fingerprint(config, CachePolicyConfig(delta=0.2))
-        assert a != config_fingerprint(
-            config, CachePolicyConfig(tail=TailRule.third())
-        )
+        value = FINGERPRINT_ALTERNATES[cls, name]
+        if cls is ModelConfig:
+            config = dataclasses.replace(config, **{name: value})
+        else:
+            policy = dataclasses.replace(policy, **{name: value})
+        assert a != config_fingerprint(config, policy)
 
     def test_default_hash_is_over_the_version_1_document(self):
         """Without an initial latent the document, and so every default
