@@ -303,46 +303,26 @@ def _drive(total_steps: int, policy: CachePolicyConfig, run_step: Callable) -> l
     return decisions
 
 
-def _feature_digest(x: Tensor) -> str:
-    import hashlib
-
-    return hashlib.blake2b(x.tobytes(), digest_size=16).hexdigest()
-
-
-def run_policy(
-    config: ModelConfig,
-    policy: CachePolicyConfig,
-    initial_latent: Tensor | None = None,
-    collect_digests: bool = False,
-):
+def run_policy(config: ModelConfig, policy: CachePolicyConfig):
     """Sample under ``policy`` and return (final_latent, RunTrace).
 
     Computed steps run the full block stack, measure per-block distances
     against the previous cache when one exists, and replace the cache.
     Reused steps substitute the cached block features unchanged and re-run
     only the readout. Cached features are read-only, so nothing can alter
-    what a later reused step substitutes. An ``initial_latent`` replaces the
-    seeded x_T and is hashed into the run's fingerprint. Inside a
-    ``deterministic()`` scope the recorded timings are zeroed so exports are
-    byte-stable.
+    what a later reused step substitutes. Inside a ``deterministic()`` scope
+    the recorded timings are zeroed so exports are byte-stable.
     """
     from bwcache.traceio import RunTrace, config_fingerprint
 
     total = config.steps
-    x = sample_initial_latent(config) if initial_latent is None else initial_latent
-    if x.shape != (config.tokens, config.hidden_dim):
-        raise DimensionError(
-            f"initial latent shape {x.shape} != ({config.tokens}, {config.hidden_dim})"
-        )
-    if x.dtype != np.float32:
-        raise ValueError(f"initial latent dtype {x.dtype} is not float32")
+    x = sample_initial_latent(config)
     weights = init_weights(config)
     schedule = NoiseSchedule.linear(total)
     readout = readout_matrix(config)
 
     features: list[Tensor] | None = None  # block outputs of the last computed step
     timings: list[float] = []
-    digests: list[tuple[str, ...]] = []
 
     def run_step(step: int, action: Action, measure: bool) -> tuple[float, ...] | None:
         nonlocal x, features, last
@@ -358,8 +338,6 @@ def run_policy(
             if features is None:
                 raise ProtocolError(f"reuse decided at step {step} with an empty cache")
             eps_pred = matmul(features[-1], readout)
-        if collect_digests:
-            digests.append(tuple(_feature_digest(o) for o in features))
         x = reverse_step(x, eps_pred, step, schedule)
         # Timed from the end of the previous step, so the decision is included.
         now = time.perf_counter()
@@ -374,9 +352,8 @@ def run_policy(
     trace = RunTrace(
         decisions=decisions,
         timings=timings,
-        config_fingerprint=config_fingerprint(config, policy, initial_latent),
+        config_fingerprint=config_fingerprint(config, policy),
         final_latent=x,
-        feature_digests=digests if collect_digests else None,
     )
     return x, trace
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -25,12 +24,13 @@ from bwcache.cache import (
     replay_trace,
     run_policy,
 )
-from bwcache.metrics import RunSummary, psnr, ssim_frames, step_flops, summarize
-from bwcache.model import ModelConfig, decode_latent
+from bwcache.metrics import RunSummary, summarize
+from bwcache.model import ModelConfig
 from bwcache.traceio import (
     RunTrace,
     TraceFormatError,
     config_fingerprint,
+    psnr_json,
     read_heatmap,
     read_latent,
     write_heatmap,
@@ -38,8 +38,6 @@ from bwcache.traceio import (
     write_reuse_profile,
     write_summary,
 )
-
-EMIT_CHOICES = ("heatmap", "reuse_profile", "summary")
 
 
 def _add_model_flags(p: argparse.ArgumentParser, with_shape: bool = True) -> None:
@@ -77,11 +75,6 @@ def _add_policy_flags(p: argparse.ArgumentParser, suffix: str = "") -> None:
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output directory (or $BWCACHE_OUT_DIR)")
-    p.add_argument(
-        "--emit",
-        default=",".join(EMIT_CHOICES),
-        help=f"comma list from {{{','.join(EMIT_CHOICES)}}}",
-    )
     p.add_argument("--deterministic", action="store_true", help="fixed-order matmuls, zeroed timings")
 
 
@@ -121,14 +114,6 @@ def _resolve_out_dir(args) -> Path:
     return path
 
 
-def _parse_emit(text: str) -> list[str]:
-    parts = [p for p in text.split(",") if p]
-    for p in parts:
-        if p not in EMIT_CHOICES:
-            raise ValueError(f"unknown emit target {p!r}; choose from {EMIT_CHOICES}")
-    return parts
-
-
 def _policy_from_args(args, suffix: str = "", *, total_steps: int) -> CachePolicyConfig:
     get = lambda name: getattr(args, f"{name}_{suffix}" if suffix else name)
     interval = get("reuse_interval")
@@ -155,24 +140,20 @@ def _model_from_args(args, steps: int | None = None, blocks: int | None = None) 
     )
 
 
-def _emit_run(trace: RunTrace, summary: RunSummary, n_blocks: int, emit: list[str], out: Path) -> None:
-    if "heatmap" in emit:
-        write_heatmap(trace.decisions, n_blocks, out / "heatmap.csv")
-    if "reuse_profile" in emit:
-        write_reuse_profile(trace.decisions, out / "reuse_profile.csv")
-    if "summary" in emit:
-        write_summary(summary, trace.config_fingerprint, out / "summary.json")
+def _write_run(trace: RunTrace, summary: RunSummary, n_blocks: int, out: Path) -> None:
+    write_heatmap(trace.decisions, n_blocks, out / "heatmap.csv")
+    write_reuse_profile(trace.decisions, out / "reuse_profile.csv")
+    write_summary(summary, trace.config_fingerprint, out / "summary.json")
 
 
 def _cmd_generate(args) -> int:
     config = _model_from_args(args)
     policy = _policy_from_args(args, total_steps=config.steps)
-    emit = _parse_emit(args.emit)
     out = _resolve_out_dir(args)
     reference = read_latent(args.reference_latent) if args.reference_latent else None
     final, trace = run_policy(config, policy)
     summary = summarize(trace, reference, config)
-    _emit_run(trace, summary, config.n_blocks, emit, out)
+    _write_run(trace, summary, config.n_blocks, out)
     if args.dump_latent:
         write_latent(final, out / "latent.bin")
     reused = round(summary.reuse_rate_steps * config.steps)
@@ -192,13 +173,8 @@ def _cmd_compare(args) -> int:
     final_a, trace_a = run_policy(config, policy_a)
     final_b, trace_b = run_policy(config, policy_b)
     summary_a = summarize(trace_a, None, config)
-    summary_b = summarize(trace_b, final_a, config)
-
-    px_a = decode_latent(final_a, config)
-    px_b = decode_latent(final_b, config)
-    cross_psnr: float | str = psnr(px_a, px_b)
-    if math.isinf(cross_psnr):
-        cross_psnr = "inf"
+    summary_b = summarize(trace_b, final_a, config)  # scores b against a
+    cross_psnr = psnr_json(summary_b.psnr_db)
     speedup = None
     if summary_a.wall_seconds > 0.0 and summary_b.wall_seconds > 0.0:
         speedup = summary_a.wall_seconds / summary_b.wall_seconds
@@ -217,13 +193,13 @@ def _cmd_compare(args) -> int:
         "a": side(summary_a, trace_a),
         "b": side(summary_b, trace_b),
         "psnr_db": cross_psnr,
-        "ssim": ssim_frames(px_a, px_b),
+        "ssim": summary_b.ssim,
         "speedup": speedup,
     }
     (out / "comparison.json").write_text(
         json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     )
-    shown = doc["psnr_db"] if isinstance(cross_psnr, str) else f"{cross_psnr:.2f}"
+    shown = cross_psnr if isinstance(cross_psnr, str) else f"{cross_psnr:.2f}"
     print(
         f"a={policy_a.kind.value} b={policy_b.kind.value} psnr_db={shown} "
         f"ssim={doc['ssim']:.6f} out={out}"
@@ -236,7 +212,6 @@ def _cmd_replay(args) -> int:
     total_steps = len(rows)
     n_blocks = len(rows[0])
     policy = _policy_from_args(args, total_steps=total_steps)
-    emit = _parse_emit(args.emit)
     out = _resolve_out_dir(args)
     decisions = replay_trace(rows, policy)
 
@@ -247,7 +222,7 @@ def _cmd_replay(args) -> int:
         config_fingerprint=config_fingerprint(config, policy),
     )
     summary = summarize(trace, None, config)
-    _emit_run(trace, summary, n_blocks, emit, out)
+    _write_run(trace, summary, n_blocks, out)
     reused = round(summary.reuse_rate_steps * total_steps)
     print(
         f"replayed {args.trace}: policy={policy.kind.value} "

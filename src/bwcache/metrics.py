@@ -126,10 +126,9 @@ def summarize(trace: RunTrace, reference_output: Tensor | None, config: ModelCon
         raise ValueError(f"trace has {total} steps, config says {config.steps}")
     reused_steps = sum(1 for d in trace.decisions if d.action is Action.REUSED)
     per_step = step_flops(config)
-    n_blocks = config.n_blocks
-    # Whole steps are reused, so skipped block evaluations come in groups of N.
     reuse_rate_steps = reused_steps / total
-    reuse_rate_blocks = (reused_steps * n_blocks) / (total * n_blocks)
+    # Whole steps are reused, so skipped block evaluations come in groups of N.
+    reuse_rate_blocks = reuse_rate_steps
     total_flops = (total - reused_steps) * per_step
     flops_saved = reused_steps * per_step
 

@@ -56,19 +56,21 @@ class TraceFormatError(ValueError):
 
 @dataclass
 class RunTrace:
-    """Everything one run recorded: the unit of replay and reporting."""
+    """Everything one run recorded: the unit of replay and reporting.
+
+    One decision and one timing per step in execution order, the
+    fingerprint of the configs that produced them, and, for a live run, the
+    final latent.
+    """
 
     decisions: list["StepDecision"]
     timings: list[float]
     config_fingerprint: str
     final_latent: Tensor | None = None
-    feature_digests: list[tuple[str, ...]] | None = None
 
     def __post_init__(self):
         if len(self.timings) != len(self.decisions):
             raise ValueError("one timing per decision required")
-        if self.feature_digests is not None and len(self.feature_digests) != len(self.decisions):
-            raise ValueError("one digest tuple per decision required")
         steps = [d.step for d in self.decisions]
         if steps != list(range(len(steps) - 1, -1, -1)):
             raise ValueError("decisions must cover steps T-1 .. 0 in execution order")
@@ -78,15 +80,11 @@ def _fmt(value: float) -> str:
     return "%.9g" % value
 
 
-def config_fingerprint(
-    config: "ModelConfig", policy: "CachePolicyConfig", initial_latent: Tensor | None = None
-) -> str:
+def config_fingerprint(config: "ModelConfig", policy: "CachePolicyConfig") -> str:
     """sha256 over the canonical JSON form of (model config, policy).
 
-    A run that starts from a given ``initial_latent`` instead of the seeded
-    one adds an ``initial_latent`` key: the blake2b-128 digest of its dtype,
-    shape and bytes. Without one the document has no such key, so runs from
-    the seeded latent hash exactly the version-1 document.
+    The seed fixes the initial latent, so the two configs name everything
+    that selects a run's trajectory (the version-1 document).
     """
     doc = {
         "model": {
@@ -107,17 +105,8 @@ def config_fingerprint(
         },
         "version": 1,
     }
-    if initial_latent is not None:
-        doc["initial_latent"] = _latent_digest(initial_latent)
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
-
-
-def _latent_digest(x: Tensor) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(json.dumps([x.dtype.str, list(x.shape)]).encode("ascii"))
-    h.update(x.tobytes())
-    return h.hexdigest()
 
 
 def write_heatmap(decisions: Sequence["StepDecision"], n_blocks: int, path) -> None:
@@ -206,15 +195,19 @@ def write_reuse_profile(decisions: Sequence["StepDecision"], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def psnr_json(value: float | None) -> float | str | None:
+    """A PSNR as JSON holds it: the string "inf" for identical pixels."""
+    if value is not None and math.isinf(value):
+        return "inf"
+    return value
+
+
 def write_summary(summary: "RunSummary", fingerprint: str, path) -> None:
     """Stable JSON: sorted keys, fixed key set, 'inf' sentinel for psnr_db."""
-    psnr: float | str | None = summary.psnr_db
-    if psnr is not None and math.isinf(psnr):
-        psnr = "inf"
     doc = {
         "config_fingerprint": fingerprint,
         "flops_saved": summary.flops_saved,
-        "psnr_db": psnr,
+        "psnr_db": psnr_json(summary.psnr_db),
         "reuse_rate_blocks": summary.reuse_rate_blocks,
         "reuse_rate_steps": summary.reuse_rate_steps,
         "ssim": summary.ssim,

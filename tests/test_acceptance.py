@@ -29,6 +29,7 @@ from bwcache.metrics import psnr, ssim_global, summarize
 from bwcache.model import ModelConfig
 from bwcache.tensor import Rng, rand_normal
 from bwcache.traceio import read_heatmap, write_heatmap, write_reuse_profile
+from feature_spy import FeatureSpy
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -41,7 +42,7 @@ TAIL_VARIANTS = (TailRule.third(), TailRule.half(), TailRule.twothirds(), TailRu
 
 @pytest.fixture(scope="module")
 def policy_sweep():
-    """Twenty seeded random (seed, delta, interval, tail) runs with digests.
+    """Twenty seeded random (seed, delta, interval, tail) runs, each spied on.
 
     Shared by the fidelity, run-length, and FLOPs criteria so the model
     only runs once per parameter draw.
@@ -56,8 +57,10 @@ def policy_sweep():
             reuse_interval=draws.randint(1, 8),
             tail=TAIL_VARIANTS[i % len(TAIL_VARIANTS)],
         )
-        _, trace = run_policy(config, policy, collect_digests=True)
-        runs.append((config, policy, trace))
+        with pytest.MonkeyPatch.context() as mp:
+            spy = FeatureSpy(mp)
+            _, trace = run_policy(config, policy)
+        runs.append((config, policy, trace, spy))
     return runs
 
 
@@ -75,7 +78,7 @@ def test_criterion_01_zero_delta_oracle_equivalence(tmp_path):
     for seed in range(20):
         a = tmp_path / f"zero_{seed}"
         b = tmp_path / f"none_{seed}"
-        common = ["generate", "--seed", str(seed), "--dump-latent", "--emit", "heatmap,reuse_profile"]
+        common = ["generate", "--seed", str(seed), "--dump-latent"]
         assert main(common + ["--policy", "bwcache", "--delta", "0", "--out", str(a)]) == 0
         assert main(common + ["--policy", "none", "--out", str(b)]) == 0
         for name in ("latent.bin", "heatmap.csv", "reuse_profile.csv"):
@@ -84,27 +87,21 @@ def test_criterion_01_zero_delta_oracle_equivalence(tmp_path):
 
 
 def test_criterion_02_cache_fidelity(policy_sweep):
-    """Every reused step's features digest-match the latest computed step.
+    """Every reused step reads out the latest computed step's features.
 
-    Bit-identity is checked through 128-bit content digests collected
-    inside the run. Budget: 60 s (shared with the sweep fixture).
+    Spies on the model call and the readout check, at each reused step,
+    that the readout operand is byte-equal to the last block output the
+    latest model call returned, and that all N of its block outputs still
+    have the 128-bit digests taken on return. Budget: 60 s (shared with the
+    sweep fixture).
     """
     start = time.perf_counter()
     runs_with_reuse = 0
-    for _, _, trace in policy_sweep:
-        digests = trace.feature_digests
-        last_computed = None
-        saw_reuse = False
-        for i, decision in enumerate(trace.decisions):
-            if decision.action is Action.COMPUTED:
-                last_computed = i
-            else:
-                saw_reuse = True
-                assert last_computed is not None
-                assert digests[i] == digests[last_computed], (
-                    f"step {decision.step}: substituted features differ from cache"
-                )
-        runs_with_reuse += saw_reuse
+    for _, _, trace, spy in policy_sweep:
+        computed = sum(d.action is Action.COMPUTED for d in trace.decisions)
+        assert len(spy.forward_digests) == computed
+        assert spy.failed_readouts(trace.decisions) == []
+        runs_with_reuse += bool(spy.readouts)
     assert runs_with_reuse >= 10  # the sweep must actually exercise reuse
     assert time.perf_counter() - start < 60.0
 
@@ -118,7 +115,7 @@ def test_criterion_03_run_length_bound_and_protected_tail(policy_sweep):
     """
     start = time.perf_counter()
     variants_with_reuse = set()
-    for _, policy, trace in policy_sweep:
+    for _, policy, trace, _ in policy_sweep:
         run_length = 0
         for decision in trace.decisions:
             run_length = run_length + 1 if decision.action is Action.REUSED else 0
@@ -211,7 +208,7 @@ def test_criterion_06_flops_exactness(policy_sweep):
             )
         return total
 
-    for config, _, trace in policy_sweep:
+    for config, _, trace, _ in policy_sweep:
         summary = summarize(trace, None, config)
         reused = len(reused_steps_of(trace))
         computed = config.steps - reused

@@ -9,7 +9,6 @@ run-length bound, frozen protected tail, and trigger monotonicity in delta.
 
 from __future__ import annotations
 
-import hashlib
 import tempfile
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
@@ -44,6 +43,7 @@ from bwcache.model import (
 )
 from bwcache.tensor import DimensionError
 from bwcache.traceio import read_heatmap, write_heatmap
+from feature_spy import FeatureSpy, digest
 
 C = Action.COMPUTED
 R = Action.REUSED
@@ -454,19 +454,12 @@ class TestRunPolicy:
         assert np.array_equal(final_none, final_bw)
         assert trace_none.decisions == trace_bw.decisions
 
-    def test_reused_steps_substitute_cached_features_bit_exact(self):
+    def test_reused_steps_substitute_cached_features_bit_exact(self, monkeypatch):
+        spy = FeatureSpy(monkeypatch)
         config = toy_config(seed=2)
-        policy = bw(1e9, 3, TailRule.half())
-        _, trace = run_policy(config, policy, collect_digests=True)
-        latest_computed = None
-        reused_seen = 0
-        for i, d in enumerate(trace.decisions):
-            if d.action is C:
-                latest_computed = trace.feature_digests[i]
-            else:
-                reused_seen += 1
-                assert trace.feature_digests[i] == latest_computed
-        assert reused_seen > 0
+        _, trace = run_policy(config, bw(1e9, 3, TailRule.half()))
+        assert len(spy.readouts) > 0
+        assert spy.failed_readouts(trace.decisions) == []
 
     def test_cached_features_are_read_only(self, monkeypatch):
         """Every block output kept as the cache refuses writes, so no
@@ -489,24 +482,26 @@ class TestRunPolicy:
                 with pytest.raises(ValueError, match="read-only"):
                     o[0, 0] = 0.0
 
-    def test_digests_are_those_of_the_model_features(self):
-        """A none run's digests are blake2b-128 of each step's block outputs,
-        recomputed here straight from the model; collecting them changes
-        neither the decisions nor the final latent."""
+    def test_digests_are_those_of_the_model_features(self, monkeypatch):
+        """The block outputs a none run computes digest like those of a
+        sampler loop written out here straight from the model; spying
+        changes neither the decisions nor the final latent."""
         config = toy_config(seed=6, steps=5)
         policy = CachePolicyConfig(kind=PolicyKind.NONE)
-        final, trace = run_policy(config, policy, collect_digests=True)
+        plain_final, plain = run_policy(config, policy)
+        spy = FeatureSpy(monkeypatch)
+        final, trace = run_policy(config, policy)
         weights = init_weights(config)
         schedule = NoiseSchedule.linear(config.steps)
         x = sample_initial_latent(config)
-        for i, step in enumerate(range(config.steps - 1, -1, -1)):
+        want = []
+        for step in range(config.steps - 1, -1, -1):
             eps_pred, outputs = denoiser_forward(x, step, weights, config)
-            want = tuple(hashlib.blake2b(o.tobytes(), digest_size=16).hexdigest() for o in outputs)
-            assert trace.feature_digests[i] == want
+            want.append(tuple(digest(o) for o in outputs))
             x = reverse_step(x, eps_pred, step, schedule)
+        assert spy.forward_digests == want
+        assert spy.readouts == []
         assert final.tobytes() == x.tobytes()
-        plain_final, plain = run_policy(config, policy)
-        assert plain.feature_digests is None
         assert plain.decisions == trace.decisions
         assert plain_final.tobytes() == final.tobytes()
 
@@ -525,24 +520,6 @@ class TestRunPolicy:
         final_b, trace_b = run_policy(config, policy)
         assert np.array_equal(final_a, final_b)
         assert trace_a.decisions == trace_b.decisions
-
-    def test_initial_latent_override_shape_checked(self):
-        config = toy_config()
-        with pytest.raises(DimensionError):
-            run_policy(
-                config,
-                CachePolicyConfig(kind=PolicyKind.NONE),
-                initial_latent=np.zeros((1, 1), dtype=np.float32),
-            )
-
-    def test_initial_latent_must_be_float32(self):
-        config = toy_config()
-        with pytest.raises(ValueError, match="float64"):
-            run_policy(
-                config,
-                CachePolicyConfig(kind=PolicyKind.NONE),
-                initial_latent=np.zeros((config.tokens, config.hidden_dim)),
-            )
 
     def test_live_matches_replay_of_own_heatmap(self):
         """Re-deciding the recorded distances yields the recorded decisions."""
@@ -604,3 +581,38 @@ class TestLiveReplayAgreement:
             write_heatmap(trace.decisions, config.n_blocks, path)
             rows = read_heatmap(path)
         assert actions(replay_trace(rows, policy)) == actions(trace.decisions)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        steps=st.integers(min_value=4, max_value=12),
+        delta=st.floats(min_value=0.0, max_value=0.5),
+        interval=st.integers(min_value=1, max_value=4),
+        tail=tail_strategy(),
+        stride=st.integers(min_value=1, max_value=4),
+    )
+    def test_none_heatmap_replays_exactly_through_the_first_reuse(
+        self, seed, steps, delta, interval, tail, stride
+    ):
+        """A none run's heatmap, written and read back, replays to exactly
+        the live actions of none and static, and to those of bwcache up to
+        and including its first reused step. Until that step the live bwcache
+        run computes what none computes and reads the same distances; after
+        it, its latent leaves the trajectory the table recorded."""
+        config = ModelConfig(
+            n_blocks=2, hidden_dim=8, n_heads=2, frames=2, tokens_per_frame=3, steps=steps, seed=seed
+        )
+        none = CachePolicyConfig(kind=PolicyKind.NONE)
+        _, trace_none = run_policy(config, none)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "heatmap.csv"
+            write_heatmap(trace_none.decisions, config.n_blocks, path)
+            rows = read_heatmap(path)
+        for policy in (none, CachePolicyConfig(kind=PolicyKind.STATIC, static_stride=stride)):
+            _, live = run_policy(config, policy)
+            assert actions(replay_trace(rows, policy)) == actions(live.decisions)
+        policy = bw(delta, interval, tail)
+        _, live = run_policy(config, policy)
+        want = actions(live.decisions)
+        horizon = want.index(R) + 1 if R in want else len(want)
+        assert actions(replay_trace(rows, policy))[:horizon] == want[:horizon]

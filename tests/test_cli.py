@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 from bwcache import tensor
+from bwcache.cache import CachePolicyConfig, PolicyKind, run_policy
 from bwcache.cli import _policy_from_args, build_parser, main
-from bwcache.model import _build_weights
+from bwcache.metrics import psnr, ssim_frames
+from bwcache.model import ModelConfig, _build_weights, decode_latent
 from bwcache.traceio import read_latent
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -34,13 +36,6 @@ class TestGenerate:
         assert (tmp_path / "reuse_profile.csv").exists()
         assert (tmp_path / "summary.json").exists()
         assert not (tmp_path / "latent.bin").exists()
-
-    def test_emit_selects_outputs(self, tmp_path):
-        """--emit heatmap writes the heatmap and nothing else."""
-        assert run_generate(tmp_path, "--emit", "heatmap") == 0
-        assert (tmp_path / "heatmap.csv").exists()
-        assert not (tmp_path / "reuse_profile.csv").exists()
-        assert not (tmp_path / "summary.json").exists()
 
     def test_dump_latent_is_readable(self, tmp_path):
         """--dump-latent writes a latent.bin that round-trips with its shape."""
@@ -129,9 +124,6 @@ class TestGenerate:
         blocker.write_text("not a directory\n")
         assert run_generate(blocker / "sub") == 1
 
-    def test_unknown_emit_target_is_config_error(self, tmp_path):
-        assert run_generate(tmp_path, "--emit", "pictures") == 2
-
     def test_malformed_tail_rule_is_config_error(self, tmp_path):
         assert run_generate(tmp_path, "--tail", "fixed:lots") == 2
 
@@ -200,6 +192,24 @@ class TestCompare:
         assert doc["a"]["config_fingerprint"] != doc["b"]["config_fingerprint"]
         assert isinstance(doc["psnr_db"], float)
 
+    def test_cross_quality_scores_b_against_a(self, tmp_path):
+        """psnr_db and ssim equal the metrics of b's decoded pixels against
+        a's, computed here from two library runs."""
+        rc = main([
+            "compare", *TINY_SHAPE, "--delta-b", "0.9", "--out", str(tmp_path), "--deterministic",
+        ])
+        assert rc == 0
+        doc = json.loads((tmp_path / "comparison.json").read_text())
+        config = ModelConfig(
+            n_blocks=2, hidden_dim=16, n_heads=2, frames=2, tokens_per_frame=3, steps=7
+        )
+        with tensor.deterministic():
+            final_a, _ = run_policy(config, CachePolicyConfig(kind=PolicyKind.NONE))
+            final_b, _ = run_policy(config, CachePolicyConfig(delta=0.9, reuse_interval=1))
+            px_a, px_b = decode_latent(final_a, config), decode_latent(final_b, config)
+        assert doc["psnr_db"] == psnr(px_a, px_b)
+        assert doc["ssim"] == ssim_frames(px_a, px_b)
+
 
 class TestReplay:
     def test_committed_fixture_reproduces_goldens(self, tmp_path, capsys):
@@ -259,6 +269,12 @@ class TestDefaults:
         assert policy.kind.value == "bwcache"
         assert policy.delta == 0.15
         assert policy.tail.canonical() == "half"
+
+    @pytest.mark.parametrize("command", ["generate", "compare", "replay"])
+    def test_every_subcommand_refuses_emit(self, command):
+        """Every run writes all of its exports; there is no selector flag."""
+        extra = ["--trace", str(FIXTURES / "replay_trace.csv")] if command == "replay" else []
+        assert main([command, *extra, "--emit", "heatmap"]) == 2
 
     def test_compare_side_a_defaults_to_none(self):
         args = build_parser().parse_args(["compare"])

@@ -20,7 +20,7 @@ from bwcache.cache import (
     run_policy,
 )
 from bwcache.metrics import RunSummary, summarize
-from bwcache.model import ModelConfig, sample_initial_latent
+from bwcache.model import ModelConfig
 from bwcache.traceio import (
     RunTrace,
     TraceFormatError,
@@ -280,8 +280,8 @@ class TestFingerprint:
         assert a != config_fingerprint(config, policy)
 
     def test_default_hash_is_over_the_version_1_document(self):
-        """Without an initial latent the document, and so every default
-        fingerprint already written to a summary, is unchanged."""
+        """The hashed document, and so every fingerprint already written to
+        a summary, is the version-1 form of the two configs."""
         config = ModelConfig(seed=12, steps=40)
         policy = CachePolicyConfig(delta=0.1, reuse_interval=4)
         doc = {
@@ -306,31 +306,6 @@ class TestFingerprint:
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
         want = hashlib.sha256(blob).hexdigest()
         assert config_fingerprint(config, policy) == want
-        assert config_fingerprint(config, policy, None) == want
-
-    def test_initial_latent_changes_the_fingerprint(self):
-        """Two starting latents give two trajectories and two fingerprints;
-        the digest covers the latent's dtype and shape as well as its bytes."""
-        config = ModelConfig(
-            n_blocks=2, hidden_dim=8, n_heads=2, frames=2, tokens_per_frame=2, steps=4, seed=3
-        )
-        policy = CachePolicyConfig(kind=PolicyKind.NONE)
-        seeded = sample_initial_latent(config)
-        ones = np.ones_like(seeded)
-        default = config_fingerprint(config, policy)
-        f_seeded = config_fingerprint(config, policy, seeded)
-        f_ones = config_fingerprint(config, policy, ones)
-        assert len({default, f_seeded, f_ones}) == 3
-        assert config_fingerprint(config, policy, seeded.copy()) == f_seeded
-        assert config_fingerprint(config, policy, seeded.astype(np.float64)) != f_seeded
-        assert config_fingerprint(config, policy, seeded.reshape(2, -1)) != f_seeded
-
-        x_seeded, t_seeded = run_policy(config, policy, initial_latent=seeded)
-        x_ones, t_ones = run_policy(config, policy, initial_latent=ones)
-        _, t_default = run_policy(config, policy)
-        assert not np.array_equal(x_seeded, x_ones)
-        assert (t_seeded.config_fingerprint, t_ones.config_fingerprint) == (f_seeded, f_ones)
-        assert t_default.config_fingerprint == default
 
 
 class TestEndToEndExports:
