@@ -15,6 +15,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from bwcache import tensor
 from bwcache.cache import (
     CachePolicyConfig,
@@ -146,11 +148,23 @@ def _write_run(trace: RunTrace, summary: RunSummary, n_blocks: int, out: Path) -
     write_summary(summary, trace.config_fingerprint, out / "summary.json")
 
 
+def _read_reference(path, config: ModelConfig) -> tensor.Tensor:
+    """A --reference-latent dump, refused unless it has this run's latent layout."""
+    reference = read_latent(path)
+    want = (config.tokens, config.hidden_dim)
+    if reference.dtype != np.float32 or reference.shape != want:
+        raise ValueError(
+            f"reference latent is {reference.dtype} {reference.shape}, "
+            f"this run's latent is float32 {want}"
+        )
+    return reference
+
+
 def _cmd_generate(args) -> int:
     config = _model_from_args(args)
     policy = _policy_from_args(args, total_steps=config.steps)
+    reference = _read_reference(args.reference_latent, config) if args.reference_latent else None
     out = _resolve_out_dir(args)
-    reference = read_latent(args.reference_latent) if args.reference_latent else None
     final, trace = run_policy(config, policy)
     summary = summarize(trace, reference, config)
     _write_run(trace, summary, config.n_blocks, out)

@@ -32,7 +32,9 @@ block weights of (seed, hidden_dim, n_blocks), the readout and decode
 matrices of (seed, hidden_dim). Each is built once per such key and kept for
 the two most recently used keys, so configs that differ only in steps, heads
 or frame grid share one build. Every cached array is read-only: the same
-objects serve every later run that reads them.
+objects serve every later run that reads them. A model's block weights are
+drawn in one call into one contiguous read-only buffer, and each weight
+array is a view of it, so keeping any one array keeps the whole build alive.
 """
 
 from __future__ import annotations
@@ -176,27 +178,37 @@ def init_weights(config: ModelConfig) -> tuple[DiTBlockWeights, ...]:
 
     Per block the draw order is fixed: qkv_proj, out_proj, mlp_in, mlp_out,
     adaln_proj. Changing it would silently re-seed every regression number.
-    The result is cached per (seed, hidden_dim, n_blocks) and its arrays are
-    read-only; copy one before perturbing it.
+    The arrays are C-contiguous read-only views of one buffer holding the
+    whole draw in that order. The result is cached per (seed, hidden_dim,
+    n_blocks); copy an array before perturbing it.
     """
     return _build_weights(config.seed, config.hidden_dim, config.n_blocks)
 
 
 @lru_cache(maxsize=_CACHED_BUILDS)
 def _build_weights(seed: int, d: int, n_blocks: int) -> tuple[DiTBlockWeights, ...]:
-    rng = Rng(mix_seed(seed, _SALT_WEIGHTS))
+    # One draw for the whole model, cut into views in the documented order.
+    # Every array has an even size, so this consumes the stream exactly as
+    # one draw per array would.
+    flat = rand_normal(Rng(mix_seed(seed, _SALT_WEIGHTS)), 16 * d * d * n_blocks)
+    flat *= WEIGHT_STD
+    _read_only(flat)  # before slicing, so every view is read-only too
+    offset = 0
 
-    def draw(shape):
-        return _read_only(rand_normal(rng, shape) * WEIGHT_STD)
+    def take(shape):
+        nonlocal offset
+        size = shape[0] * shape[1]
+        offset += size
+        return flat[offset - size : offset].reshape(shape)
 
     return tuple(
         DiTBlockWeights(
             axis=_axis(i),
-            qkv_proj=draw((d, 3 * d)),
-            out_proj=draw((d, d)),
-            mlp_in=draw((d, 4 * d)),
-            mlp_out=draw((4 * d, d)),
-            adaln_proj=draw((d, 4 * d)),
+            qkv_proj=take((d, 3 * d)),
+            out_proj=take((d, d)),
+            mlp_in=take((d, 4 * d)),
+            mlp_out=take((4 * d, d)),
+            adaln_proj=take((d, 4 * d)),
         )
         for i in range(n_blocks)
     )
@@ -280,7 +292,7 @@ def _build_readout(seed: int, d: int) -> Tensor:
     rng = Rng(mix_seed(seed, _SALT_READOUT))
     mix = rand_normal(rng, (d, d)) * (READOUT_MIX_GAIN / math.sqrt(d))
     eye = np.eye(d, dtype=np.float32) * np.float32(READOUT_SELF_GAIN)
-    return _read_only((eye + mix).astype(np.float32))
+    return _read_only(eye + mix)
 
 
 def decode_matrix(config: ModelConfig) -> Tensor:

@@ -27,7 +27,10 @@ Determinism has two tiers:
 The random stream is a SplitMix64 counter generator (golden-gamma increment,
 two xor-multiply finalizer rounds) mapped to normals with Box-Muller. It is
 specified to the bit so that a fixed seed pins every weight and latent in the
-package, independent of numpy's own Generator machinery.
+package, independent of numpy's own Generator machinery. Output i of a stream
+depends only on its state and i, so ``rand_normal`` works through a request
+in L2-sized chunks with a few reused work arrays, and its values are
+bit-identical to one pass over the whole request.
 """
 
 from __future__ import annotations
@@ -188,6 +191,14 @@ def mix_seed(seed: int, salt: int) -> int:
     return _mix64((seed ^ ((salt + 1) * _GAMMA)) & _MASK64)
 
 
+# Values per chunk of a draw: each uint64 or float64 work array is 128 KiB, so
+# one chunk's mixing and Box-Muller passes stay in L2.
+_CHUNK = 1 << 14
+# Counter offsets (i + 1) * gamma mod 2^64 of one chunk.
+_OFFSETS = np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+_OFFSETS.flags.writeable = False
+
+
 class Rng:
     """SplitMix64 stream. Same seed, same sequence, on every platform."""
 
@@ -204,15 +215,25 @@ class Rng:
         self._state = (self._state + _GAMMA) & _MASK64
         return _mix64(self._state)
 
-    def _bulk_u64(self, n: int) -> Tensor:
-        # Counter form of the scalar loop: output i is mix64(state + i * gamma),
-        # so the vectorized path emits exactly the scalar sequence.
-        idx = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + idx * np.uint64(_GAMMA)
+    def _bulk_u64(self, out: Tensor, scratch: Tensor) -> Tensor:
+        """Fill ``out`` (uint64, at most _CHUNK long) with the next len(out) outputs.
+
+        Counter form of the scalar loop: output i is mix64(state + (i + 1) gamma),
+        so the vectorized path emits exactly the scalar sequence, and
+        consecutive calls continue it. ``scratch`` is a uint64 work array at
+        least as long as ``out``.
+        """
+        n = out.size
+        np.add(_OFFSETS[:n], np.uint64(self._state), out=out)
         self._state = (self._state + n * _GAMMA) & _MASK64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        t = scratch[:n]
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(out, np.uint64(shift), out=t)
+            out ^= t
+            out *= np.uint64(mult)
+        np.right_shift(out, np.uint64(31), out=t)
+        out ^= t
+        return out
 
 
 def rand_normal(rng: Rng, shape: tuple[int, ...] | int, dtype=np.float32) -> Tensor:
@@ -221,6 +242,13 @@ def rand_normal(rng: Rng, shape: tuple[int, ...] | int, dtype=np.float32) -> Ten
     Draws are consumed in pairs; an odd-sized request still advances the
     stream by the rounded-up even count, so requests of n and n+1 values
     agree on their common prefix.
+
+    The stream is drawn, mixed and transformed in chunks of _CHUNK values
+    through a few work arrays sized to fit in L2, and each chunk is written
+    straight into the result in ``dtype``. Every output is a function of its
+    stream position alone, so the values and the stream state afterwards are
+    bit-identical to one pass over the whole request: float64 uniforms, float64
+    Box-Muller, one cast to ``dtype`` at the end.
     """
     if isinstance(shape, int):
         shape = (shape,)
@@ -230,13 +258,27 @@ def rand_normal(rng: Rng, shape: tuple[int, ...] | int, dtype=np.float32) -> Ten
             raise DimensionError(f"negative dimension in {shape}")
         n *= s
     m = n + (n & 1)
-    bits = rng._bulk_u64(m)
-    # Top 53 bits, shifted into (0, 1] so log() below never sees zero.
-    u = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    u1, u2 = u[0::2], u[1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * math.pi) * u2
-    out = np.empty(m, dtype=np.float64)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
-    return out[:n].reshape(shape).astype(dtype)
+    result = np.empty(shape, dtype=dtype)
+    out = result.reshape(-1)
+    c = min(m, _CHUNK)
+    bits, scratch = np.empty(c, np.uint64), np.empty(c, np.uint64)
+    u = np.empty(c)
+    r, theta, wave = np.empty(c // 2), np.empty(c // 2), np.empty(c // 2)
+    for lo in range(0, m, _CHUNK):
+        k = min(m - lo, _CHUNK)
+        h = k // 2
+        b = rng._bulk_u64(bits[:k], scratch)
+        # Top 53 bits, shifted into (0, 1] so log() below never sees zero.
+        np.right_shift(b, np.uint64(11), out=b)
+        uk = np.add(b, 1.0, out=u[:k])
+        uk *= 2.0**-53
+        rk = np.log(uk[0::2], out=r[:h])
+        rk *= -2.0
+        np.sqrt(rk, out=rk)
+        tk = np.multiply(uk[1::2], 2.0 * math.pi, out=theta[:h])
+        wk = np.cos(tk, out=wave[:h])
+        np.multiply(rk, wk, out=out[lo : lo + k : 2], casting="unsafe")
+        np.sin(tk, out=wk)
+        odd = out[lo + 1 : lo + k : 2]  # one short on the padded last pair
+        np.multiply(rk[: odd.size], wk[: odd.size], out=odd, casting="unsafe")
+    return result

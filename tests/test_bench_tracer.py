@@ -5,8 +5,8 @@ run wraps, and the tracer looks each one up with an unguarded ``getattr``.
 Renaming or deleting one of them, or calling it by a name the tracer cannot
 rebind, would only show in a traced benchmark run. This test installs the
 same tracer over the same list and drives every traced layer once: a tiny
-``none`` run and a cached run, a replay of the ``none`` heatmap, summaries
-and the three exports read back.
+``none`` run and a cached run from cold model builds, a replay of the
+``none`` heatmap, summaries and the three exports read back.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ sys.path.insert(0, str(PERFBENCH))
 
 from bwcache import cache, metrics, traceio  # noqa: E402
 from bwcache.cache import Action, CachePolicyConfig, PolicyKind, TailRule  # noqa: E402
-from bwcache.model import ModelConfig  # noqa: E402
+from bwcache.model import ModelConfig, _build_decode, _build_readout, _build_weights  # noqa: E402
 
 import worker  # noqa: E402
 from spans import Tracer, aggregate  # noqa: E402
@@ -33,6 +33,8 @@ def test_every_traced_name_resolves_and_records_calls(tmp_path):
 
     none = CachePolicyConfig(kind=PolicyKind.NONE)
     cached = CachePolicyConfig(kind=PolicyKind.BWCACHE, delta=1e9, reuse_interval=2, tail=TailRule.fixed(1))
+    for build in (_build_weights, _build_readout, _build_decode):
+        build.cache_clear()
     with Tracer() as tracer:
         for mod, attr in traced:
             tracer.install(mod, attr, worker.COUNTERS.get((mod, attr)))
@@ -51,6 +53,9 @@ def test_every_traced_name_resolves_and_records_calls(tmp_path):
     live = (trace_none, trace_cached)
     assert any(d.action is Action.REUSED for d in trace_cached.decisions)
     assert calls["cache.decide"] == 3 * TINY.steps  # two live runs and one replay
+    # One draw per build (all block weights, readout, decode), shared by both
+    # live runs, and one initial latent per live run.
+    assert calls["tensor.rand_normal"] == 3 + 2
     assert calls["cache.relative_l1"] == sum(
         len(d.per_block_l1) for t in live for d in t.decisions if d.per_block_l1 is not None
     )

@@ -8,14 +8,15 @@ of the contract (0 ok, 1 runtime failure, 2 bad configuration or trace).
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bwcache import tensor
+from bwcache import cli, tensor
 from bwcache.cache import CachePolicyConfig, PolicyKind, run_policy
 from bwcache.cli import _policy_from_args, build_parser, main
 from bwcache.metrics import psnr, ssim_frames
 from bwcache.model import ModelConfig, _build_weights, decode_latent
-from bwcache.traceio import read_latent
+from bwcache.traceio import read_latent, write_latent
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -26,6 +27,10 @@ TINY_SHAPE = TINY + ["--steps", "7", "--blocks", "2"]
 
 def run_generate(out, *extra):
     return main(["generate", *TINY_SHAPE, "--out", str(out), *extra])
+
+
+def refuse_to_sample(*args):
+    raise AssertionError("sampled before the reference latent was checked")
 
 
 class TestGenerate:
@@ -67,6 +72,35 @@ class TestGenerate:
         assert isinstance(summary["psnr_db"], float)
         assert isinstance(summary["ssim"], float)
         assert summary["reuse_rate_steps"] > 0.0
+
+    def test_float32_reference_is_scored_and_float64_is_refused(self, tmp_path, monkeypatch):
+        """The same reference values score as float32; as float64 the run exits 2
+        before sampling and writes nothing."""
+        ref_dir = tmp_path / "ref"
+        assert run_generate(ref_dir, "--policy", "none", "--dump-latent") == 0
+        latent = read_latent(ref_dir / "latent.bin")
+        write_latent(latent.astype(np.float64), tmp_path / "wide.bin")
+
+        scored = tmp_path / "scored"
+        reference = str(ref_dir / "latent.bin")
+        assert run_generate(scored, "--policy", "none", "--reference-latent", reference) == 0
+        summary = json.loads((scored / "summary.json").read_text())
+        assert summary["psnr_db"] == "inf" and summary["ssim"] == 1.0
+
+        monkeypatch.setattr(cli, "run_policy", refuse_to_sample)
+        refused = tmp_path / "refused"
+        assert run_generate(refused, "--reference-latent", str(tmp_path / "wide.bin")) == 2
+        assert not refused.exists()
+
+    @pytest.mark.parametrize(
+        "shape", [(6, 8), (16, 6), (6, 16, 1)], ids=["narrow", "transposed", "3d"]
+    )
+    def test_wrong_shape_reference_is_refused_before_sampling(self, tmp_path, monkeypatch, shape):
+        write_latent(np.ones(shape, dtype=np.float32), tmp_path / "ref.bin")
+        monkeypatch.setattr(cli, "run_policy", refuse_to_sample)
+        out = tmp_path / "out"
+        assert run_generate(out, "--reference-latent", str(tmp_path / "ref.bin")) == 2
+        assert not out.exists()
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"

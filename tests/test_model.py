@@ -38,7 +38,8 @@ from bwcache.model import (
     WEIGHT_STD,
 )
 from bwcache import tensor
-from bwcache.tensor import DimensionError, Rng, mix_seed, rand_normal
+from bwcache.tensor import DimensionError, mix_seed
+from test_tensor import one_shot_rand_normal
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -230,13 +231,15 @@ class TestBuildCache:
     def test_weights_match_one_independent_stream_in_documented_order(self):
         """Blocks in order, each qkv, out, mlp_in, mlp_out, adaln, all cut from
         one bulk draw of the weight stream (every size is even, so per-array
-        draws and one bulk draw consume the stream identically)."""
+        draws and one bulk draw consume the stream identically). The draw is
+        the one-pass reference generator, not the library's chunked one."""
         config = tiny_config(seed=11)
         d = config.hidden_dim
         names = ("qkv_proj", "out_proj", "mlp_in", "mlp_out", "adaln_proj")
         shapes = [(d, 3 * d), (d, d), (d, 4 * d), (4 * d, d), (d, 4 * d)]
         per_block = sum(a * b for a, b in shapes)
-        flat = rand_normal(Rng(mix_seed(config.seed, _SALT_WEIGHTS)), per_block * config.n_blocks)
+        stream = mix_seed(config.seed, _SALT_WEIGHTS)
+        flat, _ = one_shot_rand_normal(stream, per_block * config.n_blocks)
         flat = flat * WEIGHT_STD
 
         weights = init_weights(config)
@@ -257,11 +260,18 @@ class TestBuildCache:
         arrays += [readout_matrix(config), decode_matrix(config)]
         assert len(arrays) == 5 * config.n_blocks + 2
         for a in arrays:
+            assert a.flags.c_contiguous
             before = a.copy()
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
             with pytest.raises(ValueError):
                 a *= 2.0
+            # The weights are views of one shared buffer: it is read-only too.
+            base = a.base
+            while base is not None:
+                with pytest.raises(ValueError):
+                    base.reshape(-1)[0] = 1.0
+                base = base.base
             assert np.array_equal(a, before)
         with pytest.raises(TypeError):
             weights[0] = weights[1]

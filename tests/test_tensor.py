@@ -31,6 +31,7 @@ from bwcache.tensor import (
 )
 
 MASK = (1 << 64) - 1
+CHUNK = tensor._CHUNK  # values per chunk of a rand_normal draw
 
 
 def splitmix64_reference(seed: int, count: int) -> list[int]:
@@ -45,6 +46,31 @@ def splitmix64_reference(seed: int, count: int) -> list[int]:
         z = z ^ (z >> 31)
         out.append(z)
     return out
+
+
+def one_shot_rand_normal(state: int, shape, dtype=np.float32) -> tuple[np.ndarray, int]:
+    """The generator as one whole-request numpy pass; returns (values, state after).
+
+    A frozen copy of the original single-pass ``rand_normal`` body (counter-form
+    SplitMix64, float64 Box-Muller over all pairs, one cast at the end), kept as
+    the reference for the chunked implementation.
+    """
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    n = math.prod(shape)
+    m = n + (n & 1)
+    idx = np.arange(1, m + 1, dtype=np.uint64)
+    z = np.uint64(state) + idx * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    bits = z ^ (z >> np.uint64(31))
+    u = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u1, u2 = u[0::2], u[1::2]
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * math.pi) * u2
+    out = np.empty(m, dtype=np.float64)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out[:n].reshape(shape).astype(dtype), (state + m * 0x9E3779B97F4A7C15) & MASK
 
 
 def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -423,9 +449,14 @@ class TestRng:
         assert rng.next_u64() == 0xE220A8397B1DCDAF
 
     def test_bulk_equals_scalar_sequence(self):
+        """Consecutive chunk fills continue one sequence across the chunk boundary."""
         rng = Rng(42)
-        bulk = rng._bulk_u64(257)
-        assert [int(v) for v in bulk] == splitmix64_reference(42, 257)
+        scratch = np.empty(CHUNK, dtype=np.uint64)
+        first = rng._bulk_u64(np.empty(CHUNK, dtype=np.uint64), scratch)
+        second = rng._bulk_u64(np.empty(257, dtype=np.uint64), scratch)
+        got = [int(v) for v in np.concatenate([first, second])]
+        assert got == splitmix64_reference(42, CHUNK + 257)
+        assert rng.state == (42 + (CHUNK + 257) * 0x9E3779B97F4A7C15) & MASK
 
     def test_mix_seed_separates_streams(self):
         seeds = {mix_seed(7, salt) for salt in range(32)}
@@ -473,6 +504,27 @@ class TestRandNormal:
         assert np.isfinite(x).all()
 
     def test_uniforms_stay_in_half_open_unit_interval(self):
-        bits = Rng(3)._bulk_u64(4096)
+        bits = Rng(3)._bulk_u64(np.empty(4096, dtype=np.uint64), np.empty(4096, dtype=np.uint64))
         u = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
         assert (u > 0.0).all() and (u <= 1.0).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", [0, 99, MASK])
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5], ids=lambda n: f"n{n}"
+    )
+    def test_chunked_draw_equals_one_shot_reference(self, n, seed, dtype):
+        """Values, dtype and the stream state afterwards match the one-pass form."""
+        rng = Rng(seed)
+        got = rand_normal(rng, (n,), dtype=dtype)
+        want, state = one_shot_rand_normal(seed, n, dtype)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert rng.state == state
+
+    @pytest.mark.parametrize("shape", [(), (0, 5), (5, 0), (7, 3), (3, 2 * CHUNK // 3 + 1)])
+    def test_chunked_draw_keeps_the_requested_shape(self, shape):
+        got = rand_normal(Rng(5), shape)
+        want, _ = one_shot_rand_normal(5, shape)
+        assert got.shape == shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
