@@ -53,6 +53,7 @@ from bwcache.model import (
     sample_initial_latent,
 )
 from bwcache.tensor import DimensionError, Tensor, is_deterministic, matmul
+from bwcache.traceio import RunTrace, config_fingerprint
 
 
 class PolicyKind(str, Enum):
@@ -313,8 +314,6 @@ def run_policy(config: ModelConfig, policy: CachePolicyConfig):
     what a later reused step substitutes. Inside a ``deterministic()`` scope
     the recorded timings are zeroed so exports are byte-stable.
     """
-    from bwcache.traceio import RunTrace, config_fingerprint
-
     total = config.steps
     x = sample_initial_latent(config)
     weights = init_weights(config)

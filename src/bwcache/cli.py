@@ -1,16 +1,17 @@
 """Command line front end.
 
 Three subcommands: ``generate`` samples once under a policy and exports the
-instrumentation, ``compare`` samples twice (side A is the reference) and
-writes a cross-run comparison, ``replay`` re-decides a recorded distance
-table offline. Exit codes: 0 success, 1 runtime failure (I/O, numerics),
-2 configuration or trace-format problems.
+instrumentation, ``compare`` samples the uncached reference (side a, policy
+``none``) and one policy (side b, read from the same flags as ``generate``)
+at one seed and writes a cross-run comparison, ``replay`` re-decides a
+recorded distance table offline. Exit codes: 0 success, 1 runtime failure
+(I/O, numerics), 2 configuration or trace-format problems.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -32,10 +33,11 @@ from bwcache.traceio import (
     RunTrace,
     TraceFormatError,
     config_fingerprint,
-    psnr_json,
     read_heatmap,
     read_latent,
+    summary_doc,
     write_heatmap,
+    write_json,
     write_latent,
     write_reuse_profile,
     write_summary,
@@ -53,30 +55,31 @@ def _add_model_flags(p: argparse.ArgumentParser, with_shape: bool = True) -> Non
     p.add_argument("--seed", type=int, default=0, help="run seed")
 
 
-def _add_policy_flags(p: argparse.ArgumentParser, suffix: str = "") -> None:
-    dash = f"-{suffix}" if suffix else ""
+def _add_policy_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--policy", choices=[k.value for k in PolicyKind], default="bwcache")
+    p.add_argument("--delta", type=float, default=0.15, help="reuse threshold")
     p.add_argument(
-        f"--policy{dash}",
-        choices=[k.value for k in PolicyKind],
-        default="bwcache" if suffix != "a" else "none",
-    )
-    p.add_argument(f"--delta{dash}", type=float, default=0.15, help="reuse threshold")
-    p.add_argument(
-        f"--reuse-interval{dash}",
+        "--reuse-interval",
         type=int,
         default=None,
         help="max consecutive reuses (default: ceil(steps / 10))",
     )
     p.add_argument(
-        f"--tail{dash}",
+        "--tail",
         default="half",
         help="protected tail: third | half | twothirds | fixed:<m>",
     )
-    p.add_argument(f"--static-stride{dash}", type=int, default=3)
+    p.add_argument("--static-stride", type=int, default=3)
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output directory (or $BWCACHE_OUT_DIR)")
+
+
+def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
+    _add_model_flags(p)
+    _add_policy_flags(p)
+    _add_output_flags(p)
     p.add_argument("--deterministic", action="store_true", help="fixed-order matmuls, zeroed timings")
 
 
@@ -85,9 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="sample once under a policy and export traces")
-    _add_model_flags(g)
-    _add_policy_flags(g)
-    _add_output_flags(g)
+    _add_sampling_flags(g)
     g.add_argument("--dump-latent", action="store_true", help="also write latent.bin")
     g.add_argument(
         "--reference-latent",
@@ -95,11 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="latent dump to score psnr/ssim against",
     )
 
-    c = sub.add_parser("compare", help="run two policies at one seed and compare")
-    _add_model_flags(c)
-    _add_policy_flags(c, "a")
-    _add_policy_flags(c, "b")
-    _add_output_flags(c)
+    c = sub.add_parser("compare", help="run the uncached reference and one policy at one seed")
+    _add_sampling_flags(c)
 
     r = sub.add_parser("replay", help="re-decide a recorded heatmap offline")
     r.add_argument("--trace", required=True, help="heatmap CSV from a previous run")
@@ -116,17 +114,16 @@ def _resolve_out_dir(args) -> Path:
     return path
 
 
-def _policy_from_args(args, suffix: str = "", *, total_steps: int) -> CachePolicyConfig:
-    get = lambda name: getattr(args, f"{name}_{suffix}" if suffix else name)
-    interval = get("reuse_interval")
+def _policy_from_args(args, *, total_steps: int) -> CachePolicyConfig:
+    interval = args.reuse_interval
     if interval is None:
         interval = CachePolicyConfig.recommended(total_steps).reuse_interval
     return CachePolicyConfig(
-        kind=PolicyKind(get("policy")),
-        delta=get("delta"),
+        kind=PolicyKind(args.policy),
+        delta=args.delta,
         reuse_interval=interval,
-        tail=TailRule.parse(get("tail")),
-        static_stride=get("static_stride"),
+        tail=TailRule.parse(args.tail),
+        static_stride=args.static_stride,
     )
 
 
@@ -180,44 +177,29 @@ def _cmd_generate(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _model_from_args(args)
-    policy_a = _policy_from_args(args, "a", total_steps=config.steps)
-    policy_b = _policy_from_args(args, "b", total_steps=config.steps)
+    recommended = CachePolicyConfig.recommended(config.steps)
+    uncached = dataclasses.replace(recommended, kind=PolicyKind.NONE)
+    policy = _policy_from_args(args, total_steps=config.steps)
     out = _resolve_out_dir(args)
 
-    final_a, trace_a = run_policy(config, policy_a)
-    final_b, trace_b = run_policy(config, policy_b)
+    final_a, trace_a = run_policy(config, uncached)
+    _, trace_b = run_policy(config, policy)
     summary_a = summarize(trace_a, None, config)
     summary_b = summarize(trace_b, final_a, config)  # scores b against a
-    cross_psnr = psnr_json(summary_b.psnr_db)
     speedup = None
     if summary_a.wall_seconds > 0.0 and summary_b.wall_seconds > 0.0:
         speedup = summary_a.wall_seconds / summary_b.wall_seconds
 
-    def side(summary: RunSummary, trace: RunTrace) -> dict:
-        return {
-            "config_fingerprint": trace.config_fingerprint,
-            "reuse_rate_blocks": summary.reuse_rate_blocks,
-            "reuse_rate_steps": summary.reuse_rate_steps,
-            "total_flops": summary.total_flops,
-            "flops_saved": summary.flops_saved,
-            "wall_seconds": summary.wall_seconds,
-        }
-
-    doc = {
-        "a": side(summary_a, trace_a),
-        "b": side(summary_b, trace_b),
-        "psnr_db": cross_psnr,
-        "ssim": summary_b.ssim,
-        "speedup": speedup,
-    }
-    (out / "comparison.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    )
-    shown = cross_psnr if isinstance(cross_psnr, str) else f"{cross_psnr:.2f}"
-    print(
-        f"a={policy_a.kind.value} b={policy_b.kind.value} psnr_db={shown} "
-        f"ssim={doc['ssim']:.6f} out={out}"
-    )
+    side_a = summary_doc(summary_a, trace_a.config_fingerprint)
+    side_b = summary_doc(summary_b, trace_b.config_fingerprint)
+    # b was scored against a, so its quality is the comparison's, not a side's.
+    doc = {"psnr_db": side_b.pop("psnr_db"), "ssim": side_b.pop("ssim")}
+    del side_a["psnr_db"], side_a["ssim"]
+    doc.update(a=side_a, b=side_b, speedup=speedup)
+    write_json(doc, out / "comparison.json")
+    psnr_db = doc["psnr_db"]
+    shown = psnr_db if isinstance(psnr_db, str) else f"{psnr_db:.2f}"
+    print(f"a=none b={policy.kind.value} psnr_db={shown} ssim={doc['ssim']:.6f} out={out}")
     return 0
 
 
@@ -253,12 +235,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
 
     try:
+        if args.command == "replay":
+            return _cmd_replay(args)
         with tensor.deterministic(args.deterministic):
             if args.command == "generate":
                 return _cmd_generate(args)
-            if args.command == "compare":
-                return _cmd_compare(args)
-            return _cmd_replay(args)
+            return _cmd_compare(args)
     except ZeroDenominatorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from bwcache.cache import Action
 from bwcache.model import Axis, ModelConfig, block_axes, decode_latent
 from bwcache.tensor import DimensionError, Tensor
 from bwcache.traceio import RunTrace
@@ -119,8 +120,6 @@ def summarize(trace: RunTrace, reference_output: Tensor | None, config: ModelCon
     ``reference_output`` (normally the all-compute run at the same seed);
     both metrics are None when no reference is given.
     """
-    from bwcache.cache import Action
-
     total = len(trace.decisions)
     if total != config.steps:
         raise ValueError(f"trace has {total} steps, config says {config.steps}")

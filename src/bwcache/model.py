@@ -61,6 +61,9 @@ from bwcache.tensor import (
 )
 
 WEIGHT_STD = 0.02
+# The linear variance schedule's first and last beta.
+BETA_START = 1e-4
+BETA_END = 2e-2
 # Readout = READOUT_SELF_GAIN * I + N(0, (READOUT_MIX_GAIN/sqrt(d))^2). The
 # identity term ties the noise estimate to the current latent so the implied
 # clean image shrinks early in the run; the random term keeps the prediction
@@ -157,10 +160,10 @@ class NoiseSchedule:
             raise ValueError("betas must lie in (0, 1)")
 
     @classmethod
-    def linear(cls, steps: int, beta_start: float = 1e-4, beta_end: float = 2e-2) -> "NoiseSchedule":
+    def linear(cls, steps: int) -> "NoiseSchedule":
         if steps < 1:
             raise ValueError("steps must be positive")
-        betas = np.linspace(beta_start, beta_end, steps, dtype=np.float64)
+        betas = np.linspace(BETA_START, BETA_END, steps, dtype=np.float64)
         alphas_cumprod = np.cumprod(1.0 - betas)
         return cls(betas=betas, alphas_cumprod=alphas_cumprod)
 

@@ -124,14 +124,13 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
             f"do not match feature width {x.shape[1]}"
         )
     # np.mean / np.var arithmetic with the mean taken once: a row sum
-    # (float64 for integer input) divided by the intp row count.
+    # divided by the intp row count.
     n = np.intp(x.shape[1])
-    acc = np.float64 if x.dtype.kind in "biu" else None
-    mean = np.add.reduce(x, axis=1, dtype=acc, keepdims=True)
-    np.true_divide(mean, n, out=mean, casting="unsafe")
+    mean = np.add.reduce(x, axis=1, keepdims=True)
+    np.true_divide(mean, n, out=mean)
     normed = x - mean
     var = np.add.reduce(np.square(normed), axis=1, keepdims=True)  # population variance
-    np.true_divide(var, n, out=var, casting="unsafe")
+    np.true_divide(var, n, out=var)
     var += LAYER_NORM_EPS
     normed /= np.sqrt(var, out=var)
     out = normed * (1.0 + scale) + shift
@@ -143,8 +142,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     if x.ndim < 1 or x.shape[-1] == 0:
         raise DimensionError(f"softmax_rows needs a non-empty last axis, got {x.shape}")
     e = x - _row_max(x)
-    # Integer scores promote in exp, so only a float difference is reused.
-    e = np.exp(e, out=e if e.dtype.kind == "f" else None)
+    np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return _check_finite(e, "softmax_rows")
 

@@ -48,6 +48,8 @@ SUMMARY_KEYS = (
     "total_flops",
     "wall_seconds",
 )
+# Every summary key but the fingerprint is the RunSummary field of that name.
+_SUMMARY_FIELDS = tuple(key for key in SUMMARY_KEYS if key != "config_fingerprint")
 
 
 class TraceFormatError(ValueError):
@@ -182,6 +184,7 @@ def read_heatmap(path) -> list[list[float | None]]:
 
 def write_reuse_profile(decisions: Sequence["StepDecision"], path) -> None:
     """Per-step reused flag plus a reuse-rate footer comment."""
+    # Lazy: cache imports this module.
     from bwcache.cache import Action
 
     lines = [REUSE_HEADER]
@@ -195,33 +198,35 @@ def write_reuse_profile(decisions: Sequence["StepDecision"], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def psnr_json(value: float | None) -> float | str | None:
-    """A PSNR as JSON holds it: the string "inf" for identical pixels."""
-    if value is not None and math.isinf(value):
-        return "inf"
-    return value
+def summary_doc(summary: "RunSummary", fingerprint: str) -> dict:
+    """The summary document: the SUMMARY_KEYS, 'inf' for an infinite psnr_db."""
+    doc = {key: getattr(summary, key) for key in _SUMMARY_FIELDS}
+    doc["config_fingerprint"] = fingerprint
+    if doc["psnr_db"] is not None and math.isinf(doc["psnr_db"]):
+        doc["psnr_db"] = "inf"
+    _check_rates(doc)
+    return doc
+
+
+def _check_rates(doc: dict) -> None:
+    for key in ("reuse_rate_blocks", "reuse_rate_steps"):
+        value = doc[key]
+        if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+            raise TraceFormatError(f"{key} {value!r} outside [0, 1]")
+
+
+def write_json(doc: dict, path) -> None:
+    """Stable JSON: sorted keys, two-space indent, no NaN, trailing newline."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def write_summary(summary: "RunSummary", fingerprint: str, path) -> None:
-    """Stable JSON: sorted keys, fixed key set, 'inf' sentinel for psnr_db."""
-    doc = {
-        "config_fingerprint": fingerprint,
-        "flops_saved": summary.flops_saved,
-        "psnr_db": psnr_json(summary.psnr_db),
-        "reuse_rate_blocks": summary.reuse_rate_blocks,
-        "reuse_rate_steps": summary.reuse_rate_steps,
-        "ssim": summary.ssim,
-        "total_flops": summary.total_flops,
-        "wall_seconds": summary.wall_seconds,
-    }
-    for key in ("reuse_rate_blocks", "reuse_rate_steps"):
-        if not 0.0 <= doc[key] <= 1.0:
-            raise ValueError(f"{key} {doc[key]} outside [0, 1]")
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    write_json(summary_doc(summary, fingerprint), path)
 
 
 def read_summary(path):
     """Inverse of write_summary; returns (RunSummary, fingerprint)."""
+    # Lazy: metrics imports this module.
     from bwcache.metrics import RunSummary
 
     try:
@@ -230,19 +235,11 @@ def read_summary(path):
         raise TraceFormatError(f"summary is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or set(doc) != set(SUMMARY_KEYS):
         raise TraceFormatError(f"summary must have exactly the keys {sorted(SUMMARY_KEYS)}")
-    psnr = doc["psnr_db"]
-    if psnr == "inf":
-        psnr = math.inf
-    summary = RunSummary(
-        reuse_rate_blocks=doc["reuse_rate_blocks"],
-        reuse_rate_steps=doc["reuse_rate_steps"],
-        total_flops=doc["total_flops"],
-        flops_saved=doc["flops_saved"],
-        wall_seconds=doc["wall_seconds"],
-        psnr_db=psnr,
-        ssim=doc["ssim"],
-    )
-    return summary, doc["config_fingerprint"]
+    _check_rates(doc)
+    fields = {key: doc[key] for key in _SUMMARY_FIELDS}
+    if fields["psnr_db"] == "inf":
+        fields["psnr_db"] = math.inf
+    return RunSummary(**fields), doc["config_fingerprint"]
 
 
 def write_latent(x: Tensor, path) -> None:

@@ -5,18 +5,20 @@ runs on a deliberately tiny model, real files on disk. Exit codes are part
 of the contract (0 ok, 1 runtime failure, 2 bad configuration or trace).
 """
 
+import argparse
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bwcache import cli, tensor
-from bwcache.cache import CachePolicyConfig, PolicyKind, run_policy
+from bwcache.cache import CachePolicyConfig, PolicyKind, TailRule, run_policy
 from bwcache.cli import _policy_from_args, build_parser, main
 from bwcache.metrics import psnr, ssim_frames
 from bwcache.model import ModelConfig, _build_weights, decode_latent
-from bwcache.traceio import read_latent, write_latent
+from bwcache.traceio import config_fingerprint, read_latent, write_latent
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -177,7 +179,7 @@ class TestCompare:
     def test_identical_policies_report_inf_psnr(self, tmp_path, capsys):
         """none vs none is bit-equal: psnr serializes as "inf", ssim is 1."""
         rc = main([
-            "compare", *TINY_SHAPE, "--policy-b", "none", "--out", str(tmp_path),
+            "compare", *TINY_SHAPE, "--policy", "none", "--out", str(tmp_path),
         ])
         assert rc == 0
         doc = json.loads((tmp_path / "comparison.json").read_text())
@@ -187,7 +189,7 @@ class TestCompare:
 
     def test_speedup_present_with_real_timings(self, tmp_path):
         rc = main([
-            "compare", *TINY_SHAPE, "--policy-b", "none", "--out", str(tmp_path),
+            "compare", *TINY_SHAPE, "--policy", "none", "--out", str(tmp_path),
         ])
         assert rc == 0
         doc = json.loads((tmp_path / "comparison.json").read_text())
@@ -197,7 +199,7 @@ class TestCompare:
     def test_draws_block_weights_once(self, tmp_path):
         """Both sides share one config, so the second run reuses the first's build."""
         _build_weights.cache_clear()
-        rc = main(["compare", *TINY_SHAPE, "--delta-b", "0.9", "--out", str(tmp_path)])
+        rc = main(["compare", *TINY_SHAPE, "--delta", "0.9", "--out", str(tmp_path)])
         assert rc == 0
         info = _build_weights.cache_info()
         assert (info.misses, info.hits) == (1, 1)
@@ -205,7 +207,7 @@ class TestCompare:
     def test_speedup_null_in_deterministic_mode(self, tmp_path):
         """Zeroed timings make a wall-clock ratio meaningless, so it is null."""
         rc = main([
-            "compare", *TINY_SHAPE, "--policy-b", "none",
+            "compare", *TINY_SHAPE, "--policy", "none",
             "--out", str(tmp_path), "--deterministic",
         ])
         assert rc == 0
@@ -215,7 +217,7 @@ class TestCompare:
     def test_cross_policy_fields(self, tmp_path):
         """A none-vs-bwcache comparison carries both sides' counters."""
         rc = main([
-            "compare", *TINY_SHAPE, "--delta-b", "0.9", "--out", str(tmp_path),
+            "compare", *TINY_SHAPE, "--delta", "0.9", "--out", str(tmp_path),
         ])
         assert rc == 0
         doc = json.loads((tmp_path / "comparison.json").read_text())
@@ -230,7 +232,7 @@ class TestCompare:
         """psnr_db and ssim equal the metrics of b's decoded pixels against
         a's, computed here from two library runs."""
         rc = main([
-            "compare", *TINY_SHAPE, "--delta-b", "0.9", "--out", str(tmp_path), "--deterministic",
+            "compare", *TINY_SHAPE, "--delta", "0.9", "--out", str(tmp_path), "--deterministic",
         ])
         assert rc == 0
         doc = json.loads((tmp_path / "comparison.json").read_text())
@@ -310,9 +312,122 @@ class TestDefaults:
         extra = ["--trace", str(FIXTURES / "replay_trace.csv")] if command == "replay" else []
         assert main([command, *extra, "--emit", "heatmap"]) == 2
 
-    def test_compare_side_a_defaults_to_none(self):
-        args = build_parser().parse_args(["compare"])
-        policy_a = _policy_from_args(args, "a", total_steps=30)
-        policy_b = _policy_from_args(args, "b", total_steps=30)
-        assert policy_a.kind.value == "none"
-        assert policy_b.kind.value == "bwcache"
+    @pytest.mark.parametrize("steps", [7, 30])
+    def test_compare_side_a_is_the_default_none_policy(self, tmp_path, steps):
+        """Side a keeps the default policy fields under kind none, so its
+        fingerprint is that of the plain uncached run."""
+        shape = [*TINY, "--steps", str(steps), "--blocks", "2"]
+        assert main(["compare", *shape, "--out", str(tmp_path), "--deterministic"]) == 0
+        doc = json.loads((tmp_path / "comparison.json").read_text())
+        config = ModelConfig(
+            n_blocks=2, hidden_dim=16, n_heads=2, frames=2, tokens_per_frame=3, steps=steps
+        )
+        none = CachePolicyConfig(
+            kind=PolicyKind.NONE,
+            delta=0.15,
+            reuse_interval=math.ceil(steps / 10),
+            tail=TailRule.half(),
+            static_stride=3,
+        )
+        assert doc["a"]["config_fingerprint"] == config_fingerprint(config, none)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            (f"--{name}-{side}", value)
+            for side in "ab"
+            for name, value in [
+                ("policy", "none"),
+                ("delta", "0.3"),
+                ("reuse-interval", "2"),
+                ("tail", "third"),
+                ("static-stride", "2"),
+            ]
+        ],
+    )
+    def test_compare_refuses_per_side_policy_flags(self, tmp_path, flag, value):
+        """Side a is always none; side b reads generate's policy flags."""
+        assert main(["compare", *TINY_SHAPE, flag, value, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "comparison.json").exists()
+
+    def test_replay_refuses_deterministic(self, tmp_path):
+        """Replay runs no matmul and always reports zero timings."""
+        trace = str(FIXTURES / "replay_trace.csv")
+        assert main(["replay", "--trace", trace, "--deterministic", "--out", str(tmp_path)]) == 2
+
+
+# One alternate value per declared option. The base run is the tiny model
+# with --deterministic (replay: the committed fixture), so only the option
+# under test can change an exported byte. A flag's alternate is None.
+ALTERNATES = {
+    "generate": {
+        "--steps": "6",
+        "--blocks": "3",
+        "--dim": "8",
+        "--heads": "4",
+        "--frames": "3",
+        "--tokens": "4",
+        "--seed": "1",
+        "--policy": "none",
+        "--delta": "0.9",
+        "--reuse-interval": "2",
+        "--tail": "third",
+        "--static-stride": "2",
+        "--deterministic": None,
+        "--dump-latent": None,
+    },
+    "replay": {
+        "--dim": "32",
+        "--heads": "2",
+        "--frames": "2",
+        "--tokens": "8",
+        "--seed": "1",
+        "--policy": "static",
+        "--delta": "0.3",
+        "--reuse-interval": "2",
+        "--tail": "third",
+        "--static-stride": "2",
+    },
+}
+ALTERNATES["compare"] = {
+    k: v for k, v in ALTERNATES["generate"].items() if k != "--dump-latent"
+}
+# Covered by their own tests: the output directory and the input files.
+EXEMPT = {"-h", "--out", "--trace", "--reference-latent"}
+
+
+def declared_options() -> dict[str, set[str]]:
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        command: {a.option_strings[0] for a in p._actions if a.option_strings}
+        for command, p in subparsers.choices.items()
+    }
+
+
+def exported_bytes(out: Path) -> dict[str, bytes]:
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+class TestEveryFlagIsRead:
+    def test_alternates_cover_exactly_the_declared_options(self):
+        declared = {command: opts - EXEMPT for command, opts in declared_options().items()}
+        assert declared == {command: set(alts) for command, alts in ALTERNATES.items()}
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [(command, option) for command, alts in ALTERNATES.items() for option in alts],
+    )
+    def test_alternate_value_changes_an_export(self, tmp_path, command, option):
+        if command == "replay":
+            base = ["replay", "--trace", str(FIXTURES / "replay_trace.csv")]
+        else:
+            base = [command, *TINY_SHAPE]
+            if option != "--deterministic":
+                base.append("--deterministic")
+        value = ALTERNATES[command][option]
+        alternate = [*base, option] + ([] if value is None else [value])
+        for name, argv in (("default", base), ("alternate", alternate)):
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        assert exported_bytes(tmp_path / "default") != exported_bytes(tmp_path / "alternate")

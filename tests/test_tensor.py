@@ -407,6 +407,15 @@ class TestLeanOpsMatchNumpyExpressions:
         assert_bit_equal_and_inputs_kept(softmax_rows, softmax_numpy, x.reshape(16, 3, 33))
         assert_bit_equal_and_inputs_kept(gelu, gelu_numpy, x)
 
+    def test_integer_input_is_refused(self):
+        """The ops are float-only: integer input raises instead of promoting."""
+        x = np.arange(6).reshape(2, 3)
+        zeros = np.zeros(3, dtype=np.float32)
+        with pytest.raises(TypeError):
+            layer_norm(x, zeros, zeros)
+        with pytest.raises(TypeError):
+            softmax_rows(x)
+
     def test_row_max_keeps_nan_in_any_position(self):
         for n in (1, 2, 3, 4, 5, 7, 16, 33):
             for pos in range(n):

@@ -185,6 +185,18 @@ class TestSummary:
         with pytest.raises(ValueError, match="reuse_rate"):
             write_summary(make_summary(reuse_rate_steps=1.5), "0" * 64, tmp_path / "s.json")
 
+    @pytest.mark.parametrize(
+        "key, value", [("reuse_rate_steps", -2.0), ("reuse_rate_blocks", 1.5)]
+    )
+    def test_out_of_range_rate_refused_on_read(self, tmp_path, key, value):
+        path = tmp_path / "s.json"
+        write_summary(make_summary(), "0" * 64, path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TraceFormatError, match=key):
+            read_summary(path)
+
     def test_extra_keys_refused_on_read(self, tmp_path):
         path = tmp_path / "s.json"
         write_summary(make_summary(), "0" * 64, path)
