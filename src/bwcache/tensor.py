@@ -29,8 +29,10 @@ two xor-multiply finalizer rounds) mapped to normals with Box-Muller. It is
 specified to the bit so that a fixed seed pins every weight and latent in the
 package, independent of numpy's own Generator machinery. Output i of a stream
 depends only on its state and i, so ``rand_normal`` works through a request
-in L2-sized chunks with a few reused work arrays, and its values are
-bit-identical to one pass over the whole request.
+in L2-sized chunks with a few reused work arrays, and splits the chunks into
+contiguous spans that threads fill side by side, at most one thread per CPU
+available to the process. Its values are bit-identical to one pass over the
+whole request, whatever the number of threads.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+import os
+import threading
 from typing import Iterator
 
 import numpy as np
@@ -195,6 +199,10 @@ _CHUNK = 1 << 14
 # Counter offsets (i + 1) * gamma mod 2^64 of one chunk.
 _OFFSETS = np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 _OFFSETS.flags.writeable = False
+# Most threads one draw runs on: one per CPU this process may use.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 class Rng:
@@ -241,12 +249,18 @@ def rand_normal(rng: Rng, shape: tuple[int, ...] | int, dtype=np.float32) -> Ten
     stream by the rounded-up even count, so requests of n and n+1 values
     agree on their common prefix.
 
-    The stream is drawn, mixed and transformed in chunks of _CHUNK values
-    through a few work arrays sized to fit in L2, and each chunk is written
+    The request is cut into chunks of _CHUNK values, and the chunks into one
+    contiguous span per worker: at most one thread per CPU available to the
+    process, and never more than there are chunks. The caller fills the first
+    span itself and joins the threads of the others; a one-chunk draw starts
+    no thread. Each span starts the stream at its own offset and works
+    through its chunks with its own L2-sized work arrays, writing each chunk
     straight into the result in ``dtype``. Every output is a function of its
     stream position alone, so the values and the stream state afterwards are
-    bit-identical to one pass over the whole request: float64 uniforms, float64
-    Box-Muller, one cast to ``dtype`` at the end.
+    bit-identical to one pass over the whole request (float64 uniforms,
+    float64 Box-Muller, one cast to ``dtype`` at the end), whatever the
+    number of threads. A span that fails raises in the caller once every
+    thread has been joined, and the stream state is then left unchanged.
     """
     if isinstance(shape, int):
         shape = (shape,)
@@ -258,12 +272,48 @@ def rand_normal(rng: Rng, shape: tuple[int, ...] | int, dtype=np.float32) -> Ten
     m = n + (n & 1)
     result = np.empty(shape, dtype=dtype)
     out = result.reshape(-1)
-    c = min(m, _CHUNK)
+    start = rng._state
+    chunks = -(-m // _CHUNK)
+    workers = max(1, min(_WORKERS, chunks))
+    edges = [j * chunks // workers * _CHUNK for j in range(workers)] + [m]
+    errors: list[BaseException] = []
+
+    def run(lo: int, hi: int) -> None:
+        try:
+            _fill_span(start, out, lo, hi)
+        except BaseException as exc:  # re-raised in the caller after the join
+            errors.append(exc)
+
+    threads: list[threading.Thread] = []
+    try:
+        for lo, hi in zip(edges[1:-1], edges[2:]):
+            thread = threading.Thread(target=run, args=(lo, hi), name="bwcache-rand-normal")
+            thread.start()
+            threads.append(thread)
+        _fill_span(start, out, edges[0], edges[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    rng._state = (start + m * _GAMMA) & _MASK64
+    return result
+
+
+def _fill_span(start: int, out: Tensor, lo: int, hi: int) -> None:
+    """Write padded stream positions [lo, hi) of a draw from state ``start`` into ``out``.
+
+    ``lo`` is a multiple of _CHUNK and ``hi`` is a chunk edge or the padded
+    end of the draw; only the last pair of the draw may lack its odd slot in
+    ``out``. The span allocates its own work arrays, at most 576 KiB.
+    """
+    rng = Rng((start + lo * _GAMMA) & _MASK64)
+    c = min(hi - lo, _CHUNK)
     bits, scratch = np.empty(c, np.uint64), np.empty(c, np.uint64)
     u = np.empty(c)
     r, theta, wave = np.empty(c // 2), np.empty(c // 2), np.empty(c // 2)
-    for lo in range(0, m, _CHUNK):
-        k = min(m - lo, _CHUNK)
+    for a in range(lo, hi, _CHUNK):
+        k = min(hi - a, _CHUNK)
         h = k // 2
         b = rng._bulk_u64(bits[:k], scratch)
         # Top 53 bits, shifted into (0, 1] so log() below never sees zero.
@@ -275,8 +325,7 @@ def rand_normal(rng: Rng, shape: tuple[int, ...] | int, dtype=np.float32) -> Ten
         np.sqrt(rk, out=rk)
         tk = np.multiply(uk[1::2], 2.0 * math.pi, out=theta[:h])
         wk = np.cos(tk, out=wave[:h])
-        np.multiply(rk, wk, out=out[lo : lo + k : 2], casting="unsafe")
+        np.multiply(rk, wk, out=out[a : a + k : 2], casting="unsafe")
         np.sin(tk, out=wk)
-        odd = out[lo + 1 : lo + k : 2]  # one short on the padded last pair
+        odd = out[a + 1 : a + k : 2]  # one short on the padded last pair
         np.multiply(rk[: odd.size], wk[: odd.size], out=odd, casting="unsafe")
-    return result

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,6 +51,7 @@ SUMMARY_KEYS = (
 )
 # Every summary key but the fingerprint is the RunSummary field of that name.
 _SUMMARY_FIELDS = tuple(key for key in SUMMARY_KEYS if key != "config_fingerprint")
+_FINGERPRINT = re.compile("[0-9a-f]{64}")
 
 
 class TraceFormatError(ValueError):
@@ -204,15 +206,35 @@ def summary_doc(summary: "RunSummary", fingerprint: str) -> dict:
     doc["config_fingerprint"] = fingerprint
     if doc["psnr_db"] is not None and math.isinf(doc["psnr_db"]):
         doc["psnr_db"] = "inf"
-    _check_rates(doc)
+    _check_summary(doc)
     return doc
 
 
-def _check_rates(doc: dict) -> None:
+def _is_real(value) -> bool:
+    # bool is an int subclass, but true/false is never a count or a rate.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_summary(doc: dict) -> None:
+    """Refuse a value that the summary schema does not allow, naming its key."""
+    fingerprint = doc["config_fingerprint"]
+    if not (isinstance(fingerprint, str) and _FINGERPRINT.fullmatch(fingerprint)):
+        raise TraceFormatError(f"config_fingerprint {fingerprint!r} is not 64 hex digits")
+    for key in ("total_flops", "flops_saved"):
+        value = doc[key]
+        if not (_is_real(value) and isinstance(value, int) and value >= 0):
+            raise TraceFormatError(f"{key} {value!r} is not a non-negative integer")
     for key in ("reuse_rate_blocks", "reuse_rate_steps"):
         value = doc[key]
-        if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+        if not (_is_real(value) and 0.0 <= value <= 1.0):
             raise TraceFormatError(f"{key} {value!r} outside [0, 1]")
+    value = doc["wall_seconds"]
+    if not (_is_real(value) and 0.0 <= value < math.inf):
+        raise TraceFormatError(f"wall_seconds {value!r} is not finite and >= 0")
+    for key, allowed in (("psnr_db", (None, "inf")), ("ssim", (None,))):
+        value = doc[key]
+        if not (value in allowed or (_is_real(value) and math.isfinite(value))):
+            raise TraceFormatError(f"{key} {value!r} is not one of {allowed} or a finite number")
 
 
 def write_json(doc: dict, path) -> None:
@@ -235,7 +257,7 @@ def read_summary(path):
         raise TraceFormatError(f"summary is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or set(doc) != set(SUMMARY_KEYS):
         raise TraceFormatError(f"summary must have exactly the keys {sorted(SUMMARY_KEYS)}")
-    _check_rates(doc)
+    _check_summary(doc)
     fields = {key: doc[key] for key in _SUMMARY_FIELDS}
     if fields["psnr_db"] == "inf":
         fields["psnr_db"] = math.inf

@@ -9,6 +9,7 @@ pass-through, axis grouping, schedule shape) are checked exactly.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 from bwcache.cache import Action, CachePolicyConfig, PolicyKind, run_policy
 from bwcache.model import (
+    _SALT_LATENT,
     _SALT_WEIGHTS,
     _build_decode,
     _build_readout,
@@ -233,7 +235,27 @@ class TestBuildCache:
         one bulk draw of the weight stream (every size is even, so per-array
         draws and one bulk draw consume the stream identically). The draw is
         the one-pass reference generator, not the library's chunked one."""
-        config = tiny_config(seed=11)
+        self.assert_weights_match_one_independent_stream(tiny_config(seed=11))
+
+    def test_weights_drawn_on_two_threads_match_the_same_stream(self, monkeypatch):
+        """A fresh build whose draw spans two chunks, forced onto two threads,
+        gives the same weights as the one-pass reference."""
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(tensor, "_WORKERS", 2)
+        monkeypatch.setattr(threading, "Thread", CountingThread)
+        for build in (_build_weights, _build_readout, _build_decode):
+            build.cache_clear()
+        config = tiny_config(hidden_dim=32, seed=11)  # 16 * 32^2 * 2 values: two chunks
+        self.assert_weights_match_one_independent_stream(config)
+        assert len(started) == 1
+
+    def assert_weights_match_one_independent_stream(self, config):
         d = config.hidden_dim
         names = ("qkv_proj", "out_proj", "mlp_in", "mlp_out", "adaln_proj")
         shapes = [(d, 3 * d), (d, d), (d, 4 * d), (4 * d, d), (d, 4 * d)]
@@ -314,6 +336,23 @@ class TestBuildCache:
         assert init_weights(deeper) is not weights
         assert readout_matrix(deeper) is readout
         assert [b.cache_info().misses for b in builds] == [2, 1, 1]
+
+
+class TestInitialLatent:
+    def test_one_chunk_draw_starts_no_thread(self, monkeypatch):
+        """Every initial latent at the default grid and d <= 256 is one chunk,
+        so it is drawn in the caller's thread even when more workers are free."""
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-chunk draw started a thread")
+
+        monkeypatch.setattr(tensor, "_WORKERS", 4)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        for d in (64, 256):
+            config = ModelConfig(hidden_dim=d)
+            got = sample_initial_latent(config)
+            want, _ = one_shot_rand_normal(mix_seed(0, _SALT_LATENT), (config.tokens, d))
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTimestepEmbedding:

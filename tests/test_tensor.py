@@ -9,6 +9,8 @@ hand. The oracles deliberately share no code with the implementation.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import threading
 
 import numpy as np
@@ -71,6 +73,16 @@ def one_shot_rand_normal(state: int, shape, dtype=np.float32) -> tuple[np.ndarra
     out[0::2] = r * np.cos(theta)
     out[1::2] = r * np.sin(theta)
     return out[:n].reshape(shape).astype(dtype), (state + m * 0x9E3779B97F4A7C15) & MASK
+
+
+def assert_draw_matches_one_shot(n: int, seed: int, dtype) -> None:
+    """rand_normal's values, dtype, shape and stream state equal the one-pass form's."""
+    rng = Rng(seed)
+    got = rand_normal(rng, (n,), dtype=dtype)
+    want, state = one_shot_rand_normal(seed, n, dtype)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert rng.state == state
 
 
 def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -524,12 +536,64 @@ class TestRandNormal:
     )
     def test_chunked_draw_equals_one_shot_reference(self, n, seed, dtype):
         """Values, dtype and the stream state afterwards match the one-pass form."""
-        rng = Rng(seed)
-        got = rand_normal(rng, (n,), dtype=dtype)
-        want, state = one_shot_rand_normal(seed, n, dtype)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-        assert rng.state == state
+        assert_draw_matches_one_shot(n, seed, dtype)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "n", [2 * CHUNK - 1, 4 * CHUNK + 3, 7 * CHUNK], ids=lambda n: f"n{n}"
+    )
+    def test_values_do_not_depend_on_the_thread_count(self, monkeypatch, n, dtype, workers):
+        """Spans of whole chunks on 1, 2, 3 or 5 threads (more than this host's
+        CPUs too, with a short switch interval) give the one-pass bytes."""
+        monkeypatch.setattr(tensor, "_WORKERS", workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in (0, 99, MASK):
+                assert_draw_matches_one_shot(n, seed, dtype)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_count_is_bounded_by_the_available_cpus(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert 1 <= tensor._WORKERS <= cpus
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CountingThread)
+        got = rand_normal(Rng(4), 9 * CHUNK)
+        assert got.tobytes() == one_shot_rand_normal(4, 9 * CHUNK)[0].tobytes()
+        assert len(started) + 1 == min(cpus, 9)  # the caller fills one span itself
+        assert not any(t.is_alive() for t in started)
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_a_failed_span_raises_in_the_caller_after_the_join(self, monkeypatch, failing):
+        """A span that raises, in a worker thread or in the caller, reaches the
+        caller once every thread has finished; no partial result comes back
+        and the stream does not advance."""
+        fill = tensor._fill_span
+        spans = []
+
+        def flaky(start, out, lo, hi):
+            spans.append(lo)
+            if (lo > 0) == (failing == "worker"):
+                raise MemoryError(f"span at {lo}")
+            fill(start, out, lo, hi)
+
+        monkeypatch.setattr(tensor, "_WORKERS", 3)
+        monkeypatch.setattr(tensor, "_fill_span", flaky)
+        before = threading.enumerate()
+        rng = Rng(8)
+        with pytest.raises(MemoryError, match="span at"):
+            rand_normal(rng, 6 * CHUNK)
+        assert sorted(spans) == [0, 2 * CHUNK, 4 * CHUNK]
+        assert threading.enumerate() == before
+        assert rng.state == 8
 
     @pytest.mark.parametrize("shape", [(), (0, 5), (5, 0), (7, 3), (3, 2 * CHUNK // 3 + 1)])
     def test_chunked_draw_keeps_the_requested_shape(self, shape):

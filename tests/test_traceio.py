@@ -197,6 +197,67 @@ class TestSummary:
         with pytest.raises(TraceFormatError, match=key):
             read_summary(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("psnr_db", "fast"),
+            ("psnr_db", True),
+            ("psnr_db", "Infinity"),
+            ("ssim", "x"),
+            ("ssim", "inf"),
+            ("ssim", [0.5]),
+            ("total_flops", "many"),
+            ("total_flops", 1000.0),
+            ("total_flops", True),
+            ("flops_saved", -5),
+            ("wall_seconds", -1.0),
+            ("wall_seconds", "0.5"),
+            ("wall_seconds", False),
+            ("reuse_rate_steps", True),
+            ("reuse_rate_blocks", False),
+            ("config_fingerprint", 7),
+            ("config_fingerprint", "f" * 63),
+            ("config_fingerprint", "g" * 64),
+        ],
+    )
+    def test_value_outside_the_schema_refused_on_read(self, tmp_path, key, value):
+        path = tmp_path / "s.json"
+        write_summary(make_summary(), "0" * 64, path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TraceFormatError, match=key):
+            read_summary(path)
+
+    @pytest.mark.parametrize("key", ["psnr_db", "ssim", "wall_seconds"])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_json_numbers_refused_on_read(self, tmp_path, key, token):
+        """json.loads accepts NaN and Infinity; only psnr_db's "inf" string
+        stands for an infinite value."""
+        path = tmp_path / "s.json"
+        write_summary(make_summary(), "0" * 64, path)
+        doc = json.loads(path.read_text())
+        doc[key] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', token))
+        with pytest.raises(TraceFormatError, match=key):
+            read_summary(path)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(psnr_db=None, ssim=None),
+            dict(psnr_db=math.inf, ssim=1.0),
+            dict(psnr_db=-3.5, ssim=-0.25, wall_seconds=0.0),
+            dict(reuse_rate_blocks=0.0, reuse_rate_steps=1.0, total_flops=0, flops_saved=0),
+            dict(total_flops=2**70, flops_saved=2**69),
+        ],
+    )
+    def test_every_written_summary_reads_back(self, tmp_path, overrides):
+        path = tmp_path / "s.json"
+        summary = make_summary(**overrides)
+        write_summary(summary, "0123456789abcdef" * 4, path)
+        assert read_summary(path) == (summary, "0123456789abcdef" * 4)
+
     def test_extra_keys_refused_on_read(self, tmp_path):
         path = tmp_path / "s.json"
         write_summary(make_summary(), "0" * 64, path)
