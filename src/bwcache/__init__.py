@@ -15,7 +15,7 @@ from bwcache.cache import (
 )
 from bwcache.metrics import RunSummary, block_flops, psnr, ssim_global, summarize
 from bwcache.model import ModelConfig, NoiseSchedule, init_weights
-from bwcache.tensor import Rng, Tensor, deterministic
+from bwcache.tensor import Tensor, deterministic
 from bwcache.traceio import RunTrace
 
 __version__ = "0.1.0"
@@ -27,7 +27,6 @@ __all__ = [
     "ModelConfig",
     "NoiseSchedule",
     "PolicyKind",
-    "Rng",
     "RunSummary",
     "RunTrace",
     "StepDecision",

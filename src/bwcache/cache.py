@@ -309,8 +309,9 @@ def run_policy(config: ModelConfig, policy: CachePolicyConfig):
 
     Computed steps run the full block stack, measure per-block distances
     against the previous cache when one exists, and replace the cache.
-    Reused steps substitute the cached block features unchanged and re-run
-    only the readout. Cached features are read-only, so nothing can alter
+    Reused steps substitute the cached block features unchanged. Either way
+    the step reads eps_pred out of the cache's last block output, through the
+    one readout below. Cached features are read-only, so nothing can alter
     what a later reused step substitutes. Inside a ``deterministic()`` scope
     the recorded timings are zeroed so exports are byte-stable.
     """
@@ -327,17 +328,15 @@ def run_policy(config: ModelConfig, policy: CachePolicyConfig):
         nonlocal x, features, last
         per_block = None
         if action is Action.COMPUTED:
-            eps_pred, outputs = denoiser_forward(x, step, weights, config)
+            outputs = denoiser_forward(x, step, weights, config)
             for o in outputs:
                 o.flags.writeable = False
             if measure:
                 per_block = tuple(relative_l1(o, f) for o, f in zip(outputs, features))
             features = outputs
-        else:
-            if features is None:
-                raise ProtocolError(f"reuse decided at step {step} with an empty cache")
-            eps_pred = matmul(features[-1], readout)
-        x = reverse_step(x, eps_pred, step, schedule)
+        elif features is None:
+            raise ProtocolError(f"reuse decided at step {step} with an empty cache")
+        x = reverse_step(x, matmul(features[-1], readout), step, schedule)
         # Timed from the end of the previous step, so the decision is included.
         now = time.perf_counter()
         timings.append(now - last)

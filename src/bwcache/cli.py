@@ -161,9 +161,9 @@ def _cmd_generate(args) -> int:
     config = _model_from_args(args)
     policy = _policy_from_args(args, total_steps=config.steps)
     reference = _read_reference(args.reference_latent, config) if args.reference_latent else None
-    out = _resolve_out_dir(args)
     final, trace = run_policy(config, policy)
     summary = summarize(trace, reference, config)
+    out = _resolve_out_dir(args)
     _write_run(trace, summary, config.n_blocks, out)
     if args.dump_latent:
         write_latent(final, out / "latent.bin")
@@ -180,7 +180,6 @@ def _cmd_compare(args) -> int:
     recommended = CachePolicyConfig.recommended(config.steps)
     uncached = dataclasses.replace(recommended, kind=PolicyKind.NONE)
     policy = _policy_from_args(args, total_steps=config.steps)
-    out = _resolve_out_dir(args)
 
     final_a, trace_a = run_policy(config, uncached)
     _, trace_b = run_policy(config, policy)
@@ -196,6 +195,7 @@ def _cmd_compare(args) -> int:
     doc = {"psnr_db": side_b.pop("psnr_db"), "ssim": side_b.pop("ssim")}
     del side_a["psnr_db"], side_a["ssim"]
     doc.update(a=side_a, b=side_b, speedup=speedup)
+    out = _resolve_out_dir(args)
     write_json(doc, out / "comparison.json")
     psnr_db = doc["psnr_db"]
     shown = psnr_db if isinstance(psnr_db, str) else f"{psnr_db:.2f}"
@@ -208,7 +208,6 @@ def _cmd_replay(args) -> int:
     total_steps = len(rows)
     n_blocks = len(rows[0])
     policy = _policy_from_args(args, total_steps=total_steps)
-    out = _resolve_out_dir(args)
     decisions = replay_trace(rows, policy)
 
     config = _model_from_args(args, steps=total_steps, blocks=n_blocks)
@@ -218,6 +217,7 @@ def _cmd_replay(args) -> int:
         config_fingerprint=config_fingerprint(config, policy),
     )
     summary = summarize(trace, None, config)
+    out = _resolve_out_dir(args)
     _write_run(trace, summary, n_blocks, out)
     reused = round(summary.reuse_rate_steps * total_steps)
     print(

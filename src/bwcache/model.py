@@ -18,14 +18,16 @@ residual path is preserved end to end.
 
 Prediction head and decode are fixed seeded projections rather than learned
 maps: the point of the model is to expose realistic block-feature dynamics to
-the caching layer, not to generate pictures. The readout gains are chosen so
-that step-to-step relative feature motion spans the working range of the
-cache thresholds.
+the caching layer, not to generate pictures. ``denoiser_forward`` returns the
+block outputs only; the sampler applies the readout to the last one, fresh or
+cached, in one place. The readout gains are chosen so that step-to-step
+relative feature motion spans the working range of the cache thresholds.
 
 Sampling is the deterministic (zero extra noise) variant of the standard
 ancestral update: predict eps, form x0_hat, re-noise analytically to the
 previous level. All weights are float32 and drawn from the package's own
-seeded stream, so a seed pins the whole trajectory.
+seeded stream, so a seed pins the whole trajectory: each tensor family is
+one draw ``rand_normal(mix_seed(seed, salt), shape)`` with its own salt.
 
 The seeded builds are pure functions of the few config fields they read: the
 block weights of (seed, hidden_dim, n_blocks), the readout and decode
@@ -49,7 +51,6 @@ import numpy as np
 
 from bwcache.tensor import (
     DimensionError,
-    Rng,
     Tensor,
     batched_matmul,
     gelu,
@@ -193,7 +194,7 @@ def _build_weights(seed: int, d: int, n_blocks: int) -> tuple[DiTBlockWeights, .
     # One draw for the whole model, cut into views in the documented order.
     # Every array has an even size, so this consumes the stream exactly as
     # one draw per array would.
-    flat = rand_normal(Rng(mix_seed(seed, _SALT_WEIGHTS)), 16 * d * d * n_blocks)
+    flat = rand_normal(mix_seed(seed, _SALT_WEIGHTS), 16 * d * d * n_blocks)
     flat *= WEIGHT_STD
     _read_only(flat)  # before slicing, so every view is read-only too
     offset = 0
@@ -292,8 +293,7 @@ def readout_matrix(config: ModelConfig) -> Tensor:
 
 @lru_cache(maxsize=_CACHED_BUILDS)
 def _build_readout(seed: int, d: int) -> Tensor:
-    rng = Rng(mix_seed(seed, _SALT_READOUT))
-    mix = rand_normal(rng, (d, d)) * (READOUT_MIX_GAIN / math.sqrt(d))
+    mix = rand_normal(mix_seed(seed, _SALT_READOUT), (d, d)) * (READOUT_MIX_GAIN / math.sqrt(d))
     eye = np.eye(d, dtype=np.float32) * np.float32(READOUT_SELF_GAIN)
     return _read_only(eye + mix)
 
@@ -305,14 +305,12 @@ def decode_matrix(config: ModelConfig) -> Tensor:
 
 @lru_cache(maxsize=_CACHED_BUILDS)
 def _build_decode(seed: int, d: int) -> Tensor:
-    rng = Rng(mix_seed(seed, _SALT_DECODE))
-    return _read_only(rand_normal(rng, (d, 3)) * (1.0 / math.sqrt(d)))
+    return _read_only(rand_normal(mix_seed(seed, _SALT_DECODE), (d, 3)) * (1.0 / math.sqrt(d)))
 
 
 def sample_initial_latent(config: ModelConfig) -> Tensor:
     """x_T ~ N(0, I) over the token grid, pinned by the run seed."""
-    rng = Rng(mix_seed(config.seed, _SALT_LATENT))
-    return rand_normal(rng, (config.tokens, config.hidden_dim))
+    return rand_normal(mix_seed(config.seed, _SALT_LATENT), (config.tokens, config.hidden_dim))
 
 
 def denoiser_forward(
@@ -320,11 +318,12 @@ def denoiser_forward(
     t: int,
     weights: Sequence[DiTBlockWeights],
     config: ModelConfig,
-) -> tuple[Tensor, list[Tensor]]:
-    """Run the block stack at timestep t.
+) -> list[Tensor]:
+    """Run the block stack at timestep t and return its block outputs.
 
-    Returns (eps_pred, block_outputs) where block_outputs[i] is the residual
-    stream after block i; these are exactly the features the cache stores.
+    block_outputs[i] is the residual stream after block i; these are exactly
+    the features the cache stores. The sampler reads eps_pred out of the last
+    one with ``readout_matrix``, for a computed and a reused step alike.
     """
     if x_t.shape != (config.tokens, config.hidden_dim):
         raise DimensionError(f"latent shape {x_t.shape} != ({config.tokens}, {config.hidden_dim})")
@@ -337,8 +336,7 @@ def denoiser_forward(
     for w in weights:
         h = dit_block_forward(h, w, t_emb, config)
         block_outputs.append(h)
-    eps_pred = matmul(h, readout_matrix(config))
-    return eps_pred, block_outputs
+    return block_outputs
 
 
 def decode_latent(x: Tensor, config: ModelConfig) -> Tensor:
@@ -350,16 +348,6 @@ def decode_latent(x: Tensor, config: ModelConfig) -> Tensor:
         raise DimensionError(f"latent shape {x.shape} != ({config.tokens}, {config.hidden_dim})")
     px = matmul(x, decode_matrix(config))
     return px.reshape(config.frames, 3 * config.tokens_per_frame)
-
-
-def forward_diffuse(x0: Tensor, t: int, eps: Tensor, schedule: NoiseSchedule) -> Tensor:
-    """q(x_t | x_0): sqrt(abar_t) x0 + sqrt(1 - abar_t) eps."""
-    if x0.shape != eps.shape:
-        raise DimensionError(f"x0 shape {x0.shape} != eps shape {eps.shape}")
-    if not 0 <= t < len(schedule):
-        raise ValueError(f"timestep {t} outside schedule of length {len(schedule)}")
-    abar = float(schedule.alphas_cumprod[t])
-    return math.sqrt(abar) * x0 + math.sqrt(1.0 - abar) * eps
 
 
 def reverse_step(x_t: Tensor, eps_pred: Tensor, t: int, schedule: NoiseSchedule) -> Tensor:

@@ -27,12 +27,14 @@ Determinism has two tiers:
 The random stream is a SplitMix64 counter generator (golden-gamma increment,
 two xor-multiply finalizer rounds) mapped to normals with Box-Muller. It is
 specified to the bit so that a fixed seed pins every weight and latent in the
-package, independent of numpy's own Generator machinery. Output i of a stream
-depends only on its state and i, so ``rand_normal`` works through a request
-in L2-sized chunks with a few reused work arrays, and splits the chunks into
-contiguous spans that threads fill side by side, at most one thread per CPU
-available to the process. Its values are bit-identical to one pass over the
-whole request, whatever the number of threads.
+package, independent of numpy's own Generator machinery. There is no stream
+object: a draw is the pure function ``rand_normal(state, shape)``, and each
+seeded family takes its state from ``mix_seed(seed, salt)``. Output i of a
+stream depends only on its state and i, so ``rand_normal`` works through a
+request in L2-sized chunks with a few reused work arrays, and splits the
+chunks into contiguous spans that threads fill side by side, at most one
+thread per CPU available to the process. Its values are bit-identical to one
+pass over the whole request, whatever the number of threads.
 """
 
 from __future__ import annotations
@@ -205,62 +207,24 @@ _WORKERS = (
 )
 
 
-class Rng:
-    """SplitMix64 stream. Same seed, same sequence, on every platform."""
+def rand_normal(state: int, shape: tuple[int, ...] | int, dtype=np.float32) -> Tensor:
+    """Standard normals via Box-Muller over the (0, 1] uniforms of the stream at ``state``.
 
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    @property
-    def state(self) -> int:
-        return self._state
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _mix64(self._state)
-
-    def _bulk_u64(self, out: Tensor, scratch: Tensor) -> Tensor:
-        """Fill ``out`` (uint64, at most _CHUNK long) with the next len(out) outputs.
-
-        Counter form of the scalar loop: output i is mix64(state + (i + 1) gamma),
-        so the vectorized path emits exactly the scalar sequence, and
-        consecutive calls continue it. ``scratch`` is a uint64 work array at
-        least as long as ``out``.
-        """
-        n = out.size
-        np.add(_OFFSETS[:n], np.uint64(self._state), out=out)
-        self._state = (self._state + n * _GAMMA) & _MASK64
-        t = scratch[:n]
-        for shift, mult in ((30, _MIX1), (27, _MIX2)):
-            np.right_shift(out, np.uint64(shift), out=t)
-            out ^= t
-            out *= np.uint64(mult)
-        np.right_shift(out, np.uint64(31), out=t)
-        out ^= t
-        return out
-
-
-def rand_normal(rng: Rng, shape: tuple[int, ...] | int, dtype=np.float32) -> Tensor:
-    """Standard normals via Box-Muller over the (0, 1] uniforms of ``rng``.
-
-    Draws are consumed in pairs; an odd-sized request still advances the
-    stream by the rounded-up even count, so requests of n and n+1 values
-    agree on their common prefix.
+    Output i of the stream is mix64(state + (i + 1) gamma), with ``state``
+    masked to 64 bits, so a draw is a pure function of (state, shape).
+    Draws are consumed in pairs; an odd-sized request pads its last pair, so
+    requests of n and n+1 values agree on their common prefix.
 
     The request is cut into chunks of _CHUNK values, and the chunks into one
     contiguous span per worker: at most one thread per CPU available to the
     process, and never more than there are chunks. The caller fills the first
     span itself and joins the threads of the others; a one-chunk draw starts
-    no thread. Each span starts the stream at its own offset and works
-    through its chunks with its own L2-sized work arrays, writing each chunk
-    straight into the result in ``dtype``. Every output is a function of its
-    stream position alone, so the values and the stream state afterwards are
-    bit-identical to one pass over the whole request (float64 uniforms,
-    float64 Box-Muller, one cast to ``dtype`` at the end), whatever the
-    number of threads. A span that fails raises in the caller once every
-    thread has been joined, and the stream state is then left unchanged.
+    no thread. Each span works through its chunks from their own stream
+    positions with its own L2-sized work arrays, writing each chunk straight
+    into the result in ``dtype``. The values are bit-identical to one pass
+    over the whole request (float64 uniforms, float64 Box-Muller, one cast to
+    ``dtype`` at the end), whatever the number of threads. A span that fails
+    raises in the caller once every thread has been joined.
     """
     if isinstance(shape, int):
         shape = (shape,)
@@ -272,7 +236,7 @@ def rand_normal(rng: Rng, shape: tuple[int, ...] | int, dtype=np.float32) -> Ten
     m = n + (n & 1)
     result = np.empty(shape, dtype=dtype)
     out = result.reshape(-1)
-    start = rng._state
+    start = state & _MASK64
     chunks = -(-m // _CHUNK)
     workers = max(1, min(_WORKERS, chunks))
     edges = [j * chunks // workers * _CHUNK for j in range(workers)] + [m]
@@ -296,7 +260,6 @@ def rand_normal(rng: Rng, shape: tuple[int, ...] | int, dtype=np.float32) -> Ten
             thread.join()
     if errors:
         raise errors[0]
-    rng._state = (start + m * _GAMMA) & _MASK64
     return result
 
 
@@ -307,7 +270,6 @@ def _fill_span(start: int, out: Tensor, lo: int, hi: int) -> None:
     end of the draw; only the last pair of the draw may lack its odd slot in
     ``out``. The span allocates its own work arrays, at most 576 KiB.
     """
-    rng = Rng((start + lo * _GAMMA) & _MASK64)
     c = min(hi - lo, _CHUNK)
     bits, scratch = np.empty(c, np.uint64), np.empty(c, np.uint64)
     u = np.empty(c)
@@ -315,7 +277,15 @@ def _fill_span(start: int, out: Tensor, lo: int, hi: int) -> None:
     for a in range(lo, hi, _CHUNK):
         k = min(hi - a, _CHUNK)
         h = k // 2
-        b = rng._bulk_u64(bits[:k], scratch)
+        # Counter form of SplitMix64: position a + i is mix64(start + (a + i + 1) gamma).
+        b = np.add(_OFFSETS[:k], np.uint64((start + a * _GAMMA) & _MASK64), out=bits[:k])
+        t = scratch[:k]
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(b, np.uint64(shift), out=t)
+            b ^= t
+            b *= np.uint64(mult)
+        np.right_shift(b, np.uint64(31), out=t)
+        b ^= t
         # Top 53 bits, shifted into (0, 1] so log() below never sees zero.
         np.right_shift(b, np.uint64(11), out=b)
         uk = np.add(b, 1.0, out=u[:k])

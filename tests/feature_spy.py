@@ -1,11 +1,11 @@
 """A spy on the feature cache of ``run_policy``, installed by monkeypatch.
 
 ``run_policy`` calls ``denoiser_forward`` once per computed step and
-``matmul`` only for the readout of a reused step, both through the globals
-of ``bwcache.cache``. The spy wraps both. It digests every model call's
-block outputs as they are returned, and at every readout it records whether
-the operand is byte-equal to the last block output of the latest model call
-and whether all N outputs of that call still digest as they did.
+``matmul`` once per step, for the readout, both through the globals of
+``bwcache.cache``. The spy wraps both. It digests every model call's block
+outputs as they are returned, and at every readout it records whether the
+operand is byte-equal to the last block output of the latest model call and
+whether all N outputs of that call still digest as they did.
 """
 
 from __future__ import annotations
@@ -22,15 +22,15 @@ def digest(x) -> str:
 class FeatureSpy:
     def __init__(self, monkeypatch) -> None:
         self.forward_digests: list[tuple[str, ...]] = []  # per model call, on return
-        self.readouts: list[tuple[bool, bool]] = []  # per reused step: (operand ok, cache intact)
+        self.readouts: list[tuple[bool, bool]] = []  # per step: (operand ok, cache intact)
         latest = []
         forward, readout = cache.denoiser_forward, cache.matmul
 
         def spy_forward(*args):
-            eps_pred, outputs = forward(*args)
+            outputs = forward(*args)
             latest[:] = outputs
             self.forward_digests.append(tuple(digest(o) for o in outputs))
-            return eps_pred, outputs
+            return outputs
 
         def spy_readout(features, matrix):
             operand_ok = bool(latest) and features.tobytes() == latest[-1].tobytes()
@@ -42,14 +42,13 @@ class FeatureSpy:
         monkeypatch.setattr(cache, "matmul", spy_readout)
 
     def failed_readouts(self, decisions) -> list[str]:
-        """One message per reused step whose readout broke either check."""
-        reused = [d.step for d in decisions if d.action is cache.Action.REUSED]
-        if len(reused) != len(self.readouts):
-            return [f"{len(self.readouts)} readouts for {len(reused)} reused steps"]
+        """One message per step whose readout broke either check."""
+        if len(decisions) != len(self.readouts):
+            return [f"{len(self.readouts)} readouts for {len(decisions)} steps"]
         problems = []
-        for step, (operand_ok, intact) in zip(reused, self.readouts):
+        for d, (operand_ok, intact) in zip(decisions, self.readouts):
             if not operand_ok:
-                problems.append(f"step {step}: readout operand is not the latest last-block output")
+                problems.append(f"step {d.step}: readout operand is not the latest last-block output")
             if not intact:
-                problems.append(f"step {step}: cached block outputs changed since they were returned")
+                problems.append(f"step {d.step}: cached block outputs changed since they were returned")
         return problems

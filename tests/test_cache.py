@@ -38,10 +38,11 @@ from bwcache.model import (
     NoiseSchedule,
     denoiser_forward,
     init_weights,
+    readout_matrix,
     reverse_step,
     sample_initial_latent,
 )
-from bwcache.tensor import DimensionError
+from bwcache.tensor import DimensionError, matmul
 from bwcache.traceio import read_heatmap, write_heatmap
 from feature_spy import FeatureSpy, digest
 
@@ -458,7 +459,7 @@ class TestRunPolicy:
         spy = FeatureSpy(monkeypatch)
         config = toy_config(seed=2)
         _, trace = run_policy(config, bw(1e9, 3, TailRule.half()))
-        assert len(spy.readouts) > 0
+        assert any(d.action is R for d in trace.decisions)
         assert spy.failed_readouts(trace.decisions) == []
 
     def test_cached_features_are_read_only(self, monkeypatch):
@@ -467,9 +468,9 @@ class TestRunPolicy:
         stored = []
 
         def spy(*args):
-            eps_pred, outputs = denoiser_forward(*args)
+            outputs = denoiser_forward(*args)
             stored.append(outputs)
-            return eps_pred, outputs
+            return outputs
 
         monkeypatch.setattr(cache_module, "denoiser_forward", spy)
         config = toy_config(seed=2)
@@ -496,11 +497,11 @@ class TestRunPolicy:
         x = sample_initial_latent(config)
         want = []
         for step in range(config.steps - 1, -1, -1):
-            eps_pred, outputs = denoiser_forward(x, step, weights, config)
+            outputs = denoiser_forward(x, step, weights, config)
             want.append(tuple(digest(o) for o in outputs))
-            x = reverse_step(x, eps_pred, step, schedule)
+            x = reverse_step(x, matmul(outputs[-1], readout_matrix(config)), step, schedule)
         assert spy.forward_digests == want
-        assert spy.readouts == []
+        assert spy.failed_readouts(trace.decisions) == []  # one intact readout per step
         assert final.tobytes() == x.tobytes()
         assert plain.decisions == trace.decisions
         assert plain_final.tobytes() == final.tobytes()

@@ -355,6 +355,22 @@ class TestDefaults:
         trace = str(FIXTURES / "replay_trace.csv")
         assert main(["replay", "--trace", trace, "--deterministic", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", *TINY_SHAPE, "--tail", "fixed:99"],
+            ["compare", *TINY_SHAPE, "--tail", "fixed:99"],
+            ["replay", "--trace", str(FIXTURES / "replay_trace.csv"), "--heads", "3"],
+        ],
+        ids=["generate", "compare", "replay"],
+    )
+    def test_refused_run_leaves_no_output_directory(self, tmp_path, argv):
+        """Inputs refused after parsing (a tail covering the run, heads that do
+        not divide the width) exit 2 before the output directory exists."""
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 # One alternate value per declared option. The base run is the tiny model
 # with --deterministic (replay: the committed fixture), so only the option

@@ -17,7 +17,9 @@ import pytest
 
 from bwcache.cache import Action, CachePolicyConfig, PolicyKind, run_policy
 from bwcache.model import (
+    _SALT_DECODE,
     _SALT_LATENT,
+    _SALT_READOUT,
     _SALT_WEIGHTS,
     _build_decode,
     _build_readout,
@@ -26,12 +28,13 @@ from bwcache.model import (
     DiTBlockWeights,
     ModelConfig,
     NoiseSchedule,
+    READOUT_MIX_GAIN,
+    READOUT_SELF_GAIN,
     block_axes,
     decode_latent,
     decode_matrix,
     denoiser_forward,
     dit_block_forward,
-    forward_diffuse,
     init_weights,
     readout_matrix,
     reverse_step,
@@ -176,6 +179,12 @@ def uniform_attention_weights(config, axis) -> DiTBlockWeights:
     )
 
 
+def forward_diffuse(x0, t, eps, schedule):
+    """q(x_t | x_0): sqrt(abar_t) x0 + sqrt(1 - abar_t) eps, the oracle for reverse_step."""
+    abar = float(schedule.alphas_cumprod[t])
+    return math.sqrt(abar) * x0 + math.sqrt(1.0 - abar) * eps
+
+
 def make_latent(config, seed=0):
     return (
         np.random.default_rng(seed)
@@ -261,7 +270,7 @@ class TestBuildCache:
         shapes = [(d, 3 * d), (d, d), (d, 4 * d), (4 * d, d), (d, 4 * d)]
         per_block = sum(a * b for a, b in shapes)
         stream = mix_seed(config.seed, _SALT_WEIGHTS)
-        flat, _ = one_shot_rand_normal(stream, per_block * config.n_blocks)
+        flat = one_shot_rand_normal(stream, per_block * config.n_blocks)
         flat = flat * WEIGHT_STD
 
         weights = init_weights(config)
@@ -351,7 +360,7 @@ class TestInitialLatent:
         for d in (64, 256):
             config = ModelConfig(hidden_dim=d)
             got = sample_initial_latent(config)
-            want, _ = one_shot_rand_normal(mix_seed(0, _SALT_LATENT), (config.tokens, d))
+            want = one_shot_rand_normal(mix_seed(0, _SALT_LATENT), (config.tokens, d))
             assert got.tobytes() == want.tobytes()
 
 
@@ -527,9 +536,9 @@ class TestDiffusion:
         sched = NoiseSchedule.linear(config.steps)
         x0 = make_latent(config)
         with pytest.raises(DimensionError):
-            forward_diffuse(x0, 1, x0[:-1], sched)
+            reverse_step(x0, x0[:-1], 1, sched)
         with pytest.raises(ValueError):
-            forward_diffuse(x0, config.steps, x0, sched)
+            reverse_step(x0, x0, config.steps, sched)
         with pytest.raises(ValueError):
             reverse_step(x0, x0, -1, sched)
 
@@ -540,7 +549,7 @@ class TestDenoiser:
         config = tiny_config(n_blocks=3)
         weights = init_weights(config)
         x = make_latent(config, seed=19)
-        eps, outs = denoiser_forward(x, 2, weights, config)
+        outs = denoiser_forward(x, 2, weights, config)
         assert len(outs) == config.n_blocks
         t_emb = timestep_embedding(2, config.hidden_dim)
         assert np.array_equal(outs[0], dit_block_forward(x, weights[0], t_emb, config))
@@ -553,18 +562,17 @@ class TestDenoiser:
         config = tiny_config()
         weights = [zero_branch_weights(config, a) for a in block_axes(config)]
         x = make_latent(config, seed=20)
-        eps, outs = denoiser_forward(x, 1, weights, config)
+        outs = denoiser_forward(x, 1, weights, config)
+        assert len(outs) == config.n_blocks
         for out in outs:
             assert np.array_equal(out, x)
-        assert eps.shape == x.shape
 
     def test_deterministic_for_fixed_inputs(self):
         config = tiny_config()
         weights = init_weights(config)
         x = make_latent(config, seed=21)
-        e1, o1 = denoiser_forward(x, 4, weights, config)
-        e2, o2 = denoiser_forward(x, 4, weights, config)
-        assert np.array_equal(e1, e2)
+        o1 = denoiser_forward(x, 4, weights, config)
+        o2 = denoiser_forward(x, 4, weights, config)
         assert all(np.array_equal(a, b) for a, b in zip(o1, o2))
 
     def test_readout_is_seed_stable(self):
@@ -576,6 +584,25 @@ class TestDenoiser:
 
 
 class TestDecodeAndLatent:
+    @pytest.mark.parametrize("d", [32, 64, 256])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_readout_and_decode_match_the_one_pass_draw(self, seed, d):
+        """readout = READOUT_SELF_GAIN I + N READOUT_MIX_GAIN / sqrt(d) and
+        decode = N' / sqrt(d), where N and N' are one draw each from the
+        readout and decode salts' streams."""
+        config = ModelConfig(hidden_dim=d, seed=seed)
+        mix = one_shot_rand_normal(mix_seed(seed, _SALT_READOUT), (d, d))
+        eye = np.eye(d, dtype=np.float32) * np.float32(READOUT_SELF_GAIN)
+        want = eye + mix * np.float32(READOUT_MIX_GAIN / math.sqrt(d))
+        got = readout_matrix(config)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        raw = one_shot_rand_normal(mix_seed(seed, _SALT_DECODE), (d, 3))
+        want = raw * np.float32(1.0 / math.sqrt(d))
+        got = decode_matrix(config)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_decode_shape_is_frame_major_pixels(self):
         config = tiny_config()
         px = decode_latent(make_latent(config, seed=22), config)

@@ -22,7 +22,6 @@ from bwcache import tensor
 from bwcache.tensor import (
     DimensionError,
     NonFiniteError,
-    Rng,
     gelu,
     layer_norm,
     matmul,
@@ -33,6 +32,7 @@ from bwcache.tensor import (
 )
 
 MASK = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15  # SplitMix64 stream increment
 CHUNK = tensor._CHUNK  # values per chunk of a rand_normal draw
 
 
@@ -50,8 +50,40 @@ def splitmix64_reference(seed: int, count: int) -> list[int]:
     return out
 
 
-def one_shot_rand_normal(state: int, shape, dtype=np.float32) -> tuple[np.ndarray, int]:
-    """The generator as one whole-request numpy pass; returns (values, state after).
+def unmix64(z: int) -> int:
+    """Inverse of the SplitMix64 finalizer: the counter value that mixes to ``z``."""
+    z ^= (z >> 31) ^ (z >> 62)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK
+    z ^= (z >> 27) ^ (z >> 54)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK
+    return z ^ (z >> 30) ^ (z >> 60)
+
+
+def box_muller_reference(state: int, n: int) -> np.ndarray:
+    """Recompute the normals from the raw u64 stream, scalar math only."""
+    m = n + (n % 2)
+    bits = splitmix64_reference(state, m)
+    u = [((b >> 11) + 1) * 2.0**-53 for b in bits]
+    out = []
+    for i in range(0, m, 2):
+        r = math.sqrt(-2.0 * math.log(u[i]))
+        theta = 2.0 * math.pi * u[i + 1]
+        out.append(r * math.cos(theta))
+        out.append(r * math.sin(theta))
+    return np.array(out[:n])
+
+
+def one_shot_bits(state: int, m: int) -> np.ndarray:
+    """The first m u64 outputs of the stream at ``state``, as one counter-form numpy pass."""
+    idx = np.arange(1, m + 1, dtype=np.uint64)
+    z = np.uint64(state & MASK) + idx * np.uint64(GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def one_shot_rand_normal(state: int, shape, dtype=np.float32) -> np.ndarray:
+    """The generator as one whole-request numpy pass.
 
     A frozen copy of the original single-pass ``rand_normal`` body (counter-form
     SplitMix64, float64 Box-Muller over all pairs, one cast at the end), kept as
@@ -59,30 +91,23 @@ def one_shot_rand_normal(state: int, shape, dtype=np.float32) -> tuple[np.ndarra
     """
     shape = (shape,) if isinstance(shape, int) else tuple(shape)
     n = math.prod(shape)
-    m = n + (n & 1)
-    idx = np.arange(1, m + 1, dtype=np.uint64)
-    z = np.uint64(state) + idx * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    bits = z ^ (z >> np.uint64(31))
+    bits = one_shot_bits(state, n + (n & 1))
     u = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
     u1, u2 = u[0::2], u[1::2]
     r = np.sqrt(-2.0 * np.log(u1))
     theta = (2.0 * math.pi) * u2
-    out = np.empty(m, dtype=np.float64)
+    out = np.empty(bits.size, dtype=np.float64)
     out[0::2] = r * np.cos(theta)
     out[1::2] = r * np.sin(theta)
-    return out[:n].reshape(shape).astype(dtype), (state + m * 0x9E3779B97F4A7C15) & MASK
+    return out[:n].reshape(shape).astype(dtype)
 
 
 def assert_draw_matches_one_shot(n: int, seed: int, dtype) -> None:
-    """rand_normal's values, dtype, shape and stream state equal the one-pass form's."""
-    rng = Rng(seed)
-    got = rand_normal(rng, (n,), dtype=dtype)
-    want, state = one_shot_rand_normal(seed, n, dtype)
+    """rand_normal's values, dtype and shape equal the one-pass form's."""
+    got = rand_normal(seed, (n,), dtype=dtype)
+    want = one_shot_rand_normal(seed, n, dtype)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-    assert rng.state == state
 
 
 def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -457,27 +482,28 @@ class TestLeanOpsMatchNumpyExpressions:
 
 
 class TestRng:
+    """The SplitMix64 stream, pinned to the scalar reference and through it to
+    the published test vector."""
+
     def test_matches_scalar_reference(self):
-        """next_u64 reproduces the long-hand SplitMix64 sequence."""
+        """mix_seed is one SplitMix64 output: the one at the counter seed ^ (salt + 1) gamma."""
         for seed in (0, 1, 1234567, MASK):
-            rng = Rng(seed)
-            got = [rng.next_u64() for _ in range(16)]
-            assert got == splitmix64_reference(seed, 16)
+            for salt in (0, 1, 0x57454947):
+                counter = (seed ^ ((salt + 1) * GAMMA)) & MASK
+                want = splitmix64_reference(counter - GAMMA, 1)
+                assert [mix_seed(seed, salt)] == want
 
     def test_known_answer_for_seed_zero(self):
         """Seed 0 yields the published SplitMix64 test vector."""
-        rng = Rng(0)
-        assert rng.next_u64() == 0xE220A8397B1DCDAF
+        assert splitmix64_reference(0, 1) == [0xE220A8397B1DCDAF]
 
     def test_bulk_equals_scalar_sequence(self):
-        """Consecutive chunk fills continue one sequence across the chunk boundary."""
-        rng = Rng(42)
-        scratch = np.empty(CHUNK, dtype=np.uint64)
-        first = rng._bulk_u64(np.empty(CHUNK, dtype=np.uint64), scratch)
-        second = rng._bulk_u64(np.empty(257, dtype=np.uint64), scratch)
-        got = [int(v) for v in np.concatenate([first, second])]
-        assert got == splitmix64_reference(42, CHUNK + 257)
-        assert rng.state == (42 + (CHUNK + 257) * 0x9E3779B97F4A7C15) & MASK
+        """Across a chunk boundary a draw equals the one-pass oracle, whose bits
+        are the scalar sequence."""
+        n = CHUNK + 257
+        assert [int(v) for v in one_shot_bits(42, n + 1)] == splitmix64_reference(42, n + 1)
+        got = rand_normal(42, n, dtype=np.float64)
+        assert got.tobytes() == one_shot_rand_normal(42, n, np.float64).tobytes()
 
     def test_mix_seed_separates_streams(self):
         seeds = {mix_seed(7, salt) for salt in range(32)}
@@ -486,48 +512,40 @@ class TestRng:
 
 
 class TestRandNormal:
-    def box_muller_reference(self, seed: int, n: int) -> np.ndarray:
-        """Recompute the normals from the raw u64 stream, scalar math only."""
-        m = n + (n % 2)
-        bits = splitmix64_reference(seed, m)
-        u = [((b >> 11) + 1) * 2.0**-53 for b in bits]
-        out = []
-        for i in range(0, m, 2):
-            r = math.sqrt(-2.0 * math.log(u[i]))
-            theta = 2.0 * math.pi * u[i + 1]
-            out.append(r * math.cos(theta))
-            out.append(r * math.sin(theta))
-        return np.array(out[:n])
-
     def test_matches_scalar_box_muller(self):
-        got = rand_normal(Rng(99), (11,), dtype=np.float64)
-        want = self.box_muller_reference(99, 11)
+        got = rand_normal(99, (11,), dtype=np.float64)
+        want = box_muller_reference(99, 11)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_same_seed_same_tensor(self):
-        a = rand_normal(Rng(5), (3, 4))
-        b = rand_normal(Rng(5), (3, 4))
+        a = rand_normal(5, (3, 4))
+        b = rand_normal(5, (3, 4))
         assert np.array_equal(a, b)
         assert a.dtype == np.float32
-
-    def test_odd_request_advances_stream_by_even_count(self):
-        """Drawing 3 then 2 equals drawing 4 then 2 shifted: the pad is consumed."""
-        r1 = Rng(17)
-        rand_normal(r1, (3,))
-        r2 = Rng(17)
-        rand_normal(r2, (4,))
-        assert r1.state == r2.state
+        # The state is masked to 64 bits.
+        assert rand_normal(5 + (1 << 64), (3, 4)).tobytes() == a.tobytes()
 
     def test_moments_are_standard_normal(self):
-        x = rand_normal(Rng(123), (100_000,), dtype=np.float64)
+        x = rand_normal(123, (100_000,), dtype=np.float64)
         assert abs(x.mean()) < 0.02
         assert abs(x.std() - 1.0) < 0.02
         assert np.isfinite(x).all()
 
     def test_uniforms_stay_in_half_open_unit_interval(self):
-        bits = Rng(3)._bulk_u64(np.empty(4096, dtype=np.uint64), np.empty(4096, dtype=np.uint64))
-        u = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        assert (u > 0.0).all() and (u <= 1.0).all()
+        """At the stream positions whose bits are all zeros or all ones, each
+        uniform of a pair lands on an end of (0, 1] and the normals stay
+        finite and equal to the scalar reference's."""
+        for bits in (0, MASK):
+            for slot in (0, 1):  # the radius's uniform, then the angle's
+                state = (unmix64(bits) - (slot + 1) * GAMMA) & MASK
+                assert splitmix64_reference(state, 2)[slot] == bits
+                got = rand_normal(state, 2, dtype=np.float64)
+                assert np.isfinite(got).all()
+                np.testing.assert_allclose(got, box_muller_reference(state, 2), rtol=1e-12, atol=1e-12)
+                if slot == 0:
+                    # u = 2^-53 gives the largest radius, u = 1 a zero one.
+                    radius = math.sqrt(106.0 * math.log(2.0)) if bits == 0 else 0.0
+                    assert math.hypot(*got) == pytest.approx(radius, abs=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("seed", [0, 99, MASK])
@@ -535,7 +553,7 @@ class TestRandNormal:
         "n", [0, 1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5], ids=lambda n: f"n{n}"
     )
     def test_chunked_draw_equals_one_shot_reference(self, n, seed, dtype):
-        """Values, dtype and the stream state afterwards match the one-pass form."""
+        """Values, dtype and shape match the one-pass form."""
         assert_draw_matches_one_shot(n, seed, dtype)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
@@ -566,16 +584,15 @@ class TestRandNormal:
                 super().start()
 
         monkeypatch.setattr(threading, "Thread", CountingThread)
-        got = rand_normal(Rng(4), 9 * CHUNK)
-        assert got.tobytes() == one_shot_rand_normal(4, 9 * CHUNK)[0].tobytes()
+        got = rand_normal(4, 9 * CHUNK)
+        assert got.tobytes() == one_shot_rand_normal(4, 9 * CHUNK).tobytes()
         assert len(started) + 1 == min(cpus, 9)  # the caller fills one span itself
         assert not any(t.is_alive() for t in started)
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_a_failed_span_raises_in_the_caller_after_the_join(self, monkeypatch, failing):
         """A span that raises, in a worker thread or in the caller, reaches the
-        caller once every thread has finished; no partial result comes back
-        and the stream does not advance."""
+        caller once every thread has finished; no partial result comes back."""
         fill = tensor._fill_span
         spans = []
 
@@ -588,16 +605,14 @@ class TestRandNormal:
         monkeypatch.setattr(tensor, "_WORKERS", 3)
         monkeypatch.setattr(tensor, "_fill_span", flaky)
         before = threading.enumerate()
-        rng = Rng(8)
         with pytest.raises(MemoryError, match="span at"):
-            rand_normal(rng, 6 * CHUNK)
+            rand_normal(8, 6 * CHUNK)
         assert sorted(spans) == [0, 2 * CHUNK, 4 * CHUNK]
         assert threading.enumerate() == before
-        assert rng.state == 8
 
     @pytest.mark.parametrize("shape", [(), (0, 5), (5, 0), (7, 3), (3, 2 * CHUNK // 3 + 1)])
     def test_chunked_draw_keeps_the_requested_shape(self, shape):
-        got = rand_normal(Rng(5), shape)
-        want, _ = one_shot_rand_normal(5, shape)
+        got = rand_normal(5, shape)
+        want = one_shot_rand_normal(5, shape)
         assert got.shape == shape and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
