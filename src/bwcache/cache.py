@@ -67,7 +67,7 @@ class Action(str, Enum):
     REUSED = "reused"
 
 
-class ZeroDenominatorError(ValueError):
+class ZeroDenominatorError(ArithmeticError):
     """Raised when the reference features have zero L1 mass."""
 
 
@@ -163,13 +163,8 @@ class CachePolicyConfig:
 
     @classmethod
     def recommended(cls, total_steps: int) -> "CachePolicyConfig":
-        """delta 0.15, reuse interval ceil(T / 10), half tail."""
-        return cls(
-            kind=PolicyKind.BWCACHE,
-            delta=0.15,
-            reuse_interval=-(-total_steps // 10),
-            tail=TailRule.half(),
-        )
+        """The defaults with reuse interval ceil(T / 10)."""
+        return cls(reuse_interval=-(-total_steps // 10))
 
 
 @dataclass(frozen=True)
@@ -269,7 +264,8 @@ def decide(
     return Action.COMPUTED, BlockCacheState(trigger, 0)
 
 
-def _require_valid_tail(policy: CachePolicyConfig, total_steps: int) -> None:
+def require_valid_tail(policy: CachePolicyConfig, total_steps: int) -> None:
+    """Refuse a bwcache policy whose fixed tail covers a whole run of ``total_steps``."""
     if (
         policy.kind is PolicyKind.BWCACHE
         and policy.tail.fixed_count is not None
@@ -289,7 +285,6 @@ def _drive(total_steps: int, policy: CachePolicyConfig, run_step: Callable) -> l
     step's features, else None. Only computed steps after the first are
     measured: the first executed step has nothing to compare against.
     """
-    _require_valid_tail(policy, total_steps)
     state = BlockCacheState()
     mean_l1: float | None = None
     decisions: list[StepDecision] = []
@@ -316,6 +311,7 @@ def run_policy(config: ModelConfig, policy: CachePolicyConfig):
     the recorded timings are zeroed so exports are byte-stable.
     """
     total = config.steps
+    require_valid_tail(policy, total)
     x = sample_initial_latent(config)
     weights = init_weights(config)
     schedule = NoiseSchedule.linear(total)
@@ -380,6 +376,7 @@ def replay_trace(
             raise ValueError(
                 f"ragged trace: execution index {i} has {len(row)} values, expected {n_blocks}"
             )
+    require_valid_tail(policy, total)
 
     def read_row(step: int, action: Action, measure: bool) -> tuple[float, ...] | None:
         if not measure:

@@ -23,8 +23,8 @@ from bwcache.cache import (
     CachePolicyConfig,
     PolicyKind,
     TailRule,
-    ZeroDenominatorError,
     replay_trace,
+    require_valid_tail,
     run_policy,
 )
 from bwcache.metrics import RunSummary, summarize
@@ -118,13 +118,15 @@ def _policy_from_args(args, *, total_steps: int) -> CachePolicyConfig:
     interval = args.reuse_interval
     if interval is None:
         interval = CachePolicyConfig.recommended(total_steps).reuse_interval
-    return CachePolicyConfig(
+    policy = CachePolicyConfig(
         kind=PolicyKind(args.policy),
         delta=args.delta,
         reuse_interval=interval,
         tail=TailRule.parse(args.tail),
         static_stride=args.static_stride,
     )
+    require_valid_tail(policy, total_steps)
+    return policy
 
 
 def _model_from_args(args, steps: int | None = None, blocks: int | None = None) -> ModelConfig:
@@ -241,9 +243,6 @@ def main(argv=None) -> int:
             if args.command == "generate":
                 return _cmd_generate(args)
             return _cmd_compare(args)
-    except ZeroDenominatorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (TraceFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

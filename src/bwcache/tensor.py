@@ -31,10 +31,10 @@ package, independent of numpy's own Generator machinery. There is no stream
 object: a draw is the pure function ``rand_normal(state, shape)``, and each
 seeded family takes its state from ``mix_seed(seed, salt)``. Output i of a
 stream depends only on its state and i, so ``rand_normal`` works through a
-request in L2-sized chunks with a few reused work arrays, and splits the
-chunks into contiguous spans that threads fill side by side, at most one
-thread per CPU available to the process. Its values are bit-identical to one
-pass over the whole request, whatever the number of threads.
+request in chunks whose temporaries are 128 KiB each, and splits the chunks
+into contiguous spans that threads fill side by side, at most one thread per
+CPU available to the process. Its values are bit-identical to one pass over
+the whole request, whatever the number of threads.
 """
 
 from __future__ import annotations
@@ -195,8 +195,9 @@ def mix_seed(seed: int, salt: int) -> int:
     return _mix64((seed ^ ((salt + 1) * _GAMMA)) & _MASK64)
 
 
-# Values per chunk of a draw: each uint64 or float64 work array is 128 KiB, so
-# one chunk's mixing and Box-Muller passes stay in L2.
+# Values per chunk of a draw: each uint64 or float64 temporary is 128 KiB, so
+# one chunk's mixing and Box-Muller passes stay in L2 and a draw's temporaries
+# do not grow with its size.
 _CHUNK = 1 << 14
 # Counter offsets (i + 1) * gamma mod 2^64 of one chunk.
 _OFFSETS = np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
@@ -220,7 +221,7 @@ def rand_normal(state: int, shape: tuple[int, ...] | int, dtype=np.float32) -> T
     process, and never more than there are chunks. The caller fills the first
     span itself and joins the threads of the others; a one-chunk draw starts
     no thread. Each span works through its chunks from their own stream
-    positions with its own L2-sized work arrays, writing each chunk straight
+    positions, with 128 KiB temporaries per chunk, writing each chunk straight
     into the result in ``dtype``. The values are bit-identical to one pass
     over the whole request (float64 uniforms, float64 Box-Muller, one cast to
     ``dtype`` at the end), whatever the number of threads. A span that fails
@@ -268,34 +269,19 @@ def _fill_span(start: int, out: Tensor, lo: int, hi: int) -> None:
 
     ``lo`` is a multiple of _CHUNK and ``hi`` is a chunk edge or the padded
     end of the draw; only the last pair of the draw may lack its odd slot in
-    ``out``. The span allocates its own work arrays, at most 576 KiB.
+    ``out``. Each of a chunk's temporaries is 128 KiB.
     """
-    c = min(hi - lo, _CHUNK)
-    bits, scratch = np.empty(c, np.uint64), np.empty(c, np.uint64)
-    u = np.empty(c)
-    r, theta, wave = np.empty(c // 2), np.empty(c // 2), np.empty(c // 2)
     for a in range(lo, hi, _CHUNK):
         k = min(hi - a, _CHUNK)
-        h = k // 2
         # Counter form of SplitMix64: position a + i is mix64(start + (a + i + 1) gamma).
-        b = np.add(_OFFSETS[:k], np.uint64((start + a * _GAMMA) & _MASK64), out=bits[:k])
-        t = scratch[:k]
+        z = _OFFSETS[:k] + np.uint64((start + a * _GAMMA) & _MASK64)
         for shift, mult in ((30, _MIX1), (27, _MIX2)):
-            np.right_shift(b, np.uint64(shift), out=t)
-            b ^= t
-            b *= np.uint64(mult)
-        np.right_shift(b, np.uint64(31), out=t)
-        b ^= t
+            z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
+        z = z ^ (z >> np.uint64(31))
         # Top 53 bits, shifted into (0, 1] so log() below never sees zero.
-        np.right_shift(b, np.uint64(11), out=b)
-        uk = np.add(b, 1.0, out=u[:k])
-        uk *= 2.0**-53
-        rk = np.log(uk[0::2], out=r[:h])
-        rk *= -2.0
-        np.sqrt(rk, out=rk)
-        tk = np.multiply(uk[1::2], 2.0 * math.pi, out=theta[:h])
-        wk = np.cos(tk, out=wave[:h])
-        np.multiply(rk, wk, out=out[a : a + k : 2], casting="unsafe")
-        np.sin(tk, out=wk)
+        u = ((z >> np.uint64(11)) + 1.0) * 2.0**-53
+        r = np.sqrt(np.log(u[0::2]) * -2.0)
+        theta = u[1::2] * (2.0 * math.pi)
+        out[a : a + k : 2] = r * np.cos(theta)
         odd = out[a + 1 : a + k : 2]  # one short on the padded last pair
-        np.multiply(rk[: odd.size], wk[: odd.size], out=odd, casting="unsafe")
+        odd[:] = (r * np.sin(theta))[: odd.size]

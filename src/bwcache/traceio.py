@@ -291,7 +291,7 @@ def read_latent(path) -> Tensor:
         raise TraceFormatError("latent dump truncated in dimension table")
     shape = struct.unpack(f"<{ndim}Q", blob[12:offset])
     dtype = _DTYPE_CODES[code]
-    expected = int(np.prod(shape)) * dtype.itemsize if ndim else dtype.itemsize
+    expected = math.prod(shape) * dtype.itemsize
     if len(blob) - offset != expected:
         raise TraceFormatError(
             f"latent dump payload is {len(blob) - offset} bytes, expected {expected}"

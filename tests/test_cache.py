@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bwcache import cache as cache_module
+from bwcache import cache as cache_module, model as model_module
 from bwcache.cache import (
     Action,
     BlockCacheState,
@@ -443,6 +443,14 @@ class TestRunPolicy:
             assert d.mean_l1 == pytest.approx(d.arl1 / config.n_blocks)
         assert final.shape == (config.tokens, config.hidden_dim)
         assert np.array_equal(final, trace.final_latent)
+
+    def test_fixed_tail_covering_run_rejected_before_any_draw(self, monkeypatch):
+        def refuse_to_draw(*args):
+            raise AssertionError("drew before the tail was checked")
+
+        monkeypatch.setattr(model_module, "rand_normal", refuse_to_draw)
+        with pytest.raises(ValueError, match="whole run"):
+            run_policy(toy_config(), bw(0.15, 3, TailRule.fixed(12)))
 
     def test_zero_delta_equals_none_policy_exactly(self):
         """delta 0 can never pass a strict comparison, so bwcache degenerates

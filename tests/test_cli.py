@@ -13,8 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bwcache import cli, tensor
-from bwcache.cache import CachePolicyConfig, PolicyKind, TailRule, run_policy
+from bwcache import cli, model, tensor
+from bwcache.cache import (
+    CachePolicyConfig,
+    PolicyKind,
+    TailRule,
+    ZeroDenominatorError,
+    run_policy,
+)
 from bwcache.cli import _policy_from_args, build_parser, main
 from bwcache.metrics import psnr, ssim_frames
 from bwcache.model import ModelConfig, _build_weights, decode_latent
@@ -159,6 +165,15 @@ class TestGenerate:
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory\n")
         assert run_generate(blocker / "sub") == 1
+
+    def test_zero_mass_reference_is_runtime_error(self, tmp_path, monkeypatch):
+        """A zero-mass reference is a numeric fault: exit 1, like a non-finite op."""
+
+        def zero_mass(*args):
+            raise ZeroDenominatorError("reference features have zero L1 norm")
+
+        monkeypatch.setattr(cli, "run_policy", zero_mass)
+        assert run_generate(tmp_path / "out") == 1
 
     def test_malformed_tail_rule_is_config_error(self, tmp_path):
         assert run_generate(tmp_path, "--tail", "fixed:lots") == 2
@@ -369,6 +384,22 @@ class TestDefaults:
         not divide the width) exit 2 before the output directory exists."""
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "compare"])
+    def test_whole_run_tail_is_refused_before_any_draw(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        """A fixed tail covering the run exits 2 before the latent, the weights
+        or compare's side a are drawn."""
+
+        def refuse_to_draw(*args):
+            raise AssertionError("drew before the tail was checked")
+
+        monkeypatch.setattr(model, "rand_normal", refuse_to_draw)
+        out = tmp_path / "out"
+        assert main([command, *TINY_SHAPE, "--tail", "fixed:7", "--out", str(out)]) == 2
+        assert "fixed tail of 7 covers the whole run of 7 steps" in capsys.readouterr().err
         assert not out.exists()
 
 

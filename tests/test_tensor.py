@@ -12,6 +12,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -572,6 +573,21 @@ class TestRandNormal:
                 assert_draw_matches_one_shot(n, seed, dtype)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("chunks", [1, 8, 64])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_temporaries_stay_chunk_sized(self, monkeypatch, workers, chunks):
+        """Beyond the result itself, a draw holds at most 1 MiB per worker at
+        once, however many chunks it spans."""
+        monkeypatch.setattr(tensor, "_WORKERS", workers)
+        n = chunks * CHUNK + 3
+        tracemalloc.start()
+        try:
+            result = rand_normal(3, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - result.nbytes <= workers * 2**20
 
     def test_worker_count_is_bounded_by_the_available_cpus(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -296,6 +297,16 @@ class TestLatent:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(TraceFormatError, match="payload"):
+            read_latent(path)
+
+    def test_payload_size_is_computed_without_wrapping(self, tmp_path):
+        """Dims (2^32, 2^32) hold 2^64 values, which an int64 product wraps to
+        zero; an empty payload is still refused as a format error."""
+        path = tmp_path / "l.bin"
+        write_latent(np.zeros((1, 1), dtype=np.float32), path)
+        header = path.read_bytes()[:12]
+        path.write_bytes(header + struct.pack("<2Q", 2**32, 2**32))
+        with pytest.raises(TraceFormatError, match=f"expected {4 * 2**64}"):
             read_latent(path)
 
     def test_unsupported_dtype_refused_on_write(self, tmp_path):
