@@ -1,11 +1,9 @@
 """Block-wise feature caching for a toy spatial-temporal diffusion transformer."""
 
 from bwcache.cache import (
-    Action,
     BlockCacheState,
     CachePolicyConfig,
     PolicyKind,
-    StepDecision,
     TailRule,
     decide,
     relative_l1,
@@ -13,10 +11,10 @@ from bwcache.cache import (
     replay_trace,
     run_policy,
 )
-from bwcache.metrics import RunSummary, block_flops, psnr, ssim_global, summarize
+from bwcache.metrics import block_flops, psnr, ssim_global, summarize
 from bwcache.model import ModelConfig, NoiseSchedule, init_weights
 from bwcache.tensor import Tensor, deterministic
-from bwcache.traceio import RunTrace
+from bwcache.traceio import Action, RunSummary, RunTrace, StepDecision
 
 __version__ = "0.1.0"
 

@@ -29,7 +29,8 @@ new state); the state is the frozen trigger step and the current reuse run
 length, while the cached features are storage owned by the runner. One
 driver runs the ``decide`` loop for both runners: ``run_policy`` steps the
 real model, and ``replay_trace`` reads a recorded distance table with no
-model at all, which makes policy questions cheap to answer offline.
+model at all, which makes policy questions cheap to answer offline. Both
+record one ``traceio.StepDecision`` per step.
 """
 
 from __future__ import annotations
@@ -53,18 +54,13 @@ from bwcache.model import (
     sample_initial_latent,
 )
 from bwcache.tensor import DimensionError, Tensor, is_deterministic, matmul
-from bwcache.traceio import RunTrace, config_fingerprint
+from bwcache.traceio import Action, RunTrace, StepDecision, config_fingerprint
 
 
 class PolicyKind(str, Enum):
     NONE = "none"
     BWCACHE = "bwcache"
     STATIC = "static"
-
-
-class Action(str, Enum):
-    COMPUTED = "computed"
-    REUSED = "reused"
 
 
 class ZeroDenominatorError(ArithmeticError):
@@ -179,17 +175,6 @@ class BlockCacheState:
 
     trigger_step: int | None = None
     reuse_run_length: int = 0
-
-
-@dataclass(frozen=True)
-class StepDecision:
-    """What happened at one step, in execution order T-1 .. 0."""
-
-    step: int
-    action: Action
-    per_block_l1: tuple[float, ...] | None
-    mean_l1: float | None
-    arl1: float | None
 
 
 def relative_l1(current: Tensor, previous: Tensor) -> float:
@@ -361,9 +346,10 @@ def replay_trace(
     ``rows`` is execution-ordered (step T-1 first), one sequence of N
     per-block distances per step. A distance may be None only where the
     policy never reads it: the first executed step (which has no previous
-    cache even live) and steps the replayed policy reuses. Distances at
-    reused steps are ignored, matching live behavior where nothing is
-    measured there.
+    cache even live) and steps the replayed policy reuses. Where a row is
+    read, its distances must be >= 0 with a finite sum (arl1), as every
+    live measurement is. Distances at reused steps are ignored, matching
+    live behavior where nothing is measured there.
     """
     total = len(rows)
     if total < 2:
@@ -383,11 +369,18 @@ def replay_trace(
             return None
         exec_idx = total - 1 - step
         row = rows[exec_idx]
-        if any(v is None for v in row):
+        if None in row:
             raise ValueError(
                 f"trace is missing distances at step {step} "
                 f"(execution index {exec_idx}), needed for a computed step"
             )
-        return tuple(float(v) for v in row)
+        per_block = tuple(map(float, row))
+        # min() may pass over a NaN, but any NaN or inf makes the sum NaN or inf.
+        if not (min(per_block) >= 0.0 and sum(per_block) < math.inf):
+            raise ValueError(
+                f"trace has a negative or non-finite distance at step {step} "
+                f"(execution index {exec_idx})"
+            )
+        return per_block
 
     return _drive(total, policy, read_row)

@@ -148,7 +148,8 @@ def _write_run(trace: RunTrace, summary: RunSummary, n_blocks: int, out: Path) -
 
 
 def _read_reference(path, config: ModelConfig) -> tensor.Tensor:
-    """A --reference-latent dump, refused unless it has this run's latent layout."""
+    """A --reference-latent dump, refused unless it has this run's latent
+    layout and only finite values."""
     reference = read_latent(path)
     want = (config.tokens, config.hidden_dim)
     if reference.dtype != np.float32 or reference.shape != want:
@@ -156,6 +157,8 @@ def _read_reference(path, config: ModelConfig) -> tensor.Tensor:
             f"reference latent is {reference.dtype} {reference.shape}, "
             f"this run's latent is float32 {want}"
         )
+    if not np.isfinite(reference).all():
+        raise ValueError("reference latent holds a non-finite value")
     return reference
 
 

@@ -1,5 +1,7 @@
 """Fidelity and cost accounting for cached runs.
 
+``summarize`` reduces a ``traceio.RunTrace`` to a ``traceio.RunSummary``.
+
 PSNR and SSIM are computed in float64 against a reference tensor, using the
 reference's value range as the dynamic range. SSIM here is the global-
 statistics form (one mean/variance/covariance per frame, no sliding window):
@@ -13,29 +15,16 @@ the readout are outside the count on both sides of every comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from bwcache.cache import Action
 from bwcache.model import Axis, ModelConfig, block_axes, decode_latent
 from bwcache.tensor import DimensionError, Tensor
-from bwcache.traceio import RunTrace
+from bwcache.traceio import Action, RunSummary, RunTrace
 
 
 class DegenerateRangeError(ValueError):
     """Raised when the reference tensor has zero value range."""
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    reuse_rate_blocks: float
-    reuse_rate_steps: float
-    total_flops: int
-    flops_saved: int
-    wall_seconds: float
-    psnr_db: float | None
-    ssim: float | None
 
 
 def psnr(reference: Tensor, test: Tensor) -> float:

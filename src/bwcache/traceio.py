@@ -1,12 +1,15 @@
-"""Export and ingestion of run instrumentation.
+"""The run records and the formats that export and ingest them.
 
-Three text artifacts per run, all deterministic byte for byte given the same
-decisions: a per-step per-block distance heatmap (CSV), a per-step reuse
-profile (CSV with one aggregate footer line), and a JSON summary. Floats in
-the CSVs are printed with nine significant digits, which round-trips through
-float() to the value that reprints identically, so ingest/re-export is
-byte-stable. The final latent can be dumped to a small self-describing
-binary container.
+A run is recorded as one ``StepDecision`` (with its ``Action``) per step,
+gathered with the step timings into a ``RunTrace`` and reduced by
+``metrics.summarize`` to a ``RunSummary``. This module defines all four next
+to the formats that serialize them. Three text artifacts per run are
+deterministic byte for byte given the same decisions: a per-step per-block
+distance heatmap (CSV), a per-step reuse profile (CSV with one aggregate
+footer line), and a JSON summary. Floats in the CSVs are printed with nine
+significant digits, which round-trips through float() to the value that
+reprints identically, so ingest/re-export is byte-stable. The final latent
+can be dumped to a small self-describing binary container.
 
 The heatmap is also the replay input format: a table recorded under the
 all-compute policy has a distance for every block at every step except the
@@ -21,6 +24,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -29,8 +33,7 @@ import numpy as np
 from bwcache.tensor import Tensor
 
 if TYPE_CHECKING:
-    from bwcache.cache import CachePolicyConfig, StepDecision
-    from bwcache.metrics import RunSummary
+    from bwcache.cache import CachePolicyConfig
     from bwcache.model import ModelConfig
 
 HEATMAP_HEADER = "step,block,l1_rel"
@@ -58,6 +61,22 @@ class TraceFormatError(ValueError):
     """Raised on malformed instrumentation files; messages name the line."""
 
 
+class Action(str, Enum):
+    COMPUTED = "computed"
+    REUSED = "reused"
+
+
+@dataclass(frozen=True)
+class StepDecision:
+    """What happened at one step, in execution order T-1 .. 0."""
+
+    step: int
+    action: Action
+    per_block_l1: tuple[float, ...] | None
+    mean_l1: float | None
+    arl1: float | None
+
+
 @dataclass
 class RunTrace:
     """Everything one run recorded: the unit of replay and reporting.
@@ -67,7 +86,7 @@ class RunTrace:
     final latent.
     """
 
-    decisions: list["StepDecision"]
+    decisions: list[StepDecision]
     timings: list[float]
     config_fingerprint: str
     final_latent: Tensor | None = None
@@ -78,6 +97,17 @@ class RunTrace:
         steps = [d.step for d in self.decisions]
         if steps != list(range(len(steps) - 1, -1, -1)):
             raise ValueError("decisions must cover steps T-1 .. 0 in execution order")
+
+
+@dataclass(frozen=True)
+class RunSummary:
+    reuse_rate_blocks: float
+    reuse_rate_steps: float
+    total_flops: int
+    flops_saved: int
+    wall_seconds: float
+    psnr_db: float | None
+    ssim: float | None
 
 
 def _fmt(value: float) -> str:
@@ -113,7 +143,7 @@ def config_fingerprint(config: "ModelConfig", policy: "CachePolicyConfig") -> st
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
-def write_heatmap(decisions: Sequence["StepDecision"], n_blocks: int, path) -> None:
+def write_heatmap(decisions: Sequence[StepDecision], n_blocks: int, path) -> None:
     """One row per (step, block); the distance field is empty where nothing
     was measured (reused steps and the first executed step)."""
     lines = [HEATMAP_HEADER]
@@ -129,7 +159,7 @@ def read_heatmap(path) -> list[list[float | None]]:
     """Parse a heatmap back into execution-ordered per-step rows.
 
     Validates the header, the step ordering (contiguous, descending to 0),
-    and the block numbering; distances must be finite or empty.
+    and the block numbering; distances must be finite and >= 0, or empty.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != HEATMAP_HEADER:
@@ -154,6 +184,8 @@ def read_heatmap(path) -> list[list[float | None]]:
                 raise TraceFormatError(f"line {lineno}: bad distance {parts[2]!r}") from None
             if not math.isfinite(value):
                 raise TraceFormatError(f"line {lineno}: non-finite distance")
+            if value < 0.0:
+                raise TraceFormatError(f"line {lineno}: negative distance {parts[2]!r}")
         triples.append((step, block, value, lineno))
     if not triples:
         raise TraceFormatError("line 2: heatmap has no data rows")
@@ -184,11 +216,8 @@ def read_heatmap(path) -> list[list[float | None]]:
     return rows
 
 
-def write_reuse_profile(decisions: Sequence["StepDecision"], path) -> None:
+def write_reuse_profile(decisions: Sequence[StepDecision], path) -> None:
     """Per-step reused flag plus a reuse-rate footer comment."""
-    # Lazy: cache imports this module.
-    from bwcache.cache import Action
-
     lines = [REUSE_HEADER]
     reused = 0
     for d in decisions:
@@ -200,7 +229,7 @@ def write_reuse_profile(decisions: Sequence["StepDecision"], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def summary_doc(summary: "RunSummary", fingerprint: str) -> dict:
+def summary_doc(summary: RunSummary, fingerprint: str) -> dict:
     """The summary document: the SUMMARY_KEYS, 'inf' for an infinite psnr_db."""
     doc = {key: getattr(summary, key) for key in _SUMMARY_FIELDS}
     doc["config_fingerprint"] = fingerprint
@@ -242,15 +271,12 @@ def write_json(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def write_summary(summary: "RunSummary", fingerprint: str, path) -> None:
+def write_summary(summary: RunSummary, fingerprint: str, path) -> None:
     write_json(summary_doc(summary, fingerprint), path)
 
 
-def read_summary(path):
+def read_summary(path) -> tuple[RunSummary, str]:
     """Inverse of write_summary; returns (RunSummary, fingerprint)."""
-    # Lazy: metrics imports this module.
-    from bwcache.metrics import RunSummary
-
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:

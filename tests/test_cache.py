@@ -332,6 +332,27 @@ class TestDecideEdges:
         with pytest.raises(ValueError, match="missing"):
             replay_trace(rows, bw(0.0, 3, TailRule.half()))
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [float("nan"), 0.1],
+            [0.1, float("nan")],
+            [float("inf"), 0.1],
+            [0.1, -float("inf")],
+            [-1.0, 0.1],
+        ],
+    )
+    def test_impossible_needed_value_rejected(self, row):
+        """A distance the policy reads must be finite and >= 0, like a live one."""
+        rows = [[None, None], row, [0.1, 0.1]]
+        with pytest.raises(ValueError, match=r"at step 1 \(execution index 1\)"):
+            replay_trace(rows, bw(0.15, 2, TailRule.fixed(0)))
+
+    def test_impossible_value_at_reused_step_is_not_read(self):
+        rows = [[None], [0.1], [float("nan")]]
+        decisions = replay_trace(rows, bw(0.15, 2, TailRule.fixed(0)))
+        assert actions(decisions) == [C, C, R]
+
     def test_short_trace_rejected(self):
         with pytest.raises(ValueError):
             replay_trace([[0.1]], bw(0.15, 3, TailRule.half()))

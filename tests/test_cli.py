@@ -110,6 +110,19 @@ class TestGenerate:
         assert run_generate(out, "--reference-latent", str(tmp_path / "ref.bin")) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_reference_is_refused_before_any_draw(
+        self, tmp_path, monkeypatch, capsys, bad
+    ):
+        latent = np.zeros((6, 16), dtype=np.float32)  # the TINY run's latent layout
+        latent[2, 5] = bad
+        write_latent(latent, tmp_path / "ref.bin")
+        monkeypatch.setattr(model, "rand_normal", refuse_to_sample)
+        out = tmp_path / "out"
+        assert run_generate(out, "--reference-latent", str(tmp_path / "ref.bin")) == 2
+        assert "reference latent holds a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
         monkeypatch.setenv("BWCACHE_OUT_DIR", str(env_dir))
@@ -300,6 +313,15 @@ class TestReplay:
         rc = main(["replay", "--trace", str(bad), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "line" in capsys.readouterr().err
+
+    def test_negative_distance_is_config_error(self, tmp_path, capsys):
+        table = tmp_path / "negative.csv"
+        table.write_text("step,block,l1_rel\n2,0,\n2,1,\n1,0,-0.5\n1,1,0.1\n0,0,0.1\n0,1,0.1\n")
+        out = tmp_path / "out"
+        argv = ["--delta", "0.15", "--reuse-interval", "2", "--tail", "fixed:0"]
+        assert main(["replay", "--trace", str(table), *argv, "--out", str(out)]) == 2
+        assert "line 4: negative distance" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_subcommand_exits_two(self):
         assert main([]) == 2

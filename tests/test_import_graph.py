@@ -1,0 +1,84 @@
+"""The package imports one way.
+
+No function in ``src/bwcache`` imports a package module: a lazy import only
+hides a cycle. The imports run on import (everything but function bodies and
+``if TYPE_CHECKING:`` blocks, which only annotations read) form a graph with
+no cycle. The run records live in ``traceio`` beside the formats that write
+them, so ``cache`` and ``metrics`` take them from there.
+"""
+
+from __future__ import annotations
+
+import ast
+import graphlib
+from pathlib import Path
+
+import pytest
+
+import bwcache
+from bwcache import cache, metrics, traceio
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bwcache"
+MODULES = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def package_modules(node: ast.AST) -> set[str]:
+    """The package modules an import statement names ('__init__' for the package)."""
+    if isinstance(node, ast.Import):
+        targets = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        base = ".".join(filter(None, ["bwcache" if node.level else None, node.module]))
+        targets = [f"{base}.{alias.name}" for alias in node.names]
+    else:
+        return set()
+    found = set()
+    for parts in (target.split(".") for target in targets):
+        if parts[0] == "bwcache":
+            found.add(parts[1] if len(parts) > 1 and parts[1] in MODULES else "__init__")
+    return found
+
+
+def import_time_edges(tree: ast.Module) -> set[str]:
+    """Package modules imported outside function bodies and TYPE_CHECKING blocks."""
+    skipped: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, FUNCTIONS):
+            skipped.update(id(n) for n in ast.walk(node))
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            skipped.update(id(n) for stmt in node.body for n in ast.walk(stmt))
+    edges: set[str] = set()
+    for node in ast.walk(tree):
+        if id(node) not in skipped:
+            edges |= package_modules(node)
+    return edges
+
+
+def test_package_imports_one_way():
+    local = set()
+    graph = {}
+    for name, path in MODULES.items():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, FUNCTIONS):
+                local.update(
+                    f"{path.name}:{node.lineno} in {fn.name}"
+                    for node in ast.walk(fn)
+                    if package_modules(node)
+                )
+        graph[name] = import_time_edges(tree)
+    assert sorted(local) == [], "function-local imports of package modules"
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+    assert "cache" not in graph["metrics"]
+
+
+@pytest.mark.parametrize("name", ["Action", "StepDecision", "RunTrace", "RunSummary"])
+def test_run_records_are_defined_in_traceio(name):
+    record = getattr(traceio, name)
+    assert record.__module__ == "bwcache.traceio"
+    assert getattr(bwcache, name) is record
+    for module in (cache, metrics):
+        assert getattr(module, name, record) is record

@@ -124,6 +124,12 @@ class TestHeatmap:
         with pytest.raises(TraceFormatError, match="non-finite"):
             read_heatmap(path)
 
+    def test_negative_distance_rejected_naming_line(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("step,block,l1_rel\n1,0,\n0,0,-0.5\n")
+        with pytest.raises(TraceFormatError, match="line 3: negative distance '-0.5'"):
+            read_heatmap(path)
+
     def test_truncated_group_rejected(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("step,block,l1_rel\n1,0,0.1\n1,1,0.1\n0,0,0.1\n")
