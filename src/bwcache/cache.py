@@ -50,6 +50,7 @@ from bwcache.model import (
     denoiser_forward,
     init_weights,
     readout_matrix,
+    require_field_types,
     reverse_step,
     sample_initial_latent,
 )
@@ -93,10 +94,14 @@ class TailRule:
     def __post_init__(self):
         if (self.fraction is None) == (self.fixed_count is None):
             raise ValueError("tail rule needs exactly one of fraction or fixed_count")
-        if self.fraction is not None and self.fraction not in _FRACTION_NAMES:
-            raise ValueError(f"unsupported tail fraction {self.fraction}")
-        if self.fixed_count is not None and self.fixed_count < 0:
-            raise ValueError("fixed tail count must be nonnegative")
+        if self.fraction is not None:
+            require_field_types(self, (Fraction,), "fraction")
+            if self.fraction not in _FRACTION_NAMES:
+                raise ValueError(f"unsupported tail fraction {self.fraction}")
+        if self.fixed_count is not None:
+            require_field_types(self, (int,), "fixed_count")
+            if self.fixed_count < 0:
+                raise ValueError("fixed tail count must be nonnegative")
 
     @classmethod
     def third(cls) -> "TailRule":
@@ -150,6 +155,10 @@ class CachePolicyConfig:
     static_stride: int = 3
 
     def __post_init__(self):
+        require_field_types(self, (PolicyKind,), "kind")
+        require_field_types(self, (TailRule,), "tail")
+        require_field_types(self, (int, float), "delta")
+        require_field_types(self, (int,), "reuse_interval", "static_stride")
         if not (math.isfinite(self.delta) and self.delta >= 0.0):
             raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
         if self.reuse_interval < 1:

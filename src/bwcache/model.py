@@ -42,7 +42,7 @@ array is a view of it, so keeping any one array keeps the whole build alive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
@@ -91,6 +91,19 @@ class Axis(str, Enum):
     TEMPORAL = "temporal"
 
 
+def require_field_types(config, types: tuple[type, ...], *names: str) -> None:
+    """Refuse a named field of ``config`` that is not one of ``types``, or is a bool.
+
+    A bool is an int subclass, but true/false is never a count, a seed or a
+    threshold here, and it would hash differently from the int it equals.
+    """
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, types) or isinstance(value, bool):
+            wanted = " or ".join(t.__name__ for t in types)
+            raise ValueError(f"{name} must be {wanted}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Static shape and seed information for one sampling run."""
@@ -104,6 +117,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_field_types(self, (int,), *(f.name for f in fields(self)))
         if self.n_blocks < 1:
             raise ValueError("n_blocks must be at least 1")
         if self.hidden_dim < 2 or self.hidden_dim % 2 != 0:

@@ -208,8 +208,8 @@ _WORKERS = (
 )
 
 
-def rand_normal(state: int, shape: tuple[int, ...] | int, dtype=np.float32) -> Tensor:
-    """Standard normals via Box-Muller over the (0, 1] uniforms of the stream at ``state``.
+def rand_normal(state: int, shape: tuple[int, ...] | int) -> Tensor:
+    """Float32 Box-Muller normals from the (0, 1] uniforms of the stream at ``state``.
 
     Output i of the stream is mix64(state + (i + 1) gamma), with ``state``
     masked to 64 bits, so a draw is a pure function of (state, shape).
@@ -222,9 +222,9 @@ def rand_normal(state: int, shape: tuple[int, ...] | int, dtype=np.float32) -> T
     span itself and joins the threads of the others; a one-chunk draw starts
     no thread. Each span works through its chunks from their own stream
     positions, with 128 KiB temporaries per chunk, writing each chunk straight
-    into the result in ``dtype``. The values are bit-identical to one pass
-    over the whole request (float64 uniforms, float64 Box-Muller, one cast to
-    ``dtype`` at the end), whatever the number of threads. A span that fails
+    into the float32 result. The values are bit-identical to one pass over
+    the whole request (float64 uniforms, float64 Box-Muller, one cast to
+    float32 at the end), whatever the number of threads. A span that fails
     raises in the caller once every thread has been joined.
     """
     if isinstance(shape, int):
@@ -235,7 +235,7 @@ def rand_normal(state: int, shape: tuple[int, ...] | int, dtype=np.float32) -> T
             raise DimensionError(f"negative dimension in {shape}")
         n *= s
     m = n + (n & 1)
-    result = np.empty(shape, dtype=dtype)
+    result = np.empty(shape, dtype=np.float32)
     out = result.reshape(-1)
     start = state & _MASK64
     chunks = -(-m // _CHUNK)

@@ -9,7 +9,7 @@ distance heatmap (CSV), a per-step reuse profile (CSV with one aggregate
 footer line), and a JSON summary. Floats in the CSVs are printed with nine
 significant digits, which round-trips through float() to the value that
 reprints identically, so ingest/re-export is byte-stable. The final latent
-can be dumped to a small self-describing binary container.
+can be dumped as a NumPy ``.npy`` format 1.0 file.
 
 The heatmap is also the replay input format: a table recorded under the
 all-compute policy has a distance for every block at every step except the
@@ -22,13 +22,13 @@ import hashlib
 import json
 import math
 import re
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+from numpy.lib import format as npy
 
 from bwcache.tensor import Tensor
 
@@ -38,9 +38,6 @@ if TYPE_CHECKING:
 
 HEATMAP_HEADER = "step,block,l1_rel"
 REUSE_HEADER = "step,reused"
-_LATENT_MAGIC = b"BWLATENT"
-_LATENT_VERSION = 1
-_DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 
 SUMMARY_KEYS = (
     "config_fingerprint",
@@ -132,7 +129,8 @@ def config_fingerprint(config: "ModelConfig", policy: "CachePolicyConfig") -> st
         },
         "policy": {
             "kind": policy.kind.value,
-            "delta": policy.delta,
+            # + 0.0 turns -0.0 and an int delta into the float they equal.
+            "delta": policy.delta + 0.0,
             "reuse_interval": policy.reuse_interval,
             "tail": policy.tail.canonical(),
             "static_stride": policy.static_stride,
@@ -291,35 +289,35 @@ def read_summary(path) -> tuple[RunSummary, str]:
 
 
 def write_latent(x: Tensor, path) -> None:
-    """Little-endian container: magic, version, dtype code, dims, raw data."""
-    if x.dtype == np.float32:
-        code = 1
-    elif x.dtype == np.float64:
-        code = 2
-    else:
-        raise ValueError(f"unsupported latent dtype {x.dtype}")
-    header = _LATENT_MAGIC + struct.pack("<HBB", _LATENT_VERSION, code, x.ndim)
-    dims = struct.pack(f"<{x.ndim}Q", *x.shape)
-    Path(path).write_bytes(header + dims + np.ascontiguousarray(x).tobytes())
+    """A NumPy ``.npy`` format 1.0 file in C order; ``np.load`` reads it.
+
+    Any dtype but an object one is written.
+    """
+    with open(path, "wb") as f:
+        npy.write_array(f, np.ascontiguousarray(x), version=(1, 0), allow_pickle=False)
 
 
 def read_latent(path) -> Tensor:
-    blob = Path(path).read_bytes()
-    if len(blob) < 12 or blob[:8] != _LATENT_MAGIC:
-        raise TraceFormatError("not a latent dump (bad magic)")
-    version, code, ndim = struct.unpack("<HBB", blob[8:12])
-    if version != _LATENT_VERSION:
-        raise TraceFormatError(f"unsupported latent version {version}")
-    if code not in _DTYPE_CODES:
-        raise TraceFormatError(f"unsupported latent dtype code {code}")
-    offset = 12 + 8 * ndim
-    if len(blob) < offset:
-        raise TraceFormatError("latent dump truncated in dimension table")
-    shape = struct.unpack(f"<{ndim}Q", blob[12:offset])
-    dtype = _DTYPE_CODES[code]
+    """Read a latent dump, refusing anything write_latent does not write.
+
+    The file must be ``.npy`` 1.0, its header within NumPy's header size
+    bound, in C order, without objects or negative dims, and its payload
+    exactly the bytes that shape and dtype call for, counted in Python ints
+    before any array is built.
+    """
+    with open(path, "rb") as f:
+        try:
+            version = npy.read_magic(f)
+            if version != (1, 0):
+                raise ValueError(f"format version {version}, expected (1, 0)")
+            shape, fortran_order, dtype = npy.read_array_header_1_0(f)
+        except ValueError as exc:
+            raise TraceFormatError(f"latent dump is not a .npy 1.0 file: {exc}") from None
+        payload = f.read()
+    if fortran_order or dtype.hasobject or min(shape, default=0) < 0:
+        problem = f"shape {shape}, dtype {dtype}, fortran_order {fortran_order}"
+        raise TraceFormatError(f"latent dump needs C order, no objects, dims >= 0; has {problem}")
     expected = math.prod(shape) * dtype.itemsize
-    if len(blob) - offset != expected:
-        raise TraceFormatError(
-            f"latent dump payload is {len(blob) - offset} bytes, expected {expected}"
-        )
-    return np.frombuffer(blob[offset:], dtype=dtype).reshape(shape).copy()
+    if len(payload) != expected:
+        raise TraceFormatError(f"latent dump payload is {len(payload)} bytes, expected {expected}")
+    return np.ndarray(shape, dtype, buffer=payload).copy()

@@ -151,6 +151,15 @@ class TestTailRule:
         with pytest.raises(ValueError):
             TailRule(fraction=Fraction(1, 2), fixed_count=3)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("fixed_count", True), ("fixed_count", 2.0), ("fixed_count", np.int64(2)), ("fraction", 0.5)],
+    )
+    def test_wrong_typed_field_refused_naming_it(self, field, value):
+        """A bool, float or numpy count, or a float fraction, is refused at construction."""
+        with pytest.raises(ValueError, match=field):
+            TailRule(**{field: value})
+
 
 class TestPolicyConfig:
     def test_validation(self):
@@ -161,6 +170,29 @@ class TestPolicyConfig:
             CachePolicyConfig(reuse_interval=0)
         with pytest.raises(ValueError):
             CachePolicyConfig(static_stride=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kind", "none"),
+            ("kind", "bwcache"),
+            ("tail", "half"),
+            ("delta", True),
+            ("delta", "0.1"),
+            ("delta", np.float32(0.1)),
+            ("reuse_interval", True),
+            ("reuse_interval", 2.0),
+            ("reuse_interval", np.int64(2)),
+            ("static_stride", True),
+            ("static_stride", 3.0),
+        ],
+    )
+    def test_wrong_typed_field_refused_naming_it(self, field, value):
+        """A field that only compares equal to a valid value (the string
+        'none' equals PolicyKind.NONE, True equals 1) is refused at
+        construction, before decide() or the fingerprint can read it."""
+        with pytest.raises(ValueError, match=field):
+            CachePolicyConfig(**{field: value})
 
     def test_recommended_defaults_scale_interval_with_steps(self):
         p = CachePolicyConfig.recommended(30)

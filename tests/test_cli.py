@@ -25,6 +25,7 @@ from bwcache.cli import _policy_from_args, build_parser, main
 from bwcache.metrics import psnr, ssim_frames
 from bwcache.model import ModelConfig, _build_weights, decode_latent
 from bwcache.traceio import config_fingerprint, read_latent, write_latent
+from test_traceio import MALFORMED
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -56,6 +57,16 @@ class TestGenerate:
         latent = read_latent(tmp_path / "latent.bin")
         assert latent.shape == (2 * 3, 16)  # frames * tokens rows, dim cols
         assert str(latent.dtype) == "float32"
+
+    def test_dump_latent_is_the_run_latent_as_npy(self, tmp_path):
+        """np.load returns the run's final float32 latent bit for bit."""
+        assert run_generate(tmp_path, "--dump-latent") == 0
+        config = ModelConfig(
+            n_blocks=2, hidden_dim=16, n_heads=2, frames=2, tokens_per_frame=3, steps=7
+        )  # TINY_SHAPE under the default policy
+        final, _ = run_policy(config, CachePolicyConfig.recommended(7))
+        back = np.load(tmp_path / "latent.bin", allow_pickle=False)
+        assert back.dtype == np.float32 and back.tobytes() == final.tobytes()
 
     def test_prints_policy_and_reuse_count(self, tmp_path, capsys):
         """The one-line report names the policy and the reused-step count."""
@@ -123,6 +134,19 @@ class TestGenerate:
         assert "reference latent holds a non-finite value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_malformed_reference_is_refused_before_any_draw(
+        self, tmp_path, monkeypatch, capsys, name
+    ):
+        """A reference that is not a .npy 1.0 dump of plain data (an earlier
+        BWLATENT dump too) exits 2 naming the dump, with nothing drawn."""
+        (tmp_path / "ref.bin").write_bytes(MALFORMED[name])
+        monkeypatch.setattr(model, "rand_normal", refuse_to_sample)
+        out = tmp_path / "out"
+        assert run_generate(out, "--reference-latent", str(tmp_path / "ref.bin")) == 2
+        assert "error: latent dump" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
         monkeypatch.setenv("BWCACHE_OUT_DIR", str(env_dir))
@@ -168,6 +192,14 @@ class TestGenerate:
         assert run_generate(a, "--policy", "bwcache", "--delta", "0", "--dump-latent") == 0
         assert run_generate(b, "--policy", "none", "--dump-latent") == 0
         for name in ("heatmap.csv", "reuse_profile.csv", "latent.bin"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_negative_zero_delta_has_the_zero_delta_fingerprint(self, tmp_path):
+        """--delta -0 and --delta 0 decide alike and record one fingerprint."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_generate(a, "--delta", "-0", "--deterministic") == 0
+        assert run_generate(b, "--delta", "0", "--deterministic") == 0
+        for name in ("heatmap.csv", "reuse_profile.csv", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_missing_reference_latent_is_runtime_error(self, tmp_path):

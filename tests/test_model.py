@@ -237,6 +237,15 @@ class TestWeights:
                 ModelConfig(seed=seed)
         assert ModelConfig(seed=2**64 - 1).seed == 2**64 - 1
 
+    @pytest.mark.parametrize("field", [f.name for f in fields(ModelConfig)])
+    def test_every_field_must_be_a_plain_int(self, field):
+        """True, or a float or numpy integer equal to the default, is refused
+        at construction, naming the field."""
+        default = getattr(ModelConfig(), field)
+        for value in (True, float(default), np.uint64(default)):
+            with pytest.raises(ValueError, match=field):
+                ModelConfig(**{field: value})
+
 
 class TestBuildCache:
     def test_weights_match_one_independent_stream_in_documented_order(self):

@@ -1,9 +1,10 @@
-"""No public name in the package is dead code.
+"""No public name or defaulted parameter in the package is dead code.
 
 Every public top-level def, class or constant in ``src/bwcache`` is used by
 name somewhere in ``src/`` or ``perfbench/`` besides its own definition, or
-is exported in ``bwcache.__all__``. The tests do not count as users: code
-that only a test calls belongs in that test.
+is exported in ``bwcache.__all__``. Every parameter with a default is passed
+by some call there. The tests do not count as users: code that only a test
+calls belongs in that test.
 """
 
 from __future__ import annotations
@@ -59,3 +60,57 @@ def test_every_public_name_has_a_user_outside_the_tests():
             if used[name] - used_names(node)[name] <= 0:
                 unused.append(f"{path.name}: {name}")
     assert unused == [], "public names that only their definition or the tests use"
+
+
+def defaulted_parameters(tree: ast.Module):
+    """(function, parameter, position) for each parameter with a default of
+    each function or method under ``tree``.
+
+    The position is the index of the call argument that fills the
+    parameter, so a method's self or cls is not counted; it is None for a
+    keyword-only parameter.
+    """
+    for parent in ast.walk(tree):
+        for node in ast.iter_child_nodes(parent):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            static = any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+            )
+            bound = isinstance(parent, ast.ClassDef) and not static
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            for i in range(first, len(positional)):
+                yield node.name, positional[i].arg, i - bound
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def passes(call: ast.Call, parameter: str, position: int | None) -> bool:
+    """Whether ``call`` may fill ``parameter``: by keyword, by position, or
+    through a ``*`` or ``**`` unpacking."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    """A parameter whose default no call in ``src/`` or ``perfbench/``
+    overrides is a constant written as an option."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function, parameter, position in defaulted_parameters(tree):
+            if not any(passes(c, parameter, position) for c in calls.get(function, [])):
+                unpassed.append(f"{path.name}: {function}({parameter})")
+    assert unpassed == [], "defaulted parameters that no call in src/ or perfbench/ passes"

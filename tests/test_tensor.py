@@ -103,9 +103,18 @@ def one_shot_rand_normal(state: int, shape, dtype=np.float32) -> np.ndarray:
     return out[:n].reshape(shape).astype(dtype)
 
 
-def assert_draw_matches_one_shot(n: int, seed: int, dtype) -> None:
-    """rand_normal's values, dtype and shape equal the one-pass form's."""
-    got = rand_normal(seed, (n,), dtype=dtype)
+def unrounded_draw(state: int, n: int) -> np.ndarray:
+    """A draw's n values before the float32 cast: rand_normal's chunk body,
+    filling a float64 buffer in one span."""
+    out = np.empty(n, dtype=np.float64)
+    tensor._fill_span(state & MASK, out, 0, n + (n & 1))
+    return out
+
+
+def assert_draw_matches_one_shot(n: int, seed: int, dtype=np.float32) -> None:
+    """rand_normal's values, dtype and shape equal the one-pass form's; with
+    float64, the chunk body's unrounded values do."""
+    got = rand_normal(seed, (n,)) if dtype == np.float32 else unrounded_draw(seed, n)
     want = one_shot_rand_normal(seed, n, dtype)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -503,7 +512,7 @@ class TestRng:
         are the scalar sequence."""
         n = CHUNK + 257
         assert [int(v) for v in one_shot_bits(42, n + 1)] == splitmix64_reference(42, n + 1)
-        got = rand_normal(42, n, dtype=np.float64)
+        got = unrounded_draw(42, n)
         assert got.tobytes() == one_shot_rand_normal(42, n, np.float64).tobytes()
 
     def test_mix_seed_separates_streams(self):
@@ -514,7 +523,7 @@ class TestRng:
 
 class TestRandNormal:
     def test_matches_scalar_box_muller(self):
-        got = rand_normal(99, (11,), dtype=np.float64)
+        got = unrounded_draw(99, 11)
         want = box_muller_reference(99, 11)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -527,7 +536,7 @@ class TestRandNormal:
         assert rand_normal(5 + (1 << 64), (3, 4)).tobytes() == a.tobytes()
 
     def test_moments_are_standard_normal(self):
-        x = rand_normal(123, (100_000,), dtype=np.float64)
+        x = rand_normal(123, (100_000,)).astype(np.float64)
         assert abs(x.mean()) < 0.02
         assert abs(x.std() - 1.0) < 0.02
         assert np.isfinite(x).all()
@@ -540,7 +549,7 @@ class TestRandNormal:
             for slot in (0, 1):  # the radius's uniform, then the angle's
                 state = (unmix64(bits) - (slot + 1) * GAMMA) & MASK
                 assert splitmix64_reference(state, 2)[slot] == bits
-                got = rand_normal(state, 2, dtype=np.float64)
+                got = unrounded_draw(state, 2)
                 assert np.isfinite(got).all()
                 np.testing.assert_allclose(got, box_muller_reference(state, 2), rtol=1e-12, atol=1e-12)
                 if slot == 0:
@@ -554,15 +563,15 @@ class TestRandNormal:
         "n", [0, 1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5], ids=lambda n: f"n{n}"
     )
     def test_chunked_draw_equals_one_shot_reference(self, n, seed, dtype):
-        """Values, dtype and shape match the one-pass form."""
+        """Values, dtype and shape match the one-pass form: the float32 draw,
+        and the chunk body's float64 values before the cast."""
         assert_draw_matches_one_shot(n, seed, dtype)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "n", [2 * CHUNK - 1, 4 * CHUNK + 3, 7 * CHUNK], ids=lambda n: f"n{n}"
     )
-    def test_values_do_not_depend_on_the_thread_count(self, monkeypatch, n, dtype, workers):
+    def test_values_do_not_depend_on_the_thread_count(self, monkeypatch, n, workers):
         """Spans of whole chunks on 1, 2, 3 or 5 threads (more than this host's
         CPUs too, with a short switch interval) give the one-pass bytes."""
         monkeypatch.setattr(tensor, "_WORKERS", workers)
@@ -570,7 +579,7 @@ class TestRandNormal:
         sys.setswitchinterval(1e-6)
         try:
             for seed in (0, 99, MASK):
-                assert_draw_matches_one_shot(n, seed, dtype)
+                assert_draw_matches_one_shot(n, seed)
         finally:
             sys.setswitchinterval(interval)
 

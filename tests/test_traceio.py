@@ -5,11 +5,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import io
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy
 
 from bwcache.cache import (
     Action,
@@ -275,6 +278,38 @@ class TestSummary:
             read_summary(path)
 
 
+def npy_header(shape, descr="<f4", fortran_order=False, version=(1, 0)) -> bytes:
+    """A .npy header as NumPy writes it, for any shape, dtype and order."""
+    f = io.BytesIO()
+    write = npy.write_array_header_1_0 if version == (1, 0) else npy.write_array_header_2_0
+    write(f, {"descr": descr, "fortran_order": fortran_order, "shape": shape})
+    return f.getvalue()
+
+
+def malformed_latents() -> dict[str, bytes]:
+    """Files a latent dump reader must refuse, by what is wrong with them."""
+    x = np.arange(12, dtype=np.float32).reshape(3, 4)
+    good = npy_header((3, 4)) + x.tobytes()
+    npz = io.BytesIO()
+    np.savez(npz, x=x)
+    return {
+        "empty": b"",
+        "bwlatent-v1": b"BWLATENT" + struct.pack("<HBB2Q", 1, 1, 2, 3, 4) + x.tobytes(),
+        "npz": npz.getvalue(),
+        "npy-2.0": npy_header((3, 4), version=(2, 0)) + x.tobytes(),
+        "payload-4-short": good[:-4],
+        "payload-4-trailing": good + bytes(4),
+        "fortran-order": npy_header((3, 4), fortran_order=True) + x.tobytes(),
+        "object-dtype": npy_header((3,), descr="|O") + bytes(24),
+        "dims-2^32-squared": npy_header((2**32, 2**32)),
+        "dims-2^30-by-4": npy_header((2**30, 4)),
+        "negative-dims": npy_header((-2, -2)) + bytes(16),
+    }
+
+
+MALFORMED = malformed_latents()
+
+
 class TestLatent:
     def test_round_trip_bit_exact(self, tmp_path):
         path = tmp_path / "l.bin"
@@ -289,6 +324,18 @@ class TestLatent:
         x = np.random.default_rng(1).standard_normal((3, 2))
         write_latent(x, path)
         assert np.array_equal(read_latent(path), x)
+
+    def test_dump_is_an_npy_1_0_file(self, tmp_path):
+        """np.load reads a dump back bit for bit, from a C-order .npy 1.0 file,
+        also when the array written was not C-contiguous."""
+        path = tmp_path / "l.bin"
+        x = np.random.default_rng(2).standard_normal((4, 6)).astype(np.float32)
+        write_latent(x.T, path)
+        with open(path, "rb") as f:
+            assert npy.read_magic(f) == (1, 0)
+            assert npy.read_array_header_1_0(f) == ((6, 4), False, np.dtype("<f4"))
+        back = np.load(path, allow_pickle=False)
+        assert back.dtype == np.float32 and back.tobytes() == np.ascontiguousarray(x.T).tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "l.bin"
@@ -309,15 +356,27 @@ class TestLatent:
         """Dims (2^32, 2^32) hold 2^64 values, which an int64 product wraps to
         zero; an empty payload is still refused as a format error."""
         path = tmp_path / "l.bin"
-        write_latent(np.zeros((1, 1), dtype=np.float32), path)
-        header = path.read_bytes()[:12]
-        path.write_bytes(header + struct.pack("<2Q", 2**32, 2**32))
+        path.write_bytes(npy_header((2**32, 2**32)))
         with pytest.raises(TraceFormatError, match=f"expected {4 * 2**64}"):
             read_latent(path)
 
-    def test_unsupported_dtype_refused_on_write(self, tmp_path):
-        with pytest.raises(ValueError, match="dtype"):
-            write_latent(np.zeros(3, dtype=np.int32), tmp_path / "l.bin")
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_malformed_dump_refused_without_allocating(self, tmp_path, name):
+        """Each refusal is a format error, and none sizes a buffer from the header."""
+        path = tmp_path / "l.bin"
+        path.write_bytes(MALFORMED[name])
+        tracemalloc.start()
+        try:
+            with pytest.raises(TraceFormatError, match="latent dump"):
+                read_latent(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_object_dtype_refused_on_write(self, tmp_path):
+        with pytest.raises(ValueError, match="Object arrays"):
+            write_latent(np.array([1.0, None]), tmp_path / "l.bin")
 
 
 class TestRunTrace:
@@ -368,6 +427,31 @@ class TestFingerprint:
         else:
             policy = dataclasses.replace(policy, **{name: value})
         assert a != config_fingerprint(config, policy)
+
+    def test_equal_deltas_share_one_fingerprint(self):
+        """0, 0.0 and -0.0 (and 1 and 1.0) are equal deltas with one hash, the
+        one a float delta has always had."""
+        config = ModelConfig()
+        for deltas in ((0, 0.0, -0.0), (1, 1.0)):
+            policies = [CachePolicyConfig(delta=d) for d in deltas]
+            assert all(p == policies[0] for p in policies)
+            assert {config_fingerprint(config, p) for p in policies} == {
+                config_fingerprint(config, policies[1])
+            }
+        doc = {
+            "model": {f.name: getattr(config, f.name) for f in dataclasses.fields(config)},
+            "policy": {
+                "kind": "bwcache",
+                "delta": 0.0,
+                "reuse_interval": 3,
+                "tail": "half",
+                "static_stride": 3,
+            },
+            "version": 1,
+        }
+        blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+        want = hashlib.sha256(blob).hexdigest()
+        assert config_fingerprint(config, CachePolicyConfig(delta=-0.0)) == want
 
     def test_default_hash_is_over_the_version_1_document(self):
         """The hashed document, and so every fingerprint already written to
