@@ -255,6 +255,9 @@ def decide(
 
     if reuse:
         return Action.REUSED, BlockCacheState(trigger, run + 1)
+    if run == 0:
+        # Only a reuse moves the trigger, so the state is unchanged.
+        return Action.COMPUTED, state
     return Action.COMPUTED, BlockCacheState(trigger, 0)
 
 

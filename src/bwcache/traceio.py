@@ -24,6 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -144,13 +145,18 @@ def config_fingerprint(config: "ModelConfig", policy: "CachePolicyConfig") -> st
 def write_heatmap(decisions: Sequence[StepDecision], n_blocks: int, path) -> None:
     """One row per (step, block); the distance field is empty where nothing
     was measured (reused steps and the first executed step)."""
-    lines = [HEATMAP_HEADER]
+    # One template per block count: the first % binds the step to every
+    # line, the second prints the distances with the %.9g of _fmt.
+    measured = "".join(f"%s,{b},%%.9g\n" for b in range(n_blocks))
+    empty = "".join(f"%s,{b},\n" for b in range(n_blocks))
+    rows = [HEATMAP_HEADER + "\n"]
     for d in decisions:
-        values = d.per_block_l1
-        for b in range(n_blocks):
-            cell = _fmt(values[b]) if values is not None else ""
-            lines.append(f"{d.step},{b},{cell}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        steps = (d.step,) * n_blocks
+        if d.per_block_l1 is None:
+            rows.append(empty % steps)
+        else:
+            rows.append(measured % steps % tuple(d.per_block_l1))
+    Path(path).write_text("".join(rows))
 
 
 def read_heatmap(path) -> list[list[float | None]]:
@@ -158,10 +164,59 @@ def read_heatmap(path) -> list[list[float | None]]:
 
     Validates the header, the step ordering (contiguous, descending to 0),
     and the block numbering; distances must be finite and >= 0, or empty.
+    A file spelled exactly as write_heatmap writes it passes one bulk check;
+    any other file is parsed line by line, which accepts exactly the same
+    files and words every refusal.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != HEATMAP_HEADER:
         raise TraceFormatError(f"line 1: expected header {HEATMAP_HEADER!r}")
+    rows = _read_canonical(lines[1:])
+    return rows if rows is not None else _read_lines(lines)
+
+
+@lru_cache(maxsize=16)
+def _heatmap_keys(steps: int, n_blocks: int) -> tuple[str, ...]:
+    """The ``step,block`` text of every line of a (steps, n_blocks) heatmap.
+
+    Cached: a sweep reads tables of a few shapes over and over, and building
+    the keys costs about as much as comparing them.
+    """
+    return tuple(f"{s},{b}" for s in range(steps - 1, -1, -1) for b in range(n_blocks))
+
+
+def _read_canonical(data: list[str]) -> list[list[float | None]] | None:
+    """The rows of data lines in write_heatmap's spelling, or None for any other.
+
+    The first line's step fixes the step count T and the line count then
+    fixes the block count, so every line's text up to its last comma must
+    equal the keys of that (T, N) table. Each cell is then one float(), and
+    the measured cells are range-checked together. None sends the lines to
+    _read_lines, which words the refusal if there is one.
+    """
+    try:
+        steps = int(data[0].partition(",")[0]) + 1
+    except (IndexError, ValueError):
+        return None
+    if steps < 1 or len(data) % steps != 0:
+        return None
+    n_blocks = len(data) // steps
+    parts = [line.rpartition(",") for line in data]
+    if tuple([key for key, _, _ in parts]) != _heatmap_keys(steps, n_blocks):
+        return None
+    try:
+        values = [float(cell) if cell else None for _, _, cell in parts]
+    except ValueError:
+        return None
+    measured = [v for v in values if v is not None]
+    # min() may pass over a NaN, but any NaN or inf makes the sum NaN or inf.
+    if measured and not (min(measured) >= 0.0 and sum(measured) < math.inf):
+        return None
+    return [values[i : i + n_blocks] for i in range(0, len(values), n_blocks)]
+
+
+def _read_lines(lines: list[str]) -> list[list[float | None]]:
+    """The line-wise parser of a heatmap whose header line has been checked."""
     triples: list[tuple[int, int, float | None, int]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if line == "":
@@ -291,10 +346,14 @@ def read_summary(path) -> tuple[RunSummary, str]:
 def write_latent(x: Tensor, path) -> None:
     """A NumPy ``.npy`` format 1.0 file in C order; ``np.load`` reads it.
 
-    Any dtype but an object one is written.
+    Any dtype but an object one is written; an object one is refused before
+    the file is opened, so a refusal leaves no file behind.
     """
+    x = np.ascontiguousarray(x)
+    if x.dtype.hasobject:
+        raise ValueError(f"Object arrays cannot be dumped as a latent (dtype {x.dtype})")
     with open(path, "wb") as f:
-        npy.write_array(f, np.ascontiguousarray(x), version=(1, 0), allow_pickle=False)
+        npy.write_array(f, x, version=(1, 0), allow_pickle=False)
 
 
 def read_latent(path) -> Tensor:

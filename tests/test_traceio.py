@@ -8,10 +8,13 @@ import json
 import io
 import math
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.lib import format as npy
 
 from bwcache.cache import (
@@ -26,6 +29,7 @@ from bwcache.cache import (
 from bwcache.metrics import RunSummary, summarize
 from bwcache.model import ModelConfig
 from bwcache.traceio import (
+    HEATMAP_HEADER,
     RunTrace,
     TraceFormatError,
     config_fingerprint,
@@ -37,6 +41,7 @@ from bwcache.traceio import (
     write_reuse_profile,
     write_summary,
 )
+from bwcache.traceio import _read_canonical
 
 
 def make_decisions():
@@ -46,6 +51,185 @@ def make_decisions():
         StepDecision(1, Action.REUSED, None, None, None),
         StepDecision(0, Action.COMPUTED, (0.125, 0.25), 0.1875, 0.375),
     ]
+
+
+def line_wise_heatmap_text(decisions, n_blocks: int) -> str:
+    """The heatmap text as one f-string and one %.9g per cell.
+
+    A frozen copy of the original ``write_heatmap`` body, kept as the
+    reference for the row-template writer.
+    """
+    lines = [HEATMAP_HEADER]
+    for d in decisions:
+        values = d.per_block_l1
+        for b in range(n_blocks):
+            cell = "%.9g" % values[b] if values is not None else ""
+            lines.append(f"{d.step},{b},{cell}")
+    return "\n".join(lines) + "\n"
+
+
+def line_wise_read_heatmap(path) -> list[list[float | None]]:
+    """The heatmap reader as one line-by-line pass.
+
+    A frozen copy of the original ``read_heatmap``, which parses and checks
+    every line on its own, kept as the reference for the bulk-checked reader.
+    """
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != HEATMAP_HEADER:
+        raise TraceFormatError(f"line 1: expected header {HEATMAP_HEADER!r}")
+    triples: list[tuple[int, int, float | None, int]] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line == "":
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise TraceFormatError(f"line {lineno}: expected 3 fields, got {len(parts)}")
+        try:
+            step = int(parts[0])
+            block = int(parts[1])
+        except ValueError:
+            raise TraceFormatError(f"line {lineno}: non-integer step or block") from None
+        value: float | None = None
+        if parts[2] != "":
+            try:
+                value = float(parts[2])
+            except ValueError:
+                raise TraceFormatError(f"line {lineno}: bad distance {parts[2]!r}") from None
+            if not math.isfinite(value):
+                raise TraceFormatError(f"line {lineno}: non-finite distance")
+            if value < 0.0:
+                raise TraceFormatError(f"line {lineno}: negative distance {parts[2]!r}")
+        triples.append((step, block, value, lineno))
+    if not triples:
+        raise TraceFormatError("line 2: heatmap has no data rows")
+
+    first_step = triples[0][0]
+    n_blocks = 0
+    while n_blocks < len(triples) and triples[n_blocks][0] == first_step:
+        n_blocks += 1
+    if len(triples) % n_blocks != 0:
+        raise TraceFormatError(f"line {triples[-1][3]}: truncated final step group")
+    rows: list[list[float | None]] = []
+    for g in range(len(triples) // n_blocks):
+        want_step = first_step - g
+        row: list[float | None] = []
+        for b in range(n_blocks):
+            step, block, value, lineno = triples[g * n_blocks + b]
+            if step != want_step:
+                raise TraceFormatError(f"line {lineno}: expected step {want_step}, got {step}")
+            if block != b:
+                raise TraceFormatError(f"line {lineno}: expected block {b}, got {block}")
+            row.append(value)
+        rows.append(row)
+    if rows and triples[-1][0] != 0:
+        raise TraceFormatError(
+            f"line {triples[-1][3]}: trace must end at step 0, got {triples[-1][0]}"
+        )
+    return rows
+
+
+# Cells at the edges of %.9g and float(): zero, the least subnormal, a tiny
+# normal, a repeating binary fraction and an integer beyond nine digits.
+EDGE_DISTANCES = (0.0, 5e-324, 1e-300, 1 / 3, 1e16)
+
+
+@st.composite
+def heatmap_decisions(draw):
+    """(decisions, n_blocks): T 2-40 steps of N 1-12 blocks, some rows unmeasured."""
+    steps = draw(st.integers(min_value=2, max_value=40))
+    n_blocks = draw(st.integers(min_value=1, max_value=12))
+    distance = st.sampled_from(EDGE_DISTANCES) | st.floats(
+        min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False
+    )
+    row = st.none() | st.tuples(*[distance] * n_blocks)
+    decisions = []
+    for step in range(steps - 1, -1, -1):
+        values = draw(row)
+        action = Action.REUSED if values is None else Action.COMPUTED
+        decisions.append(StepDecision(step, action, values, None, None))
+    return decisions, n_blocks
+
+
+def _respell_integer(draw, lines, i):
+    fields = lines[i].split(",")
+    k = draw(st.integers(min_value=0, max_value=min(1, len(fields) - 1)))
+    fields[k] = draw(st.sampled_from(("+", "0", " "))) + fields[k]
+    lines[i] = ",".join(fields)
+
+
+def _insert_blank_line(draw, lines, i):
+    lines.insert(i + draw(st.integers(min_value=0, max_value=1)), "")
+
+
+def _drop_field(draw, lines, i):
+    lines[i] = lines[i].rpartition(",")[0]
+
+
+def _add_field(draw, lines, i):
+    lines[i] += ",0"
+
+
+def _bad_cell(draw, lines, i):
+    key = lines[i].rpartition(",")[0]
+    lines[i] = f"{key},{draw(st.sampled_from(('nan', 'inf', '-0.5', '1e')))}"
+
+
+def _swap_lines(draw, lines, i):
+    j = draw(st.integers(min_value=1, max_value=len(lines) - 1))
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+def _drop_step(draw, lines, i):
+    """Every line of line i's step goes: a step gap, or a last step other than 0."""
+    step = lines[i].split(",")[0]
+    lines[1:] = [line for line in lines[1:] if line.split(",")[0] != step]
+
+
+def _truncate_group(draw, lines, i):
+    lines.pop()
+
+
+def _shift_steps(draw, lines, i):
+    """Every step one higher, so the table ends at step 1."""
+    for k, line in enumerate(lines[1:], start=1):
+        step, comma, rest = line.partition(",")
+        if step.strip().lstrip("+").isdigit():
+            lines[k] = f"{int(step) + 1}{comma}{rest}"
+
+
+MUTATIONS = {
+    "integer respelled (+1, 01, ' 1')": _respell_integer,
+    "blank line": _insert_blank_line,
+    "missing field": _drop_field,
+    "extra field": _add_field,
+    "bad cell": _bad_cell,
+    "swapped lines": _swap_lines,
+    "step gap": _drop_step,
+    "truncated group": _truncate_group,
+    "last step not 0": _shift_steps,
+}
+
+
+@st.composite
+def heatmap_texts(draw):
+    """(text, canonical): a table as write_heatmap spells it, then 0-3 mutations."""
+    decisions, n_blocks = draw(heatmap_decisions())
+    lines = line_wise_heatmap_text(decisions, n_blocks).splitlines()
+    mutations = draw(st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=3))
+    for name in mutations:
+        if len(lines) < 2:
+            break
+        i = draw(st.integers(min_value=1, max_value=len(lines) - 1))
+        MUTATIONS[name](draw, lines, i)
+    return "\n".join(lines) + "\n", not mutations
+
+
+def outcome(read, path):
+    """A reader's rows, or the type and message of what it raised."""
+    try:
+        return read(path)
+    except TraceFormatError as exc:
+        return (type(exc), str(exc))
 
 
 def make_summary(**overrides):
@@ -144,6 +328,34 @@ class TestHeatmap:
         path.write_text("step,block,l1_rel\n3,0,0.1\n2,0,0.1\n")
         with pytest.raises(TraceFormatError, match="end at step 0"):
             read_heatmap(path)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=heatmap_texts())
+    @example(table=("step,block,l1_rel\n", False))
+    @example(table=("step,block,l1_rel\n1,0,\n0,0,inf\n", False))
+    @example(table=("step,block,l1_rel\n1,0,0.5\n1,1,nan\n0,0,\n0,1,\n", False))
+    @example(table=("step,block,l1_rel\n1,0,0.5\n1,1,-0.5\n0,0,\n0,1,\n", False))
+    @example(table=("step,block,l1_rel\n1,0,1e\n0,0,\n", False))
+    @example(table=("step,block,l1_rel\n1,0,1e308\n1,1,1e308\n0,0,\n0,1,\n", False))
+    def test_reader_agrees_with_the_line_wise_reader(self, table):
+        """Equal rows, or the identical refusal, for canonical and mutated tables."""
+        text, canonical = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "heatmap.csv"
+            path.write_text(text)
+            assert outcome(read_heatmap, path) == outcome(line_wise_read_heatmap, path)
+        if canonical:
+            assert _read_canonical(text.splitlines()[1:]) is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=heatmap_decisions())
+    def test_writer_bytes_equal_the_line_wise_writer(self, table):
+        decisions, n_blocks = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "heatmap.csv"
+            write_heatmap(decisions, n_blocks, path)
+            assert path.read_bytes() == line_wise_heatmap_text(decisions, n_blocks).encode("ascii")
 
 
 class TestReuseProfile:
@@ -375,8 +587,10 @@ class TestLatent:
         assert peak < 2**20
 
     def test_object_dtype_refused_on_write(self, tmp_path):
+        path = tmp_path / "l.bin"
         with pytest.raises(ValueError, match="Object arrays"):
-            write_latent(np.array([1.0, None]), tmp_path / "l.bin")
+            write_latent(np.array([1.0, None]), path)
+        assert not path.exists()
 
 
 class TestRunTrace:
