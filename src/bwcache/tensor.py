@@ -24,6 +24,12 @@ Determinism has two tiers:
   by an exception too, and a scope in one thread or context never reaches
   another.
 
+Neither tier pins the elementwise functions. Numpy picks their SIMD kernels
+per CPU dispatch target, and float32 exp, tanh, log, cos and sin and float64
+log and tanh give different bits on different targets. So deterministic mode
+makes exports byte-identical across reruns on one numpy build and one CPU
+dispatch target, not across targets.
+
 The random stream is a SplitMix64 counter generator (golden-gamma increment,
 two xor-multiply finalizer rounds) mapped to normals with Box-Muller. It is
 specified to the bit so that a fixed seed pins every weight and latent in the

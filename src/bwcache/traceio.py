@@ -108,10 +108,6 @@ class RunSummary:
     ssim: float | None
 
 
-def _fmt(value: float) -> str:
-    return "%.9g" % value
-
-
 def config_fingerprint(config: "ModelConfig", policy: "CachePolicyConfig") -> str:
     """sha256 over the canonical JSON form of (model config, policy).
 
@@ -146,7 +142,7 @@ def write_heatmap(decisions: Sequence[StepDecision], n_blocks: int, path) -> Non
     """One row per (step, block); the distance field is empty where nothing
     was measured (reused steps and the first executed step)."""
     # One template per block count: the first % binds the step to every
-    # line, the second prints the distances with the %.9g of _fmt.
+    # line, the second prints each distance with %.9g.
     measured = "".join(f"%s,{b},%%.9g\n" for b in range(n_blocks))
     empty = "".join(f"%s,{b},\n" for b in range(n_blocks))
     rows = [HEATMAP_HEADER + "\n"]
@@ -162,17 +158,54 @@ def write_heatmap(decisions: Sequence[StepDecision], n_blocks: int, path) -> Non
 def read_heatmap(path) -> list[list[float | None]]:
     """Parse a heatmap back into execution-ordered per-step rows.
 
-    Validates the header, the step ordering (contiguous, descending to 0),
-    and the block numbering; distances must be finite and >= 0, or empty.
-    A file spelled exactly as write_heatmap writes it passes one bulk check;
-    any other file is parsed line by line, which accepts exactly the same
-    files and words every refusal.
+    Accepts the header, then the lines of a (T, N) table whose T is the
+    first line's step plus one and whose N is that step's line count: each
+    line's ``step,block`` text exactly as write_heatmap writes it, in its
+    order, and each distance empty or a finite float >= 0. An accepted file
+    costs one comparison of all its keys with the table's, one float() per
+    cell and one range check; a refused one is walked line by line to name
+    its first bad line.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != HEATMAP_HEADER:
         raise TraceFormatError(f"line 1: expected header {HEATMAP_HEADER!r}")
-    rows = _read_canonical(lines[1:])
-    return rows if rows is not None else _read_lines(lines)
+    data = lines[1:]
+    steps, n_blocks = _table_shape(data)
+    parts = [line.rpartition(",") for line in data]
+    try:
+        # Only a table with as many lines as the file builds its keys.
+        if not steps or len(data) != steps * n_blocks or (
+            tuple([key for key, _, _ in parts]) != _heatmap_keys(steps, n_blocks)
+        ):
+            raise ValueError
+        values = [float(cell) if cell else None for _, _, cell in parts]
+        measured = [v for v in values if v is not None]
+        # min() may pass over a NaN, but any NaN or inf makes the sum NaN or inf.
+        if measured and not (min(measured) >= 0.0 and sum(measured) < math.inf):
+            raise ValueError
+    except ValueError:
+        # A walk that finds no bad line was sent here by finite distances
+        # whose sum overflowed, and the values stand.
+        _refuse(data, steps, n_blocks)
+    return [values[i : i + n_blocks] for i in range(0, len(values), n_blocks)]
+
+
+def _table_shape(data: list[str]) -> tuple[int, int]:
+    """(T, N): the first line's step plus one and that step's line count.
+
+    (0, 0) when there is no first line or its step is not an integer >= 0.
+    """
+    first = data[0].partition(",")[0] if data else ""
+    try:
+        steps = int(first) + 1
+    except ValueError:
+        steps = 0
+    if steps < 1:
+        return 0, 0
+    n_blocks = 1
+    while n_blocks < len(data) and data[n_blocks].partition(",")[0] == first:
+        n_blocks += 1
+    return steps, n_blocks
 
 
 @lru_cache(maxsize=16)
@@ -185,88 +218,33 @@ def _heatmap_keys(steps: int, n_blocks: int) -> tuple[str, ...]:
     return tuple(f"{s},{b}" for s in range(steps - 1, -1, -1) for b in range(n_blocks))
 
 
-def _read_canonical(data: list[str]) -> list[list[float | None]] | None:
-    """The rows of data lines in write_heatmap's spelling, or None for any other.
+def _refuse(data: list[str], steps: int, n_blocks: int) -> None:
+    """Raise the error naming the first bad line of ``data``; return if none is.
 
-    The first line's step fixes the step count T and the line count then
-    fixes the block count, so every line's text up to its last comma must
-    equal the keys of that (T, N) table. Each cell is then one float(), and
-    the measured cells are range-checked together. None sends the lines to
-    _read_lines, which words the refusal if there is one.
+    Line by line, the ``step,block`` text must be the next key of the
+    (steps, n_blocks) table, the table must end with the file, and the cell
+    must be empty or a finite float >= 0. A table of 0 steps fits no line.
     """
-    try:
-        steps = int(data[0].partition(",")[0]) + 1
-    except (IndexError, ValueError):
-        return None
-    if steps < 1 or len(data) % steps != 0:
-        return None
-    n_blocks = len(data) // steps
-    parts = [line.rpartition(",") for line in data]
-    if tuple([key for key, _, _ in parts]) != _heatmap_keys(steps, n_blocks):
-        return None
-    try:
-        values = [float(cell) if cell else None for _, _, cell in parts]
-    except ValueError:
-        return None
-    measured = [v for v in values if v is not None]
-    # min() may pass over a NaN, but any NaN or inf makes the sum NaN or inf.
-    if measured and not (min(measured) >= 0.0 and sum(measured) < math.inf):
-        return None
-    return [values[i : i + n_blocks] for i in range(0, len(values), n_blocks)]
-
-
-def _read_lines(lines: list[str]) -> list[list[float | None]]:
-    """The line-wise parser of a heatmap whose header line has been checked."""
-    triples: list[tuple[int, int, float | None, int]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line == "":
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise TraceFormatError(f"line {lineno}: expected 3 fields, got {len(parts)}")
-        try:
-            step = int(parts[0])
-            block = int(parts[1])
-        except ValueError:
-            raise TraceFormatError(f"line {lineno}: non-integer step or block") from None
-        value: float | None = None
-        if parts[2] != "":
+    for i, line in enumerate([*data, None]):  # None is the end of the file
+        if i < steps * n_blocks:
+            want = f"{steps - 1 - i // n_blocks},{i % n_blocks}"
+        else:
+            want = None if steps else "<step>,0"
+        key, _, cell = (None, "", "") if line is None else line.rpartition(",")
+        if key != want or not steps:
+            expected = "end of file" if want is None else repr(f"{want},<distance>")
+            if line is None:
+                raise TraceFormatError(f"line {i + 1}: expected {expected} next, got end of file")
+            raise TraceFormatError(f"line {i + 2}: expected {expected}, got {line!r}")
+        if cell:
             try:
-                value = float(parts[2])
+                value = float(cell)
             except ValueError:
-                raise TraceFormatError(f"line {lineno}: bad distance {parts[2]!r}") from None
+                raise TraceFormatError(f"line {i + 2}: bad distance {cell!r}") from None
             if not math.isfinite(value):
-                raise TraceFormatError(f"line {lineno}: non-finite distance")
+                raise TraceFormatError(f"line {i + 2}: non-finite distance")
             if value < 0.0:
-                raise TraceFormatError(f"line {lineno}: negative distance {parts[2]!r}")
-        triples.append((step, block, value, lineno))
-    if not triples:
-        raise TraceFormatError("line 2: heatmap has no data rows")
-
-    # The first step's group fixes the block count; every group must match it.
-    first_step = triples[0][0]
-    n_blocks = 0
-    while n_blocks < len(triples) and triples[n_blocks][0] == first_step:
-        n_blocks += 1
-    if len(triples) % n_blocks != 0:
-        raise TraceFormatError(f"line {triples[-1][3]}: truncated final step group")
-    rows: list[list[float | None]] = []
-    for g in range(len(triples) // n_blocks):
-        want_step = first_step - g
-        row: list[float | None] = []
-        for b in range(n_blocks):
-            step, block, value, lineno = triples[g * n_blocks + b]
-            if step != want_step:
-                raise TraceFormatError(f"line {lineno}: expected step {want_step}, got {step}")
-            if block != b:
-                raise TraceFormatError(f"line {lineno}: expected block {b}, got {block}")
-            row.append(value)
-        rows.append(row)
-    if rows and triples[-1][0] != 0:
-        raise TraceFormatError(
-            f"line {triples[-1][3]}: trace must end at step 0, got {triples[-1][0]}"
-        )
-    return rows
+                raise TraceFormatError(f"line {i + 2}: negative distance {cell!r}")
 
 
 def write_reuse_profile(decisions: Sequence[StepDecision], path) -> None:
@@ -278,7 +256,7 @@ def write_reuse_profile(decisions: Sequence[StepDecision], path) -> None:
         reused += flag
         lines.append(f"{d.step},{flag}")
     rate = reused / len(decisions) if decisions else 0.0
-    lines.append(f"#reuse_rate_steps={_fmt(rate)}")
+    lines.append("#reuse_rate_steps=%.9g" % rate)
     Path(path).write_text("\n".join(lines) + "\n")
 
 

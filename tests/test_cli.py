@@ -339,12 +339,26 @@ class TestReplay:
         rc = main(["replay", "--trace", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])
         assert rc == 1
 
-    def test_malformed_trace_is_config_error_naming_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "old, new, lineno",
+        [
+            (None, "step,block,l1_rel\n1,0,0.1\n1,0,0.2\n0,0,0.1\n", 3),
+            ("6,0,", "+6,0,", 2),
+            ("6,0,", "06,0,", 2),
+            ("3,0,", "\n3,0,", 5),
+        ],
+        ids=["repeated-block", "plus-step", "zero-padded-step", "blank-line"],
+    )
+    def test_malformed_trace_is_config_error_naming_line(self, tmp_path, capsys, old, new, lineno):
+        """A repeated block, and the committed fixture with one step respelled
+        or a blank line inserted, exit 2 naming the line and write nothing."""
+        text = (FIXTURES / "replay_trace.csv").read_text()
         bad = tmp_path / "bad.csv"
-        bad.write_text("step,block,l1_rel\n1,0,0.1\n1,0,0.2\n0,0,0.1\n")
-        rc = main(["replay", "--trace", str(bad), "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "line" in capsys.readouterr().err
+        bad.write_text(new if old is None else text.replace(old, new, 1))
+        out = tmp_path / "out"
+        assert main(["replay", "--trace", str(bad), "--out", str(out)]) == 2
+        assert f"line {lineno}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_distance_is_config_error(self, tmp_path, capsys):
         table = tmp_path / "negative.csv"

@@ -1,10 +1,10 @@
-"""No public name or defaulted parameter in the package is dead code.
+"""No top-level name or defaulted parameter in the package is dead code.
 
-Every public top-level def, class or constant in ``src/bwcache`` is used by
-name somewhere in ``src/`` or ``perfbench/`` besides its own definition, or
-is exported in ``bwcache.__all__``. Every parameter with a default is passed
-by some call there. The tests do not count as users: code that only a test
-calls belongs in that test.
+Every top-level def, class or constant in ``src/bwcache`` is used by name
+somewhere in ``src/`` or ``perfbench/`` besides its own definition; a public
+one may instead be exported in ``bwcache.__all__``. Every parameter with a
+default is passed by some call there. The tests do not count as users: code
+that only a test calls belongs in that test.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bwcache"
 
 
-def public_definitions(tree: ast.Module):
-    """(name, node) for each public top-level def, class or assigned constant."""
+def definitions(tree: ast.Module):
+    """(name, node) for each top-level def, class or assigned constant but a dunder."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -30,7 +30,7 @@ def public_definitions(tree: ast.Module):
             names = [node.target.id]
         else:
             continue
-        yield from ((name, node) for name in names if not name.startswith("_"))
+        yield from ((name, node) for name in names if not name.startswith("__"))
 
 
 def used_names(tree: ast.AST) -> Counter:
@@ -46,7 +46,9 @@ def used_names(tree: ast.AST) -> Counter:
     return used
 
 
-def test_every_public_name_has_a_user_outside_the_tests():
+def unused_definitions(private: bool) -> list[str]:
+    """The public or the private top-level names of the package that nothing
+    in ``src/`` or ``perfbench/`` uses besides their own definition."""
     sources = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
     used: Counter = Counter()
     for path in sources:
@@ -54,12 +56,26 @@ def test_every_public_name_has_a_user_outside_the_tests():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for name, node in public_definitions(tree):
-            if name in bwcache.__all__:
+        for name, node in definitions(tree):
+            if name.startswith("_") != private or name in bwcache.__all__:
                 continue
             if used[name] - used_names(node)[name] <= 0:
                 unused.append(f"{path.name}: {name}")
-    assert unused == [], "public names that only their definition or the tests use"
+    return unused
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    assert unused_definitions(private=False) == [], (
+        "public names that only their definition or the tests use"
+    )
+
+
+def test_every_private_name_has_a_user_outside_the_tests():
+    """A private helper that only a test calls, such as a second parser kept
+    to check the first, belongs in that test."""
+    assert unused_definitions(private=True) == [], (
+        "private names that only their definition or the tests use"
+    )
 
 
 def defaulted_parameters(tree: ast.Module):

@@ -7,6 +7,7 @@ import hashlib
 import json
 import io
 import math
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -41,7 +42,6 @@ from bwcache.traceio import (
     write_reuse_profile,
     write_summary,
 )
-from bwcache.traceio import _read_canonical
 
 
 def make_decisions():
@@ -72,7 +72,9 @@ def line_wise_read_heatmap(path) -> list[list[float | None]]:
     """The heatmap reader as one line-by-line pass.
 
     A frozen copy of the original ``read_heatmap``, which parses and checks
-    every line on its own, kept as the reference for the bulk-checked reader.
+    every line on its own and also takes respelled integers and blank
+    lines. It is kept as the oracle for the reader: what the reader accepts,
+    this accepts with equal rows.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != HEATMAP_HEADER:
@@ -197,9 +199,12 @@ def _shift_steps(draw, lines, i):
             lines[k] = f"{int(step) + 1}{comma}{rest}"
 
 
+RESPELLED_INTEGER = "integer respelled (+1, 01, ' 1')"
+BLANK_LINE = "blank line"
+
 MUTATIONS = {
-    "integer respelled (+1, 01, ' 1')": _respell_integer,
-    "blank line": _insert_blank_line,
+    RESPELLED_INTEGER: _respell_integer,
+    BLANK_LINE: _insert_blank_line,
     "missing field": _drop_field,
     "extra field": _add_field,
     "bad cell": _bad_cell,
@@ -212,16 +217,18 @@ MUTATIONS = {
 
 @st.composite
 def heatmap_texts(draw):
-    """(text, canonical): a table as write_heatmap spells it, then 0-3 mutations."""
+    """(text, mutations): a table as write_heatmap spells it, then the names
+    of the 0-3 mutations applied to it."""
     decisions, n_blocks = draw(heatmap_decisions())
     lines = line_wise_heatmap_text(decisions, n_blocks).splitlines()
-    mutations = draw(st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=3))
-    for name in mutations:
+    mutations = []
+    for name in draw(st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=3)):
         if len(lines) < 2:
             break
         i = draw(st.integers(min_value=1, max_value=len(lines) - 1))
         MUTATIONS[name](draw, lines, i)
-    return "\n".join(lines) + "\n", not mutations
+        mutations.append(name)
+    return "\n".join(lines) + "\n", mutations
 
 
 def outcome(read, path):
@@ -302,7 +309,8 @@ class TestHeatmap:
     def test_non_contiguous_steps_rejected(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("step,block,l1_rel\n3,0,0.1\n1,0,0.1\n")
-        with pytest.raises(TraceFormatError, match="expected step 2"):
+        message = "line 3: expected '2,0,<distance>', got '1,0,0.1'"
+        with pytest.raises(TraceFormatError, match=message):
             read_heatmap(path)
 
     def test_nan_distance_rejected(self, tmp_path):
@@ -320,33 +328,69 @@ class TestHeatmap:
     def test_truncated_group_rejected(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("step,block,l1_rel\n1,0,0.1\n1,1,0.1\n0,0,0.1\n")
-        with pytest.raises(TraceFormatError, match="truncated"):
+        message = "line 4: expected '0,1,<distance>' next, got end of file"
+        with pytest.raises(TraceFormatError, match=message):
             read_heatmap(path)
 
     def test_trace_not_ending_at_zero_rejected(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("step,block,l1_rel\n3,0,0.1\n2,0,0.1\n")
-        with pytest.raises(TraceFormatError, match="end at step 0"):
+        message = "line 3: expected '1,0,<distance>' next, got end of file"
+        with pytest.raises(TraceFormatError, match=message):
             read_heatmap(path)
 
+    def test_claimed_step_count_sizes_nothing(self, tmp_path):
+        """A first step of four billion is refused naming a line, and nothing
+        is sized by the step count that it claims."""
+        path = tmp_path / "h.csv"
+        path.write_text(
+            "step,block,l1_rel\n4000000000,0,0.1\n3999999999,0,0.1\n3999999998,0,0.1\n"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(TraceFormatError, match="line 4: expected '3999999997,0,"):
+                read_heatmap(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @settings(max_examples=300, deadline=None)
     @given(table=heatmap_texts())
-    @example(table=("step,block,l1_rel\n", False))
-    @example(table=("step,block,l1_rel\n1,0,\n0,0,inf\n", False))
-    @example(table=("step,block,l1_rel\n1,0,0.5\n1,1,nan\n0,0,\n0,1,\n", False))
-    @example(table=("step,block,l1_rel\n1,0,0.5\n1,1,-0.5\n0,0,\n0,1,\n", False))
-    @example(table=("step,block,l1_rel\n1,0,1e\n0,0,\n", False))
-    @example(table=("step,block,l1_rel\n1,0,1e308\n1,1,1e308\n0,0,\n0,1,\n", False))
+    @example(table=("step,block,l1_rel\n", ["truncated group"]))
+    @example(table=("step,block,l1_rel\n1,0,\n0,0,inf\n", ["bad cell"]))
+    @example(table=("step,block,l1_rel\n1,0,0.5\n1,1,nan\n0,0,\n0,1,\n", ["bad cell"]))
+    @example(table=("step,block,l1_rel\n1,0,0.5\n1,1,-0.5\n0,0,\n0,1,\n", ["bad cell"]))
+    @example(table=("step,block,l1_rel\n1,0,1e\n0,0,\n", ["bad cell"]))
+    @example(table=("step,block,l1_rel\n+1,0,\n0,0,0.5\n", [RESPELLED_INTEGER]))
+    @example(table=("step,block,l1_rel\n1,00,\n0,0,0.5\n", [RESPELLED_INTEGER]))
+    @example(table=("step,block,l1_rel\n1,0,\n\n0,0,0.5\n", [BLANK_LINE]))
+    @example(table=("step,block,l1_rel\n1,0,\n0,0,0.5\n\n", [BLANK_LINE]))
+    # Finite distances whose sum overflows are still distances.
+    @example(table=("step,block,l1_rel\n1,0,1e308\n1,1,1e308\n0,0,\n0,1,\n", []))
     def test_reader_agrees_with_the_line_wise_reader(self, table):
-        """Equal rows, or the identical refusal, for canonical and mutated tables."""
-        text, canonical = table
+        """What the reader accepts, the frozen line-wise reader accepts with
+        equal rows, and what that reader refuses, this one refuses. An
+        unmutated table is accepted; one with only respelled integers or
+        blank lines is refused; every refusal names a line of the file."""
+        text, mutations = table
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "heatmap.csv"
             path.write_text(text)
-            assert outcome(read_heatmap, path) == outcome(line_wise_read_heatmap, path)
-        if canonical:
-            assert _read_canonical(text.splitlines()[1:]) is not None
+            got = outcome(read_heatmap, path)
+            oracle = outcome(line_wise_read_heatmap, path)
+        accepted = isinstance(got, list)
+        if accepted:
+            assert got == oracle
+        else:
+            lineno = re.match(r"line (\d+): ", got[1])
+            assert lineno and 1 <= int(lineno[1]) <= len(text.splitlines()), got[1]
+        if not isinstance(oracle, list):
+            assert not accepted
+        if not mutations:
+            assert accepted
+        elif set(mutations) <= {RESPELLED_INTEGER, BLANK_LINE}:
+            assert not accepted
 
     @settings(max_examples=200, deadline=None)
     @given(table=heatmap_decisions())
