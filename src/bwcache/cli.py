@@ -1,17 +1,16 @@
 """Command line front end.
 
-Three subcommands: ``generate`` samples once under a policy and exports the
-instrumentation, ``compare`` samples the uncached reference (side a, policy
-``none``) and one policy (side b, read from the same flags as ``generate``)
-at one seed and writes a cross-run comparison, ``replay`` re-decides a
-recorded distance table offline. Exit codes: 0 success, 1 runtime failure
-(I/O, numerics), 2 configuration or trace-format problems.
+Two subcommands: ``generate`` samples once under a policy and exports the
+instrumentation, ``replay`` re-decides a recorded distance table offline.
+A policy is scored against the uncached run by two ``generate`` runs: the
+``none`` policy with ``--dump-latent``, then the policy with
+``--reference-latent``. Exit codes: 0 success, 1 runtime failure (I/O,
+numerics), 2 configuration or trace-format problems.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -35,9 +34,7 @@ from bwcache.traceio import (
     config_fingerprint,
     read_heatmap,
     read_latent,
-    summary_doc,
     write_heatmap,
-    write_json,
     write_latent,
     write_reuse_profile,
     write_summary,
@@ -76,28 +73,21 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output directory (or $BWCACHE_OUT_DIR)")
 
 
-def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
-    _add_model_flags(p)
-    _add_policy_flags(p)
-    _add_output_flags(p)
-    p.add_argument("--deterministic", action="store_true", help="fixed-order matmuls, zeroed timings")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bwcache", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="sample once under a policy and export traces")
-    _add_sampling_flags(g)
+    _add_model_flags(g)
+    _add_policy_flags(g)
+    _add_output_flags(g)
+    g.add_argument("--deterministic", action="store_true", help="fixed-order matmuls, zeroed timings")
     g.add_argument("--dump-latent", action="store_true", help="also write latent.bin")
     g.add_argument(
         "--reference-latent",
         default=None,
         help="latent dump to score psnr/ssim against",
     )
-
-    c = sub.add_parser("compare", help="run the uncached reference and one policy at one seed")
-    _add_sampling_flags(c)
 
     r = sub.add_parser("replay", help="re-decide a recorded heatmap offline")
     r.add_argument("--trace", required=True, help="heatmap CSV from a previous run")
@@ -180,34 +170,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    config = _model_from_args(args)
-    recommended = CachePolicyConfig.recommended(config.steps)
-    uncached = dataclasses.replace(recommended, kind=PolicyKind.NONE)
-    policy = _policy_from_args(args, total_steps=config.steps)
-
-    final_a, trace_a = run_policy(config, uncached)
-    _, trace_b = run_policy(config, policy)
-    summary_a = summarize(trace_a, None, config)
-    summary_b = summarize(trace_b, final_a, config)  # scores b against a
-    speedup = None
-    if summary_a.wall_seconds > 0.0 and summary_b.wall_seconds > 0.0:
-        speedup = summary_a.wall_seconds / summary_b.wall_seconds
-
-    side_a = summary_doc(summary_a, trace_a.config_fingerprint)
-    side_b = summary_doc(summary_b, trace_b.config_fingerprint)
-    # b was scored against a, so its quality is the comparison's, not a side's.
-    doc = {"psnr_db": side_b.pop("psnr_db"), "ssim": side_b.pop("ssim")}
-    del side_a["psnr_db"], side_a["ssim"]
-    doc.update(a=side_a, b=side_b, speedup=speedup)
-    out = _resolve_out_dir(args)
-    write_json(doc, out / "comparison.json")
-    psnr_db = doc["psnr_db"]
-    shown = psnr_db if isinstance(psnr_db, str) else f"{psnr_db:.2f}"
-    print(f"a=none b={policy.kind.value} psnr_db={shown} ssim={doc['ssim']:.6f} out={out}")
-    return 0
-
-
 def _cmd_replay(args) -> int:
     rows = read_heatmap(args.trace)
     total_steps = len(rows)
@@ -243,9 +205,7 @@ def main(argv=None) -> int:
         if args.command == "replay":
             return _cmd_replay(args)
         with tensor.deterministic(args.deterministic):
-            if args.command == "generate":
-                return _cmd_generate(args)
-            return _cmd_compare(args)
+            return _cmd_generate(args)
     except (TraceFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

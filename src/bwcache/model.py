@@ -81,8 +81,9 @@ _SALT_READOUT = 0x52454144
 _SALT_DECODE = 0x44454331
 
 # One model's block weights are 16 d^2 N float32 values (32 MiB at d=256,
-# N=8). Two entries cover a compare (both sides share one model) while
-# bounding what a long-lived caller keeps alive.
+# N=8). Two entries let a caller that alternates between two models (two
+# seeds, widths or depths) draw each once, while bounding what a long-lived
+# caller keeps alive.
 _CACHED_BUILDS = 2
 
 

@@ -160,13 +160,18 @@ def read_heatmap(path) -> list[list[float | None]]:
 
     Accepts the header, then the lines of a (T, N) table whose T is the
     first line's step plus one and whose N is that step's line count: each
-    line's ``step,block`` text exactly as write_heatmap writes it, in its
-    order, and each distance empty or a finite float >= 0. An accepted file
-    costs one comparison of all its keys with the table's, one float() per
-    cell and one range check; a refused one is walked line by line to name
-    its first bad line.
+    line, the last one too, ended by ``"\\n"`` (any other character, ``"\\r"``
+    included, belongs to the line), its ``step,block`` text exactly as
+    write_heatmap writes it, in its order, and each distance empty or a
+    finite float >= 0. An accepted file costs one comparison of all its keys
+    with the table's, one float() per cell and one range check; a refused
+    one is walked line by line to name its first bad line.
     """
-    lines = Path(path).read_text().splitlines()
+    with open(path, newline="") as f:  # no newline translation
+        lines = f.read().split("\n")
+    rest = lines.pop()  # what follows the last newline
+    if rest:
+        raise TraceFormatError(f"line {len(lines) + 1}: {rest[:40]!r} does not end in a newline")
     if not lines or lines[0] != HEATMAP_HEADER:
         raise TraceFormatError(f"line 1: expected header {HEATMAP_HEADER!r}")
     data = lines[1:]
@@ -260,16 +265,6 @@ def write_reuse_profile(decisions: Sequence[StepDecision], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def summary_doc(summary: RunSummary, fingerprint: str) -> dict:
-    """The summary document: the SUMMARY_KEYS, 'inf' for an infinite psnr_db."""
-    doc = {key: getattr(summary, key) for key in _SUMMARY_FIELDS}
-    doc["config_fingerprint"] = fingerprint
-    if doc["psnr_db"] is not None and math.isinf(doc["psnr_db"]):
-        doc["psnr_db"] = "inf"
-    _check_summary(doc)
-    return doc
-
-
 def _is_real(value) -> bool:
     # bool is an int subclass, but true/false is never a count or a rate.
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -297,13 +292,15 @@ def _check_summary(doc: dict) -> None:
             raise TraceFormatError(f"{key} {value!r} is not one of {allowed} or a finite number")
 
 
-def write_json(doc: dict, path) -> None:
-    """Stable JSON: sorted keys, two-space indent, no NaN, trailing newline."""
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
-
-
 def write_summary(summary: RunSummary, fingerprint: str, path) -> None:
-    write_json(summary_doc(summary, fingerprint), path)
+    """The SUMMARY_KEYS as stable JSON: 'inf' for an infinite psnr_db, sorted
+    keys, two-space indent, no NaN, trailing newline."""
+    doc = {key: getattr(summary, key) for key in _SUMMARY_FIELDS}
+    doc["config_fingerprint"] = fingerprint
+    if doc["psnr_db"] is not None and math.isinf(doc["psnr_db"]):
+        doc["psnr_db"] = "inf"
+    _check_summary(doc)
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def read_summary(path) -> tuple[RunSummary, str]:

@@ -7,23 +7,17 @@ of the contract (0 ok, 1 runtime failure, 2 bad configuration or trace).
 
 import argparse
 import json
-import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bwcache import cli, model, tensor
-from bwcache.cache import (
-    CachePolicyConfig,
-    PolicyKind,
-    TailRule,
-    ZeroDenominatorError,
-    run_policy,
-)
+from bwcache.cache import CachePolicyConfig, PolicyKind, ZeroDenominatorError, run_policy
 from bwcache.cli import _policy_from_args, build_parser, main
 from bwcache.metrics import psnr, ssim_frames
-from bwcache.model import ModelConfig, _build_weights, decode_latent
+from bwcache.model import ModelConfig, decode_latent
 from bwcache.traceio import config_fingerprint, read_latent, write_latent
 from test_traceio import MALFORMED
 
@@ -32,6 +26,16 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # Small enough that a full sampling run is a few milliseconds.
 TINY = ["--dim", "16", "--heads", "2", "--frames", "2", "--tokens", "3"]
 TINY_SHAPE = TINY + ["--steps", "7", "--blocks", "2"]
+
+
+# Line breaks that str.splitlines() splits at but a heatmap line may not end in.
+BREAKS = {
+    "\r\n": "crlf",
+    "\r": "cr",
+    "\x0c": "form-feed",
+    "\x1c": "file-separator",
+    "\u2028": "line-separator",
+}
 
 
 def run_generate(out, *extra):
@@ -76,21 +80,36 @@ class TestGenerate:
         assert "reused=0/7" in out
 
     def test_reference_latent_scores_quality(self, tmp_path):
-        """Scoring against a reference latent fills psnr_db and ssim."""
-        ref_dir = tmp_path / "ref"
-        assert run_generate(ref_dir, "--policy", "none", "--dump-latent") == 0
-        out_dir = tmp_path / "cached"
-        rc = run_generate(
-            out_dir,
-            "--policy", "bwcache",
-            "--delta", "0.9",
-            "--reference-latent", str(ref_dir / "latent.bin"),
-        )
-        assert rc == 0
-        summary = json.loads((out_dir / "summary.json").read_text())
-        assert isinstance(summary["psnr_db"], float)
-        assert isinstance(summary["ssim"], float)
-        assert summary["reuse_rate_steps"] > 0.0
+        """A none --dump-latent run, then a cached --reference-latent run,
+        score the policy against the uncached run: psnr_db and ssim equal the
+        metrics of the two runs' decoded pixels, computed here from two library
+        runs, and each summary holds its own counters. The none run keeps the
+        default policy fields under kind none."""
+        for steps in (7, 30):
+            shape = [*TINY, "--steps", str(steps), "--blocks", "2", "--deterministic"]
+            ref_dir, out_dir = tmp_path / f"ref{steps}", tmp_path / f"cached{steps}"
+            none_run = ["--policy", "none", "--dump-latent", "--out", str(ref_dir)]
+            assert main(["generate", *shape, *none_run]) == 0
+            reference = str(ref_dir / "latent.bin")
+            cached_run = ["--delta", "0.9", "--reference-latent", reference, "--out", str(out_dir)]
+            assert main(["generate", *shape, *cached_run]) == 0
+            uncached = json.loads((ref_dir / "summary.json").read_text())
+            summary = json.loads((out_dir / "summary.json").read_text())
+
+            config = ModelConfig(
+                n_blocks=2, hidden_dim=16, n_heads=2, frames=2, tokens_per_frame=3, steps=steps
+            )
+            recommended = CachePolicyConfig.recommended(steps)
+            none = replace(recommended, kind=PolicyKind.NONE)
+            assert uncached["config_fingerprint"] == config_fingerprint(config, none)
+            with tensor.deterministic():
+                final_a, _ = run_policy(config, none)
+                final_b, _ = run_policy(config, replace(recommended, delta=0.9))
+                px_a, px_b = decode_latent(final_a, config), decode_latent(final_b, config)
+            assert summary["psnr_db"] == psnr(px_a, px_b)
+            assert summary["ssim"] == ssim_frames(px_a, px_b)
+            assert summary["reuse_rate_steps"] > 0.0 and summary["flops_saved"] > 0
+            assert uncached["reuse_rate_steps"] == 0.0 and uncached["flops_saved"] == 0
 
     def test_float32_reference_is_scored_and_float64_is_refused(self, tmp_path, monkeypatch):
         """The same reference values score as float32; as float64 the run exits 2
@@ -235,78 +254,6 @@ class TestGenerate:
         assert main(["generate", "--no-such-flag"]) == 2
 
 
-class TestCompare:
-    def test_identical_policies_report_inf_psnr(self, tmp_path, capsys):
-        """none vs none is bit-equal: psnr serializes as "inf", ssim is 1."""
-        rc = main([
-            "compare", *TINY_SHAPE, "--policy", "none", "--out", str(tmp_path),
-        ])
-        assert rc == 0
-        doc = json.loads((tmp_path / "comparison.json").read_text())
-        assert doc["psnr_db"] == "inf"
-        assert doc["ssim"] == 1.0
-        assert "psnr_db=inf" in capsys.readouterr().out
-
-    def test_speedup_present_with_real_timings(self, tmp_path):
-        rc = main([
-            "compare", *TINY_SHAPE, "--policy", "none", "--out", str(tmp_path),
-        ])
-        assert rc == 0
-        doc = json.loads((tmp_path / "comparison.json").read_text())
-        assert isinstance(doc["speedup"], float)
-        assert doc["speedup"] > 0.0
-
-    def test_draws_block_weights_once(self, tmp_path):
-        """Both sides share one config, so the second run reuses the first's build."""
-        _build_weights.cache_clear()
-        rc = main(["compare", *TINY_SHAPE, "--delta", "0.9", "--out", str(tmp_path)])
-        assert rc == 0
-        info = _build_weights.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-
-    def test_speedup_null_in_deterministic_mode(self, tmp_path):
-        """Zeroed timings make a wall-clock ratio meaningless, so it is null."""
-        rc = main([
-            "compare", *TINY_SHAPE, "--policy", "none",
-            "--out", str(tmp_path), "--deterministic",
-        ])
-        assert rc == 0
-        doc = json.loads((tmp_path / "comparison.json").read_text())
-        assert doc["speedup"] is None
-
-    def test_cross_policy_fields(self, tmp_path):
-        """A none-vs-bwcache comparison carries both sides' counters."""
-        rc = main([
-            "compare", *TINY_SHAPE, "--delta", "0.9", "--out", str(tmp_path),
-        ])
-        assert rc == 0
-        doc = json.loads((tmp_path / "comparison.json").read_text())
-        assert doc["a"]["reuse_rate_steps"] == 0.0
-        assert doc["b"]["reuse_rate_steps"] > 0.0
-        assert doc["a"]["flops_saved"] == 0
-        assert doc["b"]["flops_saved"] > 0
-        assert doc["a"]["config_fingerprint"] != doc["b"]["config_fingerprint"]
-        assert isinstance(doc["psnr_db"], float)
-
-    def test_cross_quality_scores_b_against_a(self, tmp_path):
-        """psnr_db and ssim equal the metrics of b's decoded pixels against
-        a's, computed here from two library runs."""
-        rc = main([
-            "compare", *TINY_SHAPE, "--delta", "0.9", "--out", str(tmp_path), "--deterministic",
-        ])
-        assert rc == 0
-        doc = json.loads((tmp_path / "comparison.json").read_text())
-        config = ModelConfig(
-            n_blocks=2, hidden_dim=16, n_heads=2, frames=2, tokens_per_frame=3, steps=7
-        )
-        with tensor.deterministic():
-            final_a, _ = run_policy(config, CachePolicyConfig(kind=PolicyKind.NONE))
-            final_b, _ = run_policy(config, CachePolicyConfig(delta=0.9, reuse_interval=1))
-            px_a, px_b = decode_latent(final_a, config), decode_latent(final_b, config)
-        assert doc["psnr_db"] == psnr(px_a, px_b)
-        assert doc["ssim"] == ssim_frames(px_a, px_b)
-
-
 class TestReplay:
     def test_committed_fixture_reproduces_goldens(self, tmp_path, capsys):
         """Replaying the committed trace reproduces the hand-derived exports."""
@@ -346,12 +293,22 @@ class TestReplay:
             ("6,0,", "+6,0,", 2),
             ("6,0,", "06,0,", 2),
             ("3,0,", "\n3,0,", 5),
+            *[(None, sep.join(["step,block,l1_rel", "1,0,", "0,0,0.5", ""]), 1) for sep in BREAKS],
+            (None, "step,block,l1_rel\n1,0,\r\n0,0,0.5\r\n", 2),
+            (None, "step,block,l1_rel\n1,0,\x0c0,0,0.5\n", 2),
+            (None, "step,block,l1_rel\n1,0,\n0,0,0.5", 3),
         ],
-        ids=["repeated-block", "plus-step", "zero-padded-step", "blank-line"],
+        ids=[
+            "repeated-block", "plus-step", "zero-padded-step", "blank-line",
+            *[f"{name}-lines" for name in BREAKS.values()],
+            "crlf-after-header", "form-feed-after-header", "no-final-newline",
+        ],
     )
     def test_malformed_trace_is_config_error_naming_line(self, tmp_path, capsys, old, new, lineno):
-        """A repeated block, and the committed fixture with one step respelled
-        or a blank line inserted, exit 2 naming the line and write nothing."""
+        """A repeated block, the committed fixture with one step respelled or a
+        blank line inserted, and a two-step table whose lines end in another
+        break than a lone \\n or whose last line has none, exit 2 naming the
+        line and write nothing."""
         text = (FIXTURES / "replay_trace.csv").read_text()
         bad = tmp_path / "bad.csv"
         bad.write_text(new if old is None else text.replace(old, new, 1))
@@ -389,49 +346,19 @@ class TestDefaults:
         assert policy.delta == 0.15
         assert policy.tail.canonical() == "half"
 
-    @pytest.mark.parametrize("command", ["generate", "compare", "replay"])
+    @pytest.mark.parametrize("command", ["generate", "replay"])
     def test_every_subcommand_refuses_emit(self, command):
         """Every run writes all of its exports; there is no selector flag."""
         extra = ["--trace", str(FIXTURES / "replay_trace.csv")] if command == "replay" else []
         assert main([command, *extra, "--emit", "heatmap"]) == 2
 
-    @pytest.mark.parametrize("steps", [7, 30])
-    def test_compare_side_a_is_the_default_none_policy(self, tmp_path, steps):
-        """Side a keeps the default policy fields under kind none, so its
-        fingerprint is that of the plain uncached run."""
-        shape = [*TINY, "--steps", str(steps), "--blocks", "2"]
-        assert main(["compare", *shape, "--out", str(tmp_path), "--deterministic"]) == 0
-        doc = json.loads((tmp_path / "comparison.json").read_text())
-        config = ModelConfig(
-            n_blocks=2, hidden_dim=16, n_heads=2, frames=2, tokens_per_frame=3, steps=steps
-        )
-        none = CachePolicyConfig(
-            kind=PolicyKind.NONE,
-            delta=0.15,
-            reuse_interval=math.ceil(steps / 10),
-            tail=TailRule.half(),
-            static_stride=3,
-        )
-        assert doc["a"]["config_fingerprint"] == config_fingerprint(config, none)
-
-    @pytest.mark.parametrize(
-        "flag, value",
-        [
-            (f"--{name}-{side}", value)
-            for side in "ab"
-            for name, value in [
-                ("policy", "none"),
-                ("delta", "0.3"),
-                ("reuse-interval", "2"),
-                ("tail", "third"),
-                ("static-stride", "2"),
-            ]
-        ],
-    )
-    def test_compare_refuses_per_side_policy_flags(self, tmp_path, flag, value):
-        """Side a is always none; side b reads generate's policy flags."""
-        assert main(["compare", *TINY_SHAPE, flag, value, "--out", str(tmp_path)]) == 2
-        assert not (tmp_path / "comparison.json").exists()
+    def test_compare_is_not_a_subcommand(self, tmp_path, capsys):
+        """Two generate runs score a policy against none; there is no compare,
+        so it exits 2 at parse time and creates no output directory."""
+        out = tmp_path / "out"
+        assert main(["compare", *TINY_SHAPE, "--out", str(out)]) == 2
+        assert "invalid choice: 'compare'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replay_refuses_deterministic(self, tmp_path):
         """Replay runs no matmul and always reports zero timings."""
@@ -442,10 +369,9 @@ class TestDefaults:
         "argv",
         [
             ["generate", *TINY_SHAPE, "--tail", "fixed:99"],
-            ["compare", *TINY_SHAPE, "--tail", "fixed:99"],
             ["replay", "--trace", str(FIXTURES / "replay_trace.csv"), "--heads", "3"],
         ],
-        ids=["generate", "compare", "replay"],
+        ids=["generate", "replay"],
     )
     def test_refused_run_leaves_no_output_directory(self, tmp_path, argv):
         """Inputs refused after parsing (a tail covering the run, heads that do
@@ -454,12 +380,12 @@ class TestDefaults:
         assert main([*argv, "--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["generate", "compare"])
+    @pytest.mark.parametrize("command", ["generate"])
     def test_whole_run_tail_is_refused_before_any_draw(
         self, tmp_path, monkeypatch, capsys, command
     ):
-        """A fixed tail covering the run exits 2 before the latent, the weights
-        or compare's side a are drawn."""
+        """A fixed tail covering the run exits 2 before the latent or the
+        weights are drawn."""
 
         def refuse_to_draw(*args):
             raise AssertionError("drew before the tail was checked")
@@ -490,6 +416,7 @@ ALTERNATES = {
         "--static-stride": "2",
         "--deterministic": None,
         "--dump-latent": None,
+        "--reference-latent": "ref/latent.bin",  # the base run's none dump, written by the test
     },
     "replay": {
         "--dim": "32",
@@ -504,11 +431,8 @@ ALTERNATES = {
         "--static-stride": "2",
     },
 }
-ALTERNATES["compare"] = {
-    k: v for k, v in ALTERNATES["generate"].items() if k != "--dump-latent"
-}
-# Covered by their own tests: the output directory and the input files.
-EXEMPT = {"-h", "--out", "--trace", "--reference-latent"}
+# Covered by their own tests: the output directory and the replay input.
+EXEMPT = {"-h", "--out", "--trace"}
 
 
 def declared_options() -> dict[str, set[str]]:
@@ -528,13 +452,18 @@ def exported_bytes(out: Path) -> dict[str, bytes]:
 class TestEveryFlagIsRead:
     def test_alternates_cover_exactly_the_declared_options(self):
         declared = {command: opts - EXEMPT for command, opts in declared_options().items()}
+        assert set(declared) == {"generate", "replay"}
         assert declared == {command: set(alts) for command, alts in ALTERNATES.items()}
 
     @pytest.mark.parametrize(
         "command, option",
         [(command, option) for command, alts in ALTERNATES.items() for option in alts],
     )
-    def test_alternate_value_changes_an_export(self, tmp_path, command, option):
+    def test_alternate_value_changes_an_export(self, tmp_path, monkeypatch, command, option):
+        monkeypatch.chdir(tmp_path)
+        if option == "--reference-latent":
+            none_dump = ["--policy", "none", "--deterministic", "--dump-latent", "--out", "ref"]
+            assert main(["generate", *TINY_SHAPE, *none_dump]) == 0
         if command == "replay":
             base = ["replay", "--trace", str(FIXTURES / "replay_trace.csv")]
         else:
