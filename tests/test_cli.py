@@ -17,7 +17,7 @@ from bwcache import cli, model, tensor
 from bwcache.cache import CachePolicyConfig, PolicyKind, ZeroDenominatorError, run_policy
 from bwcache.cli import _policy_from_args, build_parser, main
 from bwcache.metrics import psnr, ssim_frames
-from bwcache.model import ModelConfig, decode_latent
+from bwcache.model import ModelConfig, _build_weights, decode_latent
 from bwcache.traceio import config_fingerprint, read_latent, write_latent
 from test_traceio import MALFORMED
 
@@ -38,12 +38,33 @@ BREAKS = {
 }
 
 
+# The argv that starts each kind of run. "compare" is the scored side of the
+# none-vs-policy recipe: a generate run given the none run's latent dump.
+RUNS = {
+    "generate": ["generate", *TINY_SHAPE],
+    "compare": ["generate", *TINY_SHAPE, "--reference-latent", "none/latent.bin"],
+    "replay": ["replay", "--trace", str(FIXTURES / "replay_trace.csv")],
+}
+
+
 def run_generate(out, *extra):
     return main(["generate", *TINY_SHAPE, "--out", str(out), *extra])
 
 
 def refuse_to_sample(*args):
     raise AssertionError("sampled before the reference latent was checked")
+
+
+def run_comparison(out, shape, *policy):
+    """The none-vs-policy recipe: a `generate --policy none --dump-latent` run
+    in out/none, then a run under `policy` scored against that latent in
+    out/scored. Both runs take `shape`. Returns the two summaries."""
+    none, scored = out / "none", out / "scored"
+    assert main(["generate", *shape, "--policy", "none", "--dump-latent", "--out", str(none)]) == 0
+    reference = str(none / "latent.bin")
+    scored_run = [*policy, "--reference-latent", reference, "--out", str(scored)]
+    assert main(["generate", *shape, *scored_run]) == 0
+    return tuple(json.loads((d / "summary.json").read_text()) for d in (none, scored))
 
 
 class TestGenerate:
@@ -80,36 +101,21 @@ class TestGenerate:
         assert "reused=0/7" in out
 
     def test_reference_latent_scores_quality(self, tmp_path):
-        """A none --dump-latent run, then a cached --reference-latent run,
-        score the policy against the uncached run: psnr_db and ssim equal the
-        metrics of the two runs' decoded pixels, computed here from two library
-        runs, and each summary holds its own counters. The none run keeps the
-        default policy fields under kind none."""
-        for steps in (7, 30):
-            shape = [*TINY, "--steps", str(steps), "--blocks", "2", "--deterministic"]
-            ref_dir, out_dir = tmp_path / f"ref{steps}", tmp_path / f"cached{steps}"
-            none_run = ["--policy", "none", "--dump-latent", "--out", str(ref_dir)]
-            assert main(["generate", *shape, *none_run]) == 0
-            reference = str(ref_dir / "latent.bin")
-            cached_run = ["--delta", "0.9", "--reference-latent", reference, "--out", str(out_dir)]
-            assert main(["generate", *shape, *cached_run]) == 0
-            uncached = json.loads((ref_dir / "summary.json").read_text())
-            summary = json.loads((out_dir / "summary.json").read_text())
-
-            config = ModelConfig(
-                n_blocks=2, hidden_dim=16, n_heads=2, frames=2, tokens_per_frame=3, steps=steps
-            )
-            recommended = CachePolicyConfig.recommended(steps)
-            none = replace(recommended, kind=PolicyKind.NONE)
-            assert uncached["config_fingerprint"] == config_fingerprint(config, none)
-            with tensor.deterministic():
-                final_a, _ = run_policy(config, none)
-                final_b, _ = run_policy(config, replace(recommended, delta=0.9))
-                px_a, px_b = decode_latent(final_a, config), decode_latent(final_b, config)
-            assert summary["psnr_db"] == psnr(px_a, px_b)
-            assert summary["ssim"] == ssim_frames(px_a, px_b)
-            assert summary["reuse_rate_steps"] > 0.0 and summary["flops_saved"] > 0
-            assert uncached["reuse_rate_steps"] == 0.0 and uncached["flops_saved"] == 0
+        """Scoring against a reference latent fills psnr_db and ssim."""
+        ref_dir = tmp_path / "ref"
+        assert run_generate(ref_dir, "--policy", "none", "--dump-latent") == 0
+        out_dir = tmp_path / "cached"
+        rc = run_generate(
+            out_dir,
+            "--policy", "bwcache",
+            "--delta", "0.9",
+            "--reference-latent", str(ref_dir / "latent.bin"),
+        )
+        assert rc == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert isinstance(summary["psnr_db"], float)
+        assert isinstance(summary["ssim"], float)
+        assert summary["reuse_rate_steps"] > 0.0
 
     def test_float32_reference_is_scored_and_float64_is_refused(self, tmp_path, monkeypatch):
         """The same reference values score as float32; as float64 the run exits 2
@@ -254,6 +260,66 @@ class TestGenerate:
         assert main(["generate", "--no-such-flag"]) == 2
 
 
+class TestCompare:
+    """Two generate runs score a policy against the uncached run."""
+
+    def test_identical_policies_report_inf_psnr(self, tmp_path):
+        """none scored against its own dump is bit-equal: psnr serializes as
+        "inf", ssim is 1."""
+        _, scored = run_comparison(tmp_path, TINY_SHAPE, "--policy", "none")
+        assert scored["psnr_db"] == "inf"
+        assert scored["ssim"] == 1.0
+
+    def test_speedup_present_with_real_timings(self, tmp_path):
+        """A speedup is the ratio of the two summaries' wall_seconds; with
+        real timings both are positive, so it is defined."""
+        none, scored = run_comparison(tmp_path, TINY_SHAPE, "--policy", "none")
+        assert isinstance(none["wall_seconds"], float) and none["wall_seconds"] > 0.0
+        assert isinstance(scored["wall_seconds"], float) and scored["wall_seconds"] > 0.0
+        assert none["wall_seconds"] / scored["wall_seconds"] > 0.0
+
+    def test_draws_block_weights_once(self, tmp_path):
+        """Both runs share one model config, so the second reuses the first's build."""
+        _build_weights.cache_clear()
+        run_comparison(tmp_path, TINY_SHAPE, "--delta", "0.9")
+        info = _build_weights.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_speedup_null_in_deterministic_mode(self, tmp_path):
+        """Zeroed timings leave no wall-clock ratio: both wall_seconds are 0."""
+        shape = [*TINY_SHAPE, "--deterministic"]
+        none, scored = run_comparison(tmp_path, shape, "--policy", "none")
+        assert none["wall_seconds"] == 0.0
+        assert scored["wall_seconds"] == 0.0
+
+    def test_cross_policy_fields(self, tmp_path):
+        """A none-vs-bwcache comparison: each summary holds its own counters."""
+        none, scored = run_comparison(tmp_path, TINY_SHAPE, "--delta", "0.9")
+        assert none["reuse_rate_steps"] == 0.0
+        assert scored["reuse_rate_steps"] > 0.0
+        assert none["flops_saved"] == 0
+        assert scored["flops_saved"] > 0
+        assert none["config_fingerprint"] != scored["config_fingerprint"]
+        assert none["psnr_db"] is None
+        assert isinstance(scored["psnr_db"], float)
+
+    def test_cross_quality_scores_b_against_a(self, tmp_path):
+        """psnr_db and ssim equal the metrics of the scored run's decoded
+        pixels against the none run's, computed here from two library runs."""
+        shape = [*TINY_SHAPE, "--deterministic"]
+        _, scored = run_comparison(tmp_path, shape, "--delta", "0.9")
+        config = ModelConfig(
+            n_blocks=2, hidden_dim=16, n_heads=2, frames=2, tokens_per_frame=3, steps=7
+        )
+        recommended = CachePolicyConfig.recommended(7)
+        with tensor.deterministic():
+            final_a, _ = run_policy(config, replace(recommended, kind=PolicyKind.NONE))
+            final_b, _ = run_policy(config, replace(recommended, delta=0.9))
+            px_a, px_b = decode_latent(final_a, config), decode_latent(final_b, config)
+        assert scored["psnr_db"] == psnr(px_a, px_b)
+        assert scored["ssim"] == ssim_frames(px_a, px_b)
+
+
 class TestReplay:
     def test_committed_fixture_reproduces_goldens(self, tmp_path, capsys):
         """Replaying the committed trace reproduces the hand-derived exports."""
@@ -346,11 +412,43 @@ class TestDefaults:
         assert policy.delta == 0.15
         assert policy.tail.canonical() == "half"
 
-    @pytest.mark.parametrize("command", ["generate", "replay"])
+    @pytest.mark.parametrize("command", ["generate", "compare", "replay"])
     def test_every_subcommand_refuses_emit(self, command):
         """Every run writes all of its exports; there is no selector flag."""
-        extra = ["--trace", str(FIXTURES / "replay_trace.csv")] if command == "replay" else []
-        assert main([command, *extra, "--emit", "heatmap"]) == 2
+        assert main([*RUNS[command], "--emit", "heatmap"]) == 2
+
+    @pytest.mark.parametrize("steps", [7, 30])
+    def test_compare_side_a_is_the_default_none_policy(self, tmp_path, steps):
+        """The recipe's none run keeps the default policy fields under kind
+        none, so its fingerprint is that of the plain uncached run."""
+        shape = [*TINY, "--steps", str(steps), "--blocks", "2", "--deterministic"]
+        none, _ = run_comparison(tmp_path, shape)
+        config = ModelConfig(
+            n_blocks=2, hidden_dim=16, n_heads=2, frames=2, tokens_per_frame=3, steps=steps
+        )
+        default_none = replace(CachePolicyConfig.recommended(steps), kind=PolicyKind.NONE)
+        assert none["config_fingerprint"] == config_fingerprint(config, default_none)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            (f"--{name}-{side}", value)
+            for side in "ab"
+            for name, value in [
+                ("policy", "none"),
+                ("delta", "0.3"),
+                ("reuse-interval", "2"),
+                ("tail", "third"),
+                ("static-stride", "2"),
+            ]
+        ],
+    )
+    def test_compare_refuses_per_side_policy_flags(self, tmp_path, flag, value):
+        """The recipe's side a is a plain --policy none run and side b reads
+        generate's policy flags, so there is no per-side flag to take."""
+        out = tmp_path / "out"
+        assert main([*RUNS["compare"], flag, value, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_compare_is_not_a_subcommand(self, tmp_path, capsys):
         """Two generate runs score a policy against none; there is no compare,
@@ -368,31 +466,34 @@ class TestDefaults:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["generate", *TINY_SHAPE, "--tail", "fixed:99"],
-            ["replay", "--trace", str(FIXTURES / "replay_trace.csv"), "--heads", "3"],
+            [*RUNS["generate"], "--tail", "fixed:99"],
+            [*RUNS["compare"], "--tail", "fixed:99"],
+            [*RUNS["replay"], "--heads", "3"],
         ],
-        ids=["generate", "replay"],
+        ids=["generate", "compare", "replay"],
     )
     def test_refused_run_leaves_no_output_directory(self, tmp_path, argv):
-        """Inputs refused after parsing (a tail covering the run, heads that do
-        not divide the width) exit 2 before the output directory exists."""
+        """Inputs refused after parsing (a tail covering the run, in a plain or
+        a scored run, heads that do not divide the width) exit 2 before the
+        output directory exists."""
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["generate"])
+    @pytest.mark.parametrize("command", ["generate", "compare"])
     def test_whole_run_tail_is_refused_before_any_draw(
         self, tmp_path, monkeypatch, capsys, command
     ):
         """A fixed tail covering the run exits 2 before the latent or the
-        weights are drawn."""
+        weights are drawn, and before a scored run reads its reference."""
 
         def refuse_to_draw(*args):
             raise AssertionError("drew before the tail was checked")
 
         monkeypatch.setattr(model, "rand_normal", refuse_to_draw)
+        monkeypatch.setattr(cli, "read_latent", refuse_to_draw)
         out = tmp_path / "out"
-        assert main([command, *TINY_SHAPE, "--tail", "fixed:7", "--out", str(out)]) == 2
+        assert main([*RUNS[command], "--tail", "fixed:7", "--out", str(out)]) == 2
         assert "fixed tail of 7 covers the whole run of 7 steps" in capsys.readouterr().err
         assert not out.exists()
 
@@ -431,6 +532,13 @@ ALTERNATES = {
         "--static-stride": "2",
     },
 }
+# The comparison recipe passes each generate option to both of its runs; it
+# sets --dump-latent and --reference-latent itself.
+ALTERNATES["compare"] = {
+    k: v
+    for k, v in ALTERNATES["generate"].items()
+    if k not in ("--dump-latent", "--reference-latent")
+}
 # Covered by their own tests: the output directory and the replay input.
 EXEMPT = {"-h", "--out", "--trace"}
 
@@ -453,7 +561,7 @@ class TestEveryFlagIsRead:
     def test_alternates_cover_exactly_the_declared_options(self):
         declared = {command: opts - EXEMPT for command, opts in declared_options().items()}
         assert set(declared) == {"generate", "replay"}
-        assert declared == {command: set(alts) for command, alts in ALTERNATES.items()}
+        assert declared == {command: set(ALTERNATES[command]) for command in declared}
 
     @pytest.mark.parametrize(
         "command, option",
@@ -467,11 +575,16 @@ class TestEveryFlagIsRead:
         if command == "replay":
             base = ["replay", "--trace", str(FIXTURES / "replay_trace.csv")]
         else:
-            base = [command, *TINY_SHAPE]
+            base = ["generate", *TINY_SHAPE]
             if option != "--deterministic":
                 base.append("--deterministic")
         value = ALTERNATES[command][option]
         alternate = [*base, option] + ([] if value is None else [value])
         for name, argv in (("default", base), ("alternate", alternate)):
-            assert main([*argv, "--out", str(tmp_path / name)]) == 0
-        assert exported_bytes(tmp_path / "default") != exported_bytes(tmp_path / "alternate")
+            if command == "compare":
+                run_comparison(tmp_path / name, argv[1:])
+            else:
+                assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        scored = "scored" if command == "compare" else ""
+        exports = [exported_bytes(tmp_path / name / scored) for name in ("default", "alternate")]
+        assert exports[0] != exports[1]
