@@ -21,12 +21,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib import format as npy
@@ -64,9 +65,12 @@ class Action(str, Enum):
     REUSED = "reused"
 
 
-@dataclass(frozen=True)
-class StepDecision:
-    """What happened at one step, in execution order T-1 .. 0."""
+class StepDecision(NamedTuple):
+    """What happened at one step, in execution order T-1 .. 0.
+
+    An immutable named tuple: one is built at every step of every run, and a
+    tuple builds in less than half the time of a frozen dataclass.
+    """
 
     step: int
     action: Action
@@ -141,18 +145,22 @@ def config_fingerprint(config: "ModelConfig", policy: "CachePolicyConfig") -> st
 def write_heatmap(decisions: Sequence[StepDecision], n_blocks: int, path) -> None:
     """One row per (step, block); the distance field is empty where nothing
     was measured (reused steps and the first executed step)."""
-    # One template per block count: the first % binds the step to every
-    # line, the second prints each distance with %.9g.
-    measured = "".join(f"%s,{b},%%.9g\n" for b in range(n_blocks))
+    # One row template per block count and one % over the whole file: a
+    # measured row takes (step, distance) per block, printed %s and %.9g.
+    measured = "".join(f"%s,{b},%.9g\n" for b in range(n_blocks))
     empty = "".join(f"%s,{b},\n" for b in range(n_blocks))
     rows = [HEATMAP_HEADER + "\n"]
+    args: list = []
     for d in decisions:
-        steps = (d.step,) * n_blocks
         if d.per_block_l1 is None:
-            rows.append(empty % steps)
+            rows.append(empty)
+            args += (d.step,) * n_blocks
         else:
-            rows.append(measured % steps % tuple(d.per_block_l1))
-    Path(path).write_text("".join(rows))
+            rows.append(measured)
+            pairs = [d.step] * (2 * n_blocks)
+            pairs[1::2] = d.per_block_l1  # refuses a row of another length
+            args += pairs
+    _write_text(path, "".join(rows) % tuple(args))
 
 
 def read_heatmap(path) -> list[list[float | None]]:
@@ -163,11 +171,15 @@ def read_heatmap(path) -> list[list[float | None]]:
     line, the last one too, ended by ``"\\n"`` (any other character, ``"\\r"``
     included, belongs to the line), its ``step,block`` text exactly as
     write_heatmap writes it, in its order, and each distance empty or a
-    finite float >= 0. An accepted file costs one comparison of all its keys
-    with the table's, one float() per cell and one range check; a refused
-    one is walked line by line to name its first bad line.
+    finite float >= 0 spelled in ASCII without whitespace or ``"_"``. An
+    accepted file costs one split of its lines into fields, three
+    comparisons of field columns with the table's, one scan of its text, one
+    float() per cell and one range check; a refused one is walked line by
+    line to name its first bad line.
     """
-    with open(path, newline="") as f:  # no newline translation
+    # No newline translation, and the same text in every locale: a byte that
+    # is not UTF-8 reads as a lone surrogate, which no line or cell may hold.
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as f:
         lines = f.read().split("\n")
     rest = lines.pop()  # what follows the last newline
     if rest:
@@ -176,14 +188,24 @@ def read_heatmap(path) -> list[list[float | None]]:
         raise TraceFormatError(f"line 1: expected header {HEATMAP_HEADER!r}")
     data = lines[1:]
     steps, n_blocks = _table_shape(data)
-    parts = [line.rpartition(",") for line in data]
     try:
-        # Only a table with as many lines as the file builds its keys.
-        if not steps or len(data) != steps * n_blocks or (
-            tuple([key for key, _, _ in parts]) != _heatmap_keys(steps, n_blocks)
+        # Only a table with as many lines as the file builds its columns.
+        if not steps or len(data) != steps * n_blocks:
+            raise ValueError
+        text = ",\n,".join(data)
+        # Lines of three fields split into step, block, cell and "\n" each,
+        # the last line without its "\n".
+        fields = text.split(",")
+        step_col, block_col, ends = _heatmap_columns(steps, n_blocks)
+        if not (
+            len(fields) == 4 * len(data) - 1
+            and fields[3::4] == ends
+            and fields[0::4] == step_col
+            and fields[1::4] == block_col
+            and _plain(text)  # the keys are plain, so this checks the cells
         ):
             raise ValueError
-        values = [float(cell) if cell else None for _, _, cell in parts]
+        values = [float(cell) if cell else None for cell in fields[2::4]]
         measured = [v for v in values if v is not None]
         # min() may pass over a NaN, but any NaN or inf makes the sum NaN or inf.
         if measured and not (min(measured) >= 0.0 and sum(measured) < math.inf):
@@ -193,6 +215,17 @@ def read_heatmap(path) -> list[list[float | None]]:
         # whose sum overflowed, and the values stand.
         _refuse(data, steps, n_blocks)
     return [values[i : i + n_blocks] for i in range(0, len(values), n_blocks)]
+
+
+# What float() reads but write_heatmap never writes, other than non-ASCII
+# text (digits of other scripts, Unicode spaces): the ASCII whitespace that
+# it strips and the "_" that it drops between digits.
+_FOREIGN = (" ", "\t", "\r", "\x0b", "\x0c", "_")
+
+
+def _plain(text: str) -> bool:
+    """Whether ``text`` is ASCII and holds none of the _FOREIGN characters."""
+    return text.isascii() and not any(c in text for c in _FOREIGN)
 
 
 def _table_shape(data: list[str]) -> tuple[int, int]:
@@ -214,13 +247,17 @@ def _table_shape(data: list[str]) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=16)
-def _heatmap_keys(steps: int, n_blocks: int) -> tuple[str, ...]:
-    """The ``step,block`` text of every line of a (steps, n_blocks) heatmap.
+def _heatmap_columns(steps: int, n_blocks: int) -> tuple[list[str], list[str], list[str]]:
+    """The step texts, block texts and line ends of a (steps, n_blocks) heatmap.
 
-    Cached: a sweep reads tables of a few shapes over and over, and building
-    the keys costs about as much as comparing them.
+    Laid out as read_heatmap's split puts them, every fourth field, and
+    lists so that they compare with its slices. Cached: a sweep reads tables
+    of a few shapes over and over, and building the columns costs about as
+    much as comparing them. Read only.
     """
-    return tuple(f"{s},{b}" for s in range(steps - 1, -1, -1) for b in range(n_blocks))
+    step_col = [str(s) for s in range(steps - 1, -1, -1) for _ in range(n_blocks)]
+    block_col = [str(b) for b in range(n_blocks)] * steps
+    return step_col, block_col, ["\n"] * (steps * n_blocks - 1)
 
 
 def _refuse(data: list[str], steps: int, n_blocks: int) -> None:
@@ -228,7 +265,8 @@ def _refuse(data: list[str], steps: int, n_blocks: int) -> None:
 
     Line by line, the ``step,block`` text must be the next key of the
     (steps, n_blocks) table, the table must end with the file, and the cell
-    must be empty or a finite float >= 0. A table of 0 steps fits no line.
+    must be empty or a finite float >= 0 that passes _plain. A table of 0
+    steps fits no line.
     """
     for i, line in enumerate([*data, None]):  # None is the end of the file
         if i < steps * n_blocks:
@@ -243,6 +281,8 @@ def _refuse(data: list[str], steps: int, n_blocks: int) -> None:
             raise TraceFormatError(f"line {i + 2}: expected {expected}, got {line!r}")
         if cell:
             try:
+                if not _plain(cell):
+                    raise ValueError
                 value = float(cell)
             except ValueError:
                 raise TraceFormatError(f"line {i + 2}: bad distance {cell!r}") from None
@@ -254,15 +294,11 @@ def _refuse(data: list[str], steps: int, n_blocks: int) -> None:
 
 def write_reuse_profile(decisions: Sequence[StepDecision], path) -> None:
     """Per-step reused flag plus a reuse-rate footer comment."""
-    lines = [REUSE_HEADER]
-    reused = 0
-    for d in decisions:
-        flag = 1 if d.action is Action.REUSED else 0
-        reused += flag
-        lines.append(f"{d.step},{flag}")
-    rate = reused / len(decisions) if decisions else 0.0
-    lines.append("#reuse_rate_steps=%.9g" % rate)
-    Path(path).write_text("\n".join(lines) + "\n")
+    reused = Action.REUSED
+    flags = [d.action is reused for d in decisions]
+    rows = "".join(["%d,%d\n" % (d.step, flag) for d, flag in zip(decisions, flags)])
+    rate = sum(flags) / len(flags) if flags else 0.0
+    _write_text(path, REUSE_HEADER + "\n" + rows + "#reuse_rate_steps=%.9g\n" % rate)
 
 
 def _is_real(value) -> bool:
@@ -300,7 +336,22 @@ def write_summary(summary: RunSummary, fingerprint: str, path) -> None:
     if doc["psnr_db"] is not None and math.isinf(doc["psnr_db"]):
         doc["psnr_db"] = "inf"
     _check_summary(doc)
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    _write_text(path, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as ASCII, creating or truncating the file.
+
+    The bytes and the mode (0o666 less the umask) that ``Path.write_text``
+    gives an ASCII text on POSIX, with one ``os.open`` and no text layer.
+    """
+    data = memoryview(text.encode("ascii"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data) :]
+    finally:
+        os.close(fd)
 
 
 def read_summary(path) -> tuple[RunSummary, str]:

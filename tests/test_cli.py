@@ -51,6 +51,14 @@ def run_generate(out, *extra):
     return main(["generate", *TINY_SHAPE, "--out", str(out), *extra])
 
 
+def fill_with_longer_files(out: Path, exports: dict[str, bytes]) -> Path:
+    """out, holding a file 4 KiB longer than each export, of the same name."""
+    out.mkdir()
+    for name, data in exports.items():
+        (out / name).write_bytes(b"x" * (len(data) + 4096))
+    return out
+
+
 def refuse_to_sample(*args):
     raise AssertionError("sampled before the reference latent was checked")
 
@@ -171,6 +179,17 @@ class TestGenerate:
         assert run_generate(out, "--reference-latent", str(tmp_path / "ref.bin")) == 2
         assert "error: latent dump" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_exports_over_longer_files_are_the_fresh_bytes(self, tmp_path):
+        """Each export, the latent dump included, replaces a longer file of
+        its name with exactly the bytes that it writes into a fresh directory."""
+        argv = ["--deterministic", "--dump-latent"]
+        assert run_generate(tmp_path / "fresh", *argv) == 0
+        fresh = exported_bytes(tmp_path / "fresh")
+        assert set(fresh) == {"heatmap.csv", "latent.bin", "reuse_profile.csv", "summary.json"}
+        stale = fill_with_longer_files(tmp_path / "stale", fresh)
+        assert run_generate(stale, *argv) == 0
+        assert exported_bytes(stale) == fresh
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
@@ -348,6 +367,16 @@ class TestReplay:
         assert summary["ssim"] is None
         assert summary["wall_seconds"] == 0.0
 
+    def test_exports_over_longer_files_are_the_fresh_bytes(self, tmp_path):
+        """Each export replaces a longer file of its name with exactly the
+        bytes that it writes into a fresh directory."""
+        argv = ["replay", "--trace", str(FIXTURES / "replay_trace.csv"), "--delta", "0.3"]
+        assert main([*argv, "--out", str(tmp_path / "fresh")]) == 0
+        fresh = exported_bytes(tmp_path / "fresh")
+        stale = fill_with_longer_files(tmp_path / "stale", fresh)
+        assert main([*argv, "--out", str(stale)]) == 0
+        assert exported_bytes(stale) == fresh
+
     def test_missing_trace_is_runtime_error(self, tmp_path):
         rc = main(["replay", "--trace", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])
         assert rc == 1
@@ -363,17 +392,23 @@ class TestReplay:
             (None, "step,block,l1_rel\n1,0,\r\n0,0,0.5\r\n", 2),
             (None, "step,block,l1_rel\n1,0,\x0c0,0,0.5\n", 2),
             (None, "step,block,l1_rel\n1,0,\n0,0,0.5", 3),
+            (None, "step,block,l1_rel\n1,0,0.5\r\n0,0,0.5\r\n", 2),
+            (None, "step,block,l1_rel\n1,0, 0.5\n0,0,0.5\n", 2),
+            (None, "step,block,l1_rel\n1,0,0.5\n0,0,1_0\n", 3),
+            (None, "step,block,l1_rel\n1,0,\u0665\n0,0,0.5\n", 2),
         ],
         ids=[
             "repeated-block", "plus-step", "zero-padded-step", "blank-line",
             *[f"{name}-lines" for name in BREAKS.values()],
             "crlf-after-header", "form-feed-after-header", "no-final-newline",
+            "crlf-measured-lines", "space-in-cell", "underscore-in-cell", "non-ascii-cell",
         ],
     )
     def test_malformed_trace_is_config_error_naming_line(self, tmp_path, capsys, old, new, lineno):
         """A repeated block, the committed fixture with one step respelled or a
-        blank line inserted, and a two-step table whose lines end in another
-        break than a lone \\n or whose last line has none, exit 2 naming the
+        blank line inserted, a two-step table whose lines end in another
+        break than a lone \\n or whose last line has none, and one with a cell
+        that float() reads but write_heatmap never writes, exit 2 naming the
         line and write nothing."""
         text = (FIXTURES / "replay_trace.csv").read_text()
         bad = tmp_path / "bad.csv"

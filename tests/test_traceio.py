@@ -7,6 +7,7 @@ import hashlib
 import json
 import io
 import math
+import os
 import re
 import struct
 import tempfile
@@ -27,10 +28,12 @@ from bwcache.cache import (
     replay_trace,
     run_policy,
 )
+from bwcache import traceio
 from bwcache.metrics import RunSummary, summarize
 from bwcache.model import ModelConfig
 from bwcache.traceio import (
     HEATMAP_HEADER,
+    REUSE_HEADER,
     RunTrace,
     TraceFormatError,
     config_fingerprint,
@@ -65,6 +68,23 @@ def line_wise_heatmap_text(decisions, n_blocks: int) -> str:
         for b in range(n_blocks):
             cell = "%.9g" % values[b] if values is not None else ""
             lines.append(f"{d.step},{b},{cell}")
+    return "\n".join(lines) + "\n"
+
+
+def line_wise_reuse_profile_text(decisions) -> str:
+    """The reuse profile as one f-string per step.
+
+    A frozen copy of the original ``write_reuse_profile`` body, kept as the
+    reference for the joined writer.
+    """
+    lines = [REUSE_HEADER]
+    reused = 0
+    for d in decisions:
+        flag = 1 if d.action is Action.REUSED else 0
+        reused += flag
+        lines.append(f"{d.step},{flag}")
+    rate = reused / len(decisions) if decisions else 0.0
+    lines.append("#reuse_rate_steps=%.9g" % rate)
     return "\n".join(lines) + "\n"
 
 
@@ -191,6 +211,17 @@ def _truncate_group(draw, lines, i):
     lines.pop()
 
 
+# Cells that float() reads but write_heatmap never writes: surrounding
+# whitespace, "_" between digits, a non-ASCII digit (Arabic-Indic five).
+FOREIGN_SPELLINGS = (" {}", "{} ", "1_{}", "\u0665{}", "{}\r", "\r{}", "{}\x0c")
+
+
+def _foreign_cell(draw, lines, i):
+    """Line i's cell, or 0.5 where it is empty, respelled with one of them."""
+    key, _, cell = lines[i].rpartition(",")
+    lines[i] = f"{key}," + draw(st.sampled_from(FOREIGN_SPELLINGS)).format(cell or "0.5")
+
+
 def _shift_steps(draw, lines, i):
     """Every step one higher, so the table ends at step 1."""
     for k, line in enumerate(lines[1:], start=1):
@@ -201,10 +232,12 @@ def _shift_steps(draw, lines, i):
 
 RESPELLED_INTEGER = "integer respelled (+1, 01, ' 1')"
 BLANK_LINE = "blank line"
+FOREIGN_CELL = "cell respelled (' 0.5', '1_0.5', '0.5\\r')"
 
 MUTATIONS = {
     RESPELLED_INTEGER: _respell_integer,
     BLANK_LINE: _insert_blank_line,
+    FOREIGN_CELL: _foreign_cell,
     "missing field": _drop_field,
     "extra field": _add_field,
     "bad cell": _bad_cell,
@@ -339,6 +372,30 @@ class TestHeatmap:
         with pytest.raises(TraceFormatError, match=message):
             read_heatmap(path)
 
+    @pytest.mark.parametrize(
+        "cell",
+        ["0.5\r", " 0.5", "0.5 ", "\t0.5", "0.5\x0b", "0.5\x0c", "1_0", "\u0665", "0.5\xa0"],
+    )
+    def test_cell_write_heatmap_never_writes_is_refused(self, tmp_path, cell):
+        """float() reads each of these cells, but write_heatmap never writes
+        one, so each is a bad distance on the line that holds it."""
+        path = tmp_path / "h.csv"
+        path.write_text(f"step,block,l1_rel\n1,0,0.5\n0,0,{cell}\n")
+        with pytest.raises(TraceFormatError, match=re.escape(f"line 3: bad distance {cell!r}")):
+            read_heatmap(path)
+
+    def test_bytes_that_are_not_utf8_are_refused_naming_line(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_bytes(b"step,block,l1_rel\n1,0,0.5\n0,0,0.5\xff\n")
+        with pytest.raises(TraceFormatError, match=re.escape("line 3: bad distance '0.5\\udcff'")):
+            read_heatmap(path)
+
+    def test_infinite_distance_rejected_naming_line(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("step,block,l1_rel\n1,0,\n0,0,inf\n")
+        with pytest.raises(TraceFormatError, match="line 3: non-finite distance"):
+            read_heatmap(path)
+
     def test_claimed_step_count_sizes_nothing(self, tmp_path):
         """A first step of four billion is refused naming a line, and nothing
         is sized by the step count that it claims."""
@@ -366,13 +423,19 @@ class TestHeatmap:
     @example(table=("step,block,l1_rel\n1,00,\n0,0,0.5\n", [RESPELLED_INTEGER]))
     @example(table=("step,block,l1_rel\n1,0,\n\n0,0,0.5\n", [BLANK_LINE]))
     @example(table=("step,block,l1_rel\n1,0,\n0,0,0.5\n\n", [BLANK_LINE]))
+    @example(table=("step,block,l1_rel\n1,0,0.5\r\n0,0,0.5\r\n", [FOREIGN_CELL]))
+    @example(table=("step,block,l1_rel\n1,0, 0.5\n0,0,\n", [FOREIGN_CELL]))
+    @example(table=("step,block,l1_rel\n1,0,\n0,0,1_0\n", [FOREIGN_CELL]))
+    @example(table=("step,block,l1_rel\n1,0,\u0665\n0,0,\n", [FOREIGN_CELL]))
+    @example(table=("step,block,l1_rel\n1,0,0.5\x0c\n0,0,\n", [FOREIGN_CELL]))
     # Finite distances whose sum overflows are still distances.
     @example(table=("step,block,l1_rel\n1,0,1e308\n1,1,1e308\n0,0,\n0,1,\n", []))
     def test_reader_agrees_with_the_line_wise_reader(self, table):
         """What the reader accepts, the frozen line-wise reader accepts with
         equal rows, and what that reader refuses, this one refuses. An
-        unmutated table is accepted; one with only respelled integers or
-        blank lines is refused; every refusal names a line of the file."""
+        unmutated table is accepted; one with only respelled integers, blank
+        lines or respelled cells is refused; every refusal names a line of
+        the file, and a respelled cell alone is refused as a bad distance."""
         text, mutations = table
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "heatmap.csv"
@@ -389,8 +452,10 @@ class TestHeatmap:
             assert not accepted
         if not mutations:
             assert accepted
-        elif set(mutations) <= {RESPELLED_INTEGER, BLANK_LINE}:
+        elif set(mutations) <= {RESPELLED_INTEGER, BLANK_LINE, FOREIGN_CELL}:
             assert not accepted
+        if set(mutations) == {FOREIGN_CELL}:
+            assert "bad distance" in got[1], got[1]
 
     @settings(max_examples=200, deadline=None)
     @given(table=heatmap_decisions())
@@ -408,6 +473,57 @@ class TestReuseProfile:
         write_reuse_profile(make_decisions(), path)
         want = "step,reused\n2,0\n1,1\n0,0\n#reuse_rate_steps=0.333333333\n"
         assert path.read_text() == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=heatmap_decisions(), steps=st.integers(min_value=0, max_value=40))
+    def test_writer_bytes_equal_the_line_wise_writer(self, table, steps):
+        """The first ``steps`` decisions of a table, none included."""
+        decisions = table[0][:steps]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "reuse_profile.csv"
+            write_reuse_profile(decisions, path)
+            assert path.read_bytes() == line_wise_reuse_profile_text(decisions).encode("ascii")
+
+
+class TestWriteText:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_fresh_file_has_the_mode_path_write_text_gives(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            traceio._write_text(tmp_path / "fast.txt", "a,b\n")
+            (tmp_path / "slow.txt").write_text("a,b\n")
+        finally:
+            os.umask(old)
+        modes = [os.stat(tmp_path / name).st_mode for name in ("fast.txt", "slow.txt")]
+        assert modes[0] == modes[1] == 0o100666 & ~umask
+
+    def test_longer_file_is_truncated_to_the_new_bytes(self, tmp_path):
+        path = tmp_path / "export.csv"
+        path.write_bytes(b"x" * 100_000)
+        traceio._write_text(path, "step,reused\n0,0\n")
+        assert path.read_bytes() == b"step,reused\n0,0\n"
+
+    def test_non_ascii_text_is_refused_before_the_file_is_opened(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            traceio._write_text(tmp_path / "export.csv", "\u0665\n")
+        assert not (tmp_path / "export.csv").exists()
+
+
+class TestStepDecision:
+    def test_positional_construction_and_field_order(self):
+        per_block = (0.5, 0.25)
+        d = StepDecision(3, Action.COMPUTED, per_block, 0.9, 7.2)
+        assert StepDecision._fields == ("step", "action", "per_block_l1", "mean_l1", "arl1")
+        assert (d.step, d.action, d.per_block_l1, d.mean_l1, d.arl1) == (
+            3, Action.COMPUTED, per_block, 0.9, 7.2
+        )
+
+    def test_immutable_and_hashable(self):
+        d = StepDecision(3, Action.REUSED, None, None, None)
+        with pytest.raises(AttributeError):
+            d.step = 2
+        assert hash(d) == hash(StepDecision(3, Action.REUSED, None, None, None))
+        assert len({d, StepDecision(3, Action.REUSED, None, None, None)}) == 1
 
 
 class TestSummary:
