@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -157,7 +157,7 @@ class CachePolicyConfig:
     kind: PolicyKind = PolicyKind.BWCACHE
     delta: float = 0.15
     reuse_interval: int = 3
-    tail: TailRule = field(default_factory=TailRule.half)
+    tail: TailRule = TailRule.half()  # frozen, so every config may share it
     static_stride: int = 3
 
     def __post_init__(self):

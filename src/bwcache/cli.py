@@ -11,7 +11,6 @@ numerics), 2 configuration or trace-format problems.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -43,18 +42,18 @@ from bwcache.traceio import (
 
 def _add_model_flags(p: argparse.ArgumentParser, with_shape: bool = True) -> None:
     if with_shape:
-        p.add_argument("--steps", type=int, default=30, help="denoising steps T")
-        p.add_argument("--blocks", type=int, default=8, help="transformer blocks N")
-    p.add_argument("--dim", type=int, default=64, help="hidden width d")
-    p.add_argument("--heads", type=int, default=4, help="attention heads")
-    p.add_argument("--frames", type=int, default=4, help="latent frames F")
-    p.add_argument("--tokens", type=int, default=16, help="tokens per frame S")
-    p.add_argument("--seed", type=int, default=0, help="run seed")
+        p.add_argument("--steps", type=int, default=ModelConfig.steps, help="denoising steps T")
+        p.add_argument("--blocks", type=int, default=ModelConfig.n_blocks, help="transformer blocks N")
+    p.add_argument("--dim", type=int, default=ModelConfig.hidden_dim, help="hidden width d")
+    p.add_argument("--heads", type=int, default=ModelConfig.n_heads, help="attention heads")
+    p.add_argument("--frames", type=int, default=ModelConfig.frames, help="latent frames F")
+    p.add_argument("--tokens", type=int, default=ModelConfig.tokens_per_frame, help="tokens per frame S")
+    p.add_argument("--seed", type=int, default=ModelConfig.seed, help="run seed")
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--policy", choices=[k.value for k in PolicyKind], default="bwcache")
-    p.add_argument("--delta", type=float, default=0.15, help="reuse threshold")
+    p.add_argument("--policy", choices=[k.value for k in PolicyKind], default=CachePolicyConfig.kind.value)
+    p.add_argument("--delta", type=float, default=CachePolicyConfig.delta, help="reuse threshold")
     p.add_argument(
         "--reuse-interval",
         type=int,
@@ -63,14 +62,14 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--tail",
-        default="half",
+        default=CachePolicyConfig.tail.canonical(),
         help="protected tail: third | half | twothirds | fixed:<m>",
     )
-    p.add_argument("--static-stride", type=int, default=3)
+    p.add_argument("--static-stride", type=int, default=CachePolicyConfig.static_stride)
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, help="output directory (or $BWCACHE_OUT_DIR)")
+    p.add_argument("--out", default="bwcache_out", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,8 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_out_dir(args) -> Path:
-    out = args.out or os.environ.get("BWCACHE_OUT_DIR") or "bwcache_out"
-    path = Path(out)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 

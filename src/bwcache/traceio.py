@@ -116,28 +116,15 @@ def config_fingerprint(config: "ModelConfig", policy: "CachePolicyConfig") -> st
     """sha256 over the canonical JSON form of (model config, policy).
 
     The seed fixes the initial latent, so the two configs name everything
-    that selects a run's trajectory (the version-1 document).
+    that selects a run's trajectory (the version-1 document). It holds every
+    field of both records as the record holds it (a PolicyKind is a str, so
+    JSON writes its value), with delta and tail in canonical form, so a field
+    added to either record is hashed without a change here.
     """
-    doc = {
-        "model": {
-            "n_blocks": config.n_blocks,
-            "hidden_dim": config.hidden_dim,
-            "n_heads": config.n_heads,
-            "frames": config.frames,
-            "tokens_per_frame": config.tokens_per_frame,
-            "steps": config.steps,
-            "seed": config.seed,
-        },
-        "policy": {
-            "kind": policy.kind.value,
-            # + 0.0 turns -0.0 and an int delta into the float they equal.
-            "delta": policy.delta + 0.0,
-            "reuse_interval": policy.reuse_interval,
-            "tail": policy.tail.canonical(),
-            "static_stride": policy.static_stride,
-        },
-        "version": 1,
-    }
+    # vars, not dataclasses.asdict, which deep-copies and makes the tail a
+    # dict. + 0.0 turns -0.0 and an int delta into the float they equal.
+    canonical = {"delta": policy.delta + 0.0, "tail": policy.tail.canonical()}
+    doc = {"model": vars(config), "policy": {**vars(policy), **canonical}, "version": 1}
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 

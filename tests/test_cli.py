@@ -15,7 +15,7 @@ import pytest
 
 from bwcache import cli, model, tensor
 from bwcache.cache import CachePolicyConfig, PolicyKind, ZeroDenominatorError, run_policy
-from bwcache.cli import _policy_from_args, build_parser, main
+from bwcache.cli import _model_from_args, _policy_from_args, build_parser, main
 from bwcache.metrics import psnr, ssim_frames
 from bwcache.model import ModelConfig, _build_weights, decode_latent
 from bwcache.traceio import config_fingerprint, read_latent, write_latent
@@ -191,17 +191,13 @@ class TestGenerate:
         assert run_generate(stale, *argv) == 0
         assert exported_bytes(stale) == fresh
 
-    def test_out_dir_from_environment(self, tmp_path, monkeypatch):
-        env_dir = tmp_path / "from_env"
-        monkeypatch.setenv("BWCACHE_OUT_DIR", str(env_dir))
-        assert main(["generate", *TINY_SHAPE]) == 0
-        assert (env_dir / "summary.json").exists()
-
-    def test_out_flag_overrides_environment(self, tmp_path, monkeypatch):
+    def test_environment_does_not_move_the_output(self, tmp_path, monkeypatch):
+        """Without --out the exports go to ./bwcache_out, whatever the
+        environment holds: the variable that once moved them is not read."""
         monkeypatch.setenv("BWCACHE_OUT_DIR", str(tmp_path / "ignored"))
-        chosen = tmp_path / "chosen"
-        assert run_generate(chosen) == 0
-        assert (chosen / "summary.json").exists()
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", *TINY_SHAPE]) == 0
+        assert (tmp_path / "bwcache_out" / "summary.json").exists()
         assert not (tmp_path / "ignored").exists()
 
     def test_deterministic_zeroes_wall_seconds(self, tmp_path):
@@ -446,6 +442,15 @@ class TestDefaults:
         assert policy.kind.value == "bwcache"
         assert policy.delta == 0.15
         assert policy.tail.canonical() == "half"
+
+    def test_bare_flags_build_the_record_defaults(self):
+        """The CLI states no default of its own: bare flags build the records'."""
+        parser = build_parser()
+        args = parser.parse_args(["generate"])
+        assert _model_from_args(args) == ModelConfig()
+        assert _policy_from_args(args, total_steps=30) == CachePolicyConfig.recommended(30)
+        args = parser.parse_args(["replay", "--trace", "x"])
+        assert _model_from_args(args, steps=7, blocks=2) == ModelConfig(steps=7, n_blocks=2)
 
     @pytest.mark.parametrize("command", ["generate", "compare", "replay"])
     def test_every_subcommand_refuses_emit(self, command):

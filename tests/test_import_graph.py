@@ -4,7 +4,8 @@ No function in ``src/bwcache`` imports a package module: a lazy import only
 hides a cycle. The imports run on import (everything but function bodies and
 ``if TYPE_CHECKING:`` blocks, which only annotations read) form a graph with
 no cycle. The run records live in ``traceio`` beside the formats that write
-them, so ``cache`` and ``metrics`` take them from there.
+them, so ``cache`` and ``metrics`` take them from there. No module reads the
+process environment: a run is defined by its arguments alone.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from bwcache import cache, metrics, traceio
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bwcache"
 MODULES = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# The names through which the os module hands out the environment.
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 
 def package_modules(node: ast.AST) -> set[str]:
@@ -73,6 +76,31 @@ def test_package_imports_one_way():
     except graphlib.CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
     assert "cache" not in graph["metrics"]
+
+
+def environment_reads(tree: ast.Module, filename: str) -> list[str]:
+    """Where ``tree`` names the environment: as an attribute (``os.environ``,
+    ``os.getenv``), a bare name or an imported name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        else:
+            continue
+        if name in ENVIRONMENT:
+            found.append(f"{filename}:{node.lineno} {name}")
+    return found
+
+
+def test_no_module_reads_the_environment():
+    found = []
+    for path in MODULES.values():
+        found += environment_reads(ast.parse(path.read_text(), filename=str(path)), path.name)
+    assert found == []
 
 
 @pytest.mark.parametrize("name", ["Action", "StepDecision", "RunTrace", "RunSummary"])
