@@ -13,7 +13,7 @@ from bwcache.cache import (
 )
 from bwcache.metrics import block_flops, psnr, ssim_global, summarize
 from bwcache.model import ModelConfig, NoiseSchedule, init_weights
-from bwcache.tensor import Tensor, deterministic
+from bwcache.tensor import Tensor
 from bwcache.traceio import Action, RunSummary, RunTrace, StepDecision
 
 __version__ = "0.1.0"
@@ -33,7 +33,6 @@ __all__ = [
     "aggregate_distances",
     "block_flops",
     "decide",
-    "deterministic",
     "init_weights",
     "psnr",
     "relative_l1",

@@ -54,7 +54,7 @@ from bwcache.model import (
     reverse_step,
     sample_initial_latent,
 )
-from bwcache.tensor import DimensionError, Tensor, is_deterministic, matmul
+from bwcache.tensor import DimensionError, Tensor, matmul
 from bwcache.traceio import Action, RunTrace, StepDecision, config_fingerprint
 
 
@@ -311,8 +311,8 @@ def run_policy(config: ModelConfig, policy: CachePolicyConfig):
     Reused steps substitute the cached block features unchanged. Either way
     the step reads eps_pred out of the cache's last block output, through the
     one readout below. Cached features are read-only, so nothing can alter
-    what a later reused step substitutes. Inside a ``deterministic()`` scope
-    the recorded timings are zeroed so exports are byte-stable.
+    what a later reused step substitutes. The trace holds the measured
+    seconds of each step.
     """
     total = config.steps
     require_valid_tail(policy, total)
@@ -345,8 +345,6 @@ def run_policy(config: ModelConfig, policy: CachePolicyConfig):
 
     last = time.perf_counter()
     decisions = _drive(total, policy, run_step)
-    if is_deterministic():
-        timings = [0.0] * total
     trace = RunTrace(
         decisions=decisions,
         timings=timings,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -68,8 +69,16 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--static-stride", type=int, default=CachePolicyConfig.static_stride)
 
 
+def _out_dir(text: str) -> Path:
+    """An --out value. An empty one is refused: Path("") is the working
+    directory, whose files of the exports' names would be overwritten."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty output directory")
+    return Path(text)
+
+
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default="bwcache_out", help="output directory")
+    p.add_argument("--out", type=_out_dir, default="bwcache_out", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(g)
     _add_policy_flags(g)
     _add_output_flags(g)
-    g.add_argument("--deterministic", action="store_true", help="fixed-order matmuls, zeroed timings")
+    g.add_argument("--deterministic", action="store_true", help="zeroed timings (wall_seconds 0.0)")
     g.add_argument("--dump-latent", action="store_true", help="also write latent.bin")
     g.add_argument(
         "--reference-latent",
@@ -97,9 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_out_dir(args) -> Path:
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    args.out.mkdir(parents=True, exist_ok=True)
+    return args.out
 
 
 def _policy_from_args(args, *, total_steps: int) -> CachePolicyConfig:
@@ -156,6 +164,8 @@ def _cmd_generate(args) -> int:
     reference = _read_reference(args.reference_latent, config) if args.reference_latent else None
     final, trace = run_policy(config, policy)
     summary = summarize(trace, reference, config)
+    if args.deterministic:
+        summary = replace(summary, wall_seconds=0.0)
     out = _resolve_out_dir(args)
     _write_run(trace, summary, config.n_blocks, out)
     if args.dump_latent:
@@ -202,8 +212,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "replay":
             return _cmd_replay(args)
-        with tensor.deterministic(args.deterministic):
-            return _cmd_generate(args)
+        return _cmd_generate(args)
     except (TraceFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,23 +11,11 @@ array they were given, and each still checks its own output. The in-place
 forms keep numpy's evaluation order and dtype promotion, so each result is
 bit-identical to the op written as one plain numpy expression.
 
-Determinism has two tiers:
-
-* Default mode dispatches matmuls to BLAS. On a given machine and build this
-  is bit-reproducible run to run, which is what the reproducibility tests
-  rely on, but the exact bits may differ across machines or BLAS builds.
-* Deterministic mode (inside a ``with deterministic():`` scope) routes
-  matmuls through a fixed-order einsum contraction that never changes its
-  accumulation order with thread count or kernel selection. It is several
-  times slower and only worth it when byte-stable exports matter more than
-  speed. The mode is a context variable: it is restored when the scope exits,
-  by an exception too, and a scope in one thread or context never reaches
-  another.
-
-Neither tier pins the elementwise functions. Numpy picks their SIMD kernels
-per CPU dispatch target, and float32 exp, tanh, log, cos and sin and float64
-log and tanh give different bits on different targets. So deterministic mode
-makes exports byte-identical across reruns on one numpy build and one CPU
+Matmuls dispatch to BLAS; there is no second matmul path. The BLAS build
+picks its kernel per CPU, as numpy picks the SIMD kernels of its elementwise
+functions, and float32 exp, tanh, log, cos and sin and float64 log and tanh
+give different bits on different targets. So a run is byte-identical across
+reruns, and across BLAS thread counts, on one numpy build and one CPU
 dispatch target, not across targets.
 
 The random stream is a SplitMix64 counter generator (golden-gamma increment,
@@ -45,12 +33,9 @@ the whole request, whatever the number of threads.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 import os
 import threading
-from typing import Iterator
 
 import numpy as np
 
@@ -72,23 +57,6 @@ class NonFiniteError(ArithmeticError):
     """Raised when an op produces NaN or Inf."""
 
 
-_deterministic = contextvars.ContextVar("bwcache_deterministic", default=False)
-
-
-@contextlib.contextmanager
-def deterministic(enabled: bool = True) -> Iterator[None]:
-    """Run the enclosed matmuls with fixed-order accumulation (or, with False, BLAS)."""
-    token = _deterministic.set(bool(enabled))
-    try:
-        yield
-    finally:
-        _deterministic.reset(token)
-
-
-def is_deterministic() -> bool:
-    return _deterministic.get()
-
-
 def _check_finite(out: Tensor, op: str) -> Tensor:
     if not np.isfinite(out).all():
         raise NonFiniteError(f"{op} produced a non-finite value")
@@ -101,11 +69,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    if _deterministic.get():
-        out = np.einsum("ik,kj->ij", a, b)
-    else:
-        out = a @ b
-    return _check_finite(out, "matmul")
+    return _check_finite(a @ b, "matmul")
 
 
 def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -114,11 +78,7 @@ def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"batched_matmul expects 3-d operands, got {a.shape} @ {b.shape}")
     if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise DimensionError(f"batched_matmul shapes incompatible: {a.shape} @ {b.shape}")
-    if _deterministic.get():
-        out = np.einsum("gik,gkj->gij", a, b)
-    else:
-        out = a @ b
-    return _check_finite(out, "batched_matmul")
+    return _check_finite(a @ b, "batched_matmul")
 
 
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:

@@ -678,3 +678,26 @@ class TestLiveReplayAgreement:
         want = actions(live.decisions)
         horizon = want.index(R) + 1 if R in want else len(want)
         assert actions(replay_trace(rows, policy))[:horizon] == want[:horizon]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 12: %.9g heatmap cells do not read back as the "
+        "float64 distances the live run compared",
+    )
+    @pytest.mark.parametrize("interval", [1, 3, 10])
+    def test_delta_at_a_printed_mean_replays_through_the_first_reuse(self, interval):
+        """At seed 0 this delta lies between step 28's live float64 mean
+        (above it) and the mean of its printed cells (below it). So replay of
+        the none table reuses step 27, while the live run computes step 27
+        and reuses step 26 first."""
+        config = ModelConfig(seed=0)
+        _, trace_none = run_policy(config, CachePolicyConfig(kind=PolicyKind.NONE))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "heatmap.csv"
+            write_heatmap(trace_none.decisions, config.n_blocks, path)
+            rows = read_heatmap(path)
+        policy = bw(0.18234386337894945, interval, TailRule.fixed(0))
+        _, live = run_policy(config, policy)
+        want = actions(live.decisions)
+        horizon = want.index(R) + 1
+        assert actions(replay_trace(rows, policy))[:horizon] == want[:horizon]

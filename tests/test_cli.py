@@ -7,13 +7,16 @@ of the contract (0 ok, 1 runtime failure, 2 bad configuration or trace).
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bwcache import cli, model, tensor
+from bwcache import cli, model
 from bwcache.cache import CachePolicyConfig, PolicyKind, ZeroDenominatorError, run_policy
 from bwcache.cli import _model_from_args, _policy_from_args, build_parser, main
 from bwcache.metrics import psnr, ssim_frames
@@ -201,22 +204,52 @@ class TestGenerate:
         assert not (tmp_path / "ignored").exists()
 
     def test_deterministic_zeroes_wall_seconds(self, tmp_path):
-        """--deterministic reports zero timings and leaves default mode on return."""
-        assert run_generate(tmp_path, "--deterministic") == 0
-        summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["wall_seconds"] == 0.0
-        assert not tensor.is_deterministic()
+        """--deterministic reports zero timings and changes no other byte:
+        the run computes exactly what a default run computes."""
+        plain, zeroed = tmp_path / "plain", tmp_path / "zeroed"
+        assert run_generate(plain, "--dump-latent") == 0
+        assert run_generate(zeroed, "--deterministic", "--dump-latent") == 0
+        summaries = [json.loads((out / "summary.json").read_text()) for out in (plain, zeroed)]
+        assert summaries[0]["wall_seconds"] > 0.0
+        assert summaries[1] == {**summaries[0], "wall_seconds": 0.0}
+        for name in ("heatmap.csv", "reuse_profile.csv", "latent.bin"):
+            assert (plain / name).read_bytes() == (zeroed / name).read_bytes()
 
-    @pytest.mark.parametrize(
-        "extra, code",
-        [(["--delta", "nan"], 2), (["--reference-latent", "missing.bin"], 1)],
-        ids=["bad-config", "missing-reference"],
-    )
-    def test_deterministic_failure_leaves_default_mode(self, tmp_path, monkeypatch, extra, code):
-        """A --deterministic run that fails still leaves default mode on return."""
+    def test_deterministic_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """Reruns at 1 and 2 BLAS threads write byte-identical directories, at
+        a width where OpenBLAS splits the work across its threads."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"threads{threads}"
+            argv = ["generate", "--dim", "256", "--steps", "4", "--deterministic", "--dump-latent"]
+            done = subprocess.run(
+                [sys.executable, "-m", "bwcache.cli", *argv, "--out", str(out)],
+                env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            outs.append(exported_bytes(out))
+        assert set(outs[0]) == {"heatmap.csv", "latent.bin", "reuse_profile.csv", "summary.json"}
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["generate", "replay"])
+    def test_empty_out_is_refused_before_any_draw(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        """--out "" would name the working directory: it exits 2 at parse
+        time, before anything is drawn or read, and writes nothing there."""
+
+        def refuse(*args):
+            raise AssertionError("drew or read before --out was checked")
+
+        monkeypatch.setattr(model, "rand_normal", refuse)
+        monkeypatch.setattr(cli, "read_heatmap", refuse)
         monkeypatch.chdir(tmp_path)
-        assert run_generate(tmp_path, "--deterministic", *extra) == code
-        assert not tensor.is_deterministic()
+        assert main([*RUNS[command], "--out", ""]) == 2
+        assert "argument --out: empty output directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_reruns_are_byte_identical(self, tmp_path):
         """Identical flags with --deterministic reproduce every file exactly."""
@@ -327,10 +360,9 @@ class TestCompare:
             n_blocks=2, hidden_dim=16, n_heads=2, frames=2, tokens_per_frame=3, steps=7
         )
         recommended = CachePolicyConfig.recommended(7)
-        with tensor.deterministic():
-            final_a, _ = run_policy(config, replace(recommended, kind=PolicyKind.NONE))
-            final_b, _ = run_policy(config, replace(recommended, delta=0.9))
-            px_a, px_b = decode_latent(final_a, config), decode_latent(final_b, config)
+        final_a, _ = run_policy(config, replace(recommended, kind=PolicyKind.NONE))
+        final_b, _ = run_policy(config, replace(recommended, delta=0.9))
+        px_a, px_b = decode_latent(final_a, config), decode_latent(final_b, config)
         assert scored["psnr_db"] == psnr(px_a, px_b)
         assert scored["ssim"] == ssim_frames(px_a, px_b)
 

@@ -5,7 +5,8 @@ hides a cycle. The imports run on import (everything but function bodies and
 ``if TYPE_CHECKING:`` blocks, which only annotations read) form a graph with
 no cycle. The run records live in ``traceio`` beside the formats that write
 them, so ``cache`` and ``metrics`` take them from there. No module reads the
-process environment: a run is defined by its arguments alone.
+process environment, and none keeps a mode (a ``global``, a context
+variable or a thread-local): a run is defined by its arguments alone.
 """
 
 from __future__ import annotations
@@ -100,6 +101,39 @@ def test_no_module_reads_the_environment():
     found = []
     for path in MODULES.values():
         found += environment_reads(ast.parse(path.read_text(), filename=str(path)), path.name)
+    assert found == []
+
+
+def mode_state(tree: ast.Module, filename: str) -> list[str]:
+    """Where ``tree`` could keep a process-wide mode: a ``global`` statement,
+    an import from ``contextvars``, or ``threading.local``, imported or named
+    as an attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            names = ["global"]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        found += [
+            f"{filename}:{node.lineno} {name}"
+            for name in names
+            if name in ("global", "threading.local") or name.split(".")[0] == "contextvars"
+        ]
+    return found
+
+
+def test_no_module_keeps_a_mode():
+    """A run is its arguments: no module holds state that a scope or a call
+    could switch for the rest of the process (or the rest of a thread)."""
+    found = []
+    for path in MODULES.values():
+        found += mode_state(ast.parse(path.read_text(), filename=str(path)), path.name)
     assert found == []
 
 

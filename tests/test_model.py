@@ -114,15 +114,10 @@ def group_heads_reference(z, axis, frames, tokens_per_frame, n_heads):
     return z.transpose(1, 2, 0, 3).reshape(s * h, f, dh)
 
 
-def block_forward_numpy(h, w, t_emb, config, deterministic):
+def block_forward_numpy(h, w, t_emb, config):
     """The block as plain numpy expressions in the working dtype: np.split of
     the modulation, q, k and v grouped one at a time, no in-place updates,
-    and the same matmul kernels as the tensor module's two modes."""
-    if deterministic:
-        mm = lambda a, b: np.einsum("ik,kj->ij", a, b)  # noqa: E731
-        bmm = lambda a, b: np.einsum("gik,gkj->gij", a, b)  # noqa: E731
-    else:
-        mm = bmm = np.matmul
+    and ``@`` for every product."""
     d = config.hidden_dim
     f, s, heads = config.frames, config.tokens_per_frame, config.n_heads
 
@@ -131,24 +126,24 @@ def block_forward_numpy(h, w, t_emb, config, deterministic):
         var = x.var(axis=1, keepdims=True)
         return (x - mean) / np.sqrt(var + 1e-5) * (1.0 + scale) + shift
 
-    mod = mm(t_emb[None, :], w.adaln_proj)[0]
+    mod = (t_emb[None, :] @ w.adaln_proj)[0]
     scale1, shift1, scale2, shift2 = np.split(mod, 4)
-    qkv = mm(norm(h, scale1, shift1), w.qkv_proj)
+    qkv = norm(h, scale1, shift1) @ w.qkv_proj
     qg, kg, vg = (
         group_heads_reference(qkv[:, i * d : (i + 1) * d], w.axis, f, s, heads) for i in range(3)
     )
-    scores = bmm(qg, kg.transpose(0, 2, 1)) * (1.0 / math.sqrt(config.head_dim))
+    scores = (qg @ kg.transpose(0, 2, 1)) * (1.0 / math.sqrt(config.head_dim))
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    ctx = bmm(e / e.sum(axis=-1, keepdims=True), vg)
+    ctx = (e / e.sum(axis=-1, keepdims=True)) @ vg
     dh = ctx.shape[2]
     if w.axis is Axis.SPATIAL:
         ctx = ctx.reshape(f, heads, s, dh).transpose(0, 2, 1, 3)
     else:
         ctx = ctx.reshape(s, heads, f, dh).transpose(2, 0, 1, 3)
-    h1 = mm(ctx.reshape(f * s, d), w.out_proj) + h
-    u = mm(norm(h1, scale2, shift2), w.mlp_in)
+    h1 = ctx.reshape(f * s, d) @ w.out_proj + h
+    u = norm(h1, scale2, shift2) @ w.mlp_in
     g = 0.5 * u * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (u + 0.044715 * u * u * u)))
-    return mm(g, w.mlp_out) + h1
+    return g @ w.mlp_out + h1
 
 
 def zero_branch_weights(config, axis) -> DiTBlockWeights:
@@ -403,7 +398,6 @@ class TestBlockForward:
         assert got.dtype == np.float32
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5)
 
-    @pytest.mark.parametrize("deterministic", [False, True])
     @pytest.mark.parametrize(
         "shape",
         [
@@ -414,19 +408,18 @@ class TestBlockForward:
             dict(hidden_dim=64, n_heads=4, frames=4, tokens_per_frame=16),
         ],
     )
-    def test_byte_equal_to_numpy_expressions(self, shape, deterministic):
-        """Both axes equal the plain-expression block bit for bit, in both
-        matmul modes, and leave the block input and embedding untouched."""
+    def test_byte_equal_to_numpy_expressions(self, shape):
+        """Both axes equal the plain-expression block bit for bit, and leave
+        the block input and embedding untouched."""
         config = tiny_config(**shape)
         h = make_latent(config, seed=15)
         t_emb = timestep_embedding(6, config.hidden_dim)
         h_before, t_before = h.copy(), t_emb.copy()
-        with tensor.deterministic(deterministic):
-            for weights in init_weights(config):
-                want = block_forward_numpy(h, weights, t_emb, config, deterministic)
-                got = dit_block_forward(h, weights, t_emb, config)
-                assert got.dtype == want.dtype == np.float32
-                assert got.tobytes() == want.tobytes()
+        for weights in init_weights(config):
+            want = block_forward_numpy(h, weights, t_emb, config)
+            got = dit_block_forward(h, weights, t_emb, config)
+            assert got.dtype == want.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
         assert h.tobytes() == h_before.tobytes()
         assert t_emb.tobytes() == t_before.tobytes()
 
