@@ -1,7 +1,8 @@
 """Command line front end.
 
 Two subcommands: ``generate`` samples once under a policy and exports the
-instrumentation, ``replay`` re-decides a recorded distance table offline.
+instrumentation, ``replay`` re-decides a recorded distance table (a
+``heatmap.npy`` of float64 distances) offline.
 A policy is scored against the uncached run by two ``generate`` runs: the
 ``none`` policy with ``--dump-latent``, then the policy with
 ``--reference-latent``. Exit codes: 0 success, 1 runtime failure (I/O,
@@ -98,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     r = sub.add_parser("replay", help="re-decide a recorded heatmap offline")
-    r.add_argument("--trace", required=True, help="heatmap CSV from a previous run")
+    r.add_argument("--trace", required=True, help="heatmap.npy from a previous run")
     _add_model_flags(r, with_shape=False)
     _add_policy_flags(r)
     _add_output_flags(r)
@@ -138,7 +139,7 @@ def _model_from_args(args, steps: int | None = None, blocks: int | None = None) 
 
 
 def _write_run(trace: RunTrace, summary: RunSummary, n_blocks: int, out: Path) -> None:
-    write_heatmap(trace.decisions, n_blocks, out / "heatmap.csv")
+    write_heatmap(trace.decisions, n_blocks, out / "heatmap.npy")
     write_reuse_profile(trace.decisions, out / "reuse_profile.csv")
     write_summary(summary, trace.config_fingerprint, out / "summary.json")
 

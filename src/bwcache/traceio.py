@@ -3,13 +3,12 @@
 A run is recorded as one ``StepDecision`` (with its ``Action``) per step,
 gathered with the step timings into a ``RunTrace`` and reduced by
 ``metrics.summarize`` to a ``RunSummary``. This module defines all four next
-to the formats that serialize them. Three text artifacts per run are
-deterministic byte for byte given the same decisions: a per-step per-block
-distance heatmap (CSV), a per-step reuse profile (CSV with one aggregate
-footer line), and a JSON summary. Floats in the CSVs are printed with nine
-significant digits, which round-trips through float() to the value that
-reprints identically, so ingest/re-export is byte-stable. The final latent
-can be dumped as a NumPy ``.npy`` format 1.0 file.
+to the formats that serialize them. Each export is deterministic byte for
+byte given the same decisions: a per-step per-block distance heatmap, a
+per-step reuse profile (CSV with one aggregate footer line) and a JSON
+summary. The heatmap and the final latent are NumPy ``.npy`` format 1.0
+files, written and read by one writer and one reader; the heatmap holds the
+float64 distances themselves, so ingest and re-export are exact.
 
 The heatmap is also the replay input format: a table recorded under the
 all-compute policy has a distance for every block at every step except the
@@ -25,7 +24,6 @@ import os
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -38,7 +36,6 @@ if TYPE_CHECKING:
     from bwcache.cache import CachePolicyConfig
     from bwcache.model import ModelConfig
 
-HEATMAP_HEADER = "step,block,l1_rel"
 REUSE_HEADER = "step,reused"
 
 SUMMARY_KEYS = (
@@ -57,7 +54,7 @@ _FINGERPRINT = re.compile("[0-9a-f]{64}")
 
 
 class TraceFormatError(ValueError):
-    """Raised on malformed instrumentation files; messages name the line."""
+    """Raised on a malformed instrumentation file; the message names what is wrong."""
 
 
 class Action(str, Enum):
@@ -130,153 +127,37 @@ def config_fingerprint(config: "ModelConfig", policy: "CachePolicyConfig") -> st
 
 
 def write_heatmap(decisions: Sequence[StepDecision], n_blocks: int, path) -> None:
-    """One row per (step, block); the distance field is empty where nothing
-    was measured (reused steps and the first executed step)."""
-    # One row template per block count and one % over the whole file: a
-    # measured row takes (step, distance) per block, printed %s and %.9g.
-    measured = "".join(f"%s,{b},%.9g\n" for b in range(n_blocks))
-    empty = "".join(f"%s,{b},\n" for b in range(n_blocks))
-    rows = [HEATMAP_HEADER + "\n"]
-    args: list = []
-    for d in decisions:
-        if d.per_block_l1 is None:
-            rows.append(empty)
-            args += (d.step,) * n_blocks
-        else:
-            rows.append(measured)
-            pairs = [d.step] * (2 * n_blocks)
-            pairs[1::2] = d.per_block_l1  # refuses a row of another length
-            args += pairs
-    _write_text(path, "".join(rows) % tuple(args))
+    """A [T, N] little-endian float64 table, one row per step in execution
+    order, NaN where nothing was measured (reused steps and the first
+    executed step)."""
+    unmeasured = (math.nan,) * n_blocks
+    rows = [unmeasured if d.per_block_l1 is None else d.per_block_l1 for d in decisions]
+    # reshape refuses rows of another length that np.array took as a table.
+    _write_npy(np.array(rows, dtype="<f8").reshape(len(rows), n_blocks), path)
 
 
 def read_heatmap(path) -> list[list[float | None]]:
-    """Parse a heatmap back into execution-ordered per-step rows.
+    """The execution-ordered rows of a write_heatmap table, None for NaN.
 
-    Accepts the header, then the lines of a (T, N) table whose T is the
-    first line's step plus one and whose N is that step's line count: each
-    line, the last one too, ended by ``"\\n"`` (any other character, ``"\\r"``
-    included, belongs to the line), its ``step,block`` text exactly as
-    write_heatmap writes it, in its order, and each distance empty or a
-    finite float >= 0 spelled in ASCII without whitespace or ``"_"``. An
-    accepted file costs one split of its lines into fields, three
-    comparisons of field columns with the table's, one scan of its text, one
-    float() per cell and one range check; a refused one is walked line by
-    line to name its first bad line.
+    Beyond what _read_npy refuses, the table must be 2-d little-endian
+    float64 with at least one step and one block, and no cell may be
+    infinite or negative.
     """
-    # No newline translation, and the same text in every locale: a byte that
-    # is not UTF-8 reads as a lone surrogate, which no line or cell may hold.
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as f:
-        lines = f.read().split("\n")
-    rest = lines.pop()  # what follows the last newline
-    if rest:
-        raise TraceFormatError(f"line {len(lines) + 1}: {rest[:40]!r} does not end in a newline")
-    if not lines or lines[0] != HEATMAP_HEADER:
-        raise TraceFormatError(f"line 1: expected header {HEATMAP_HEADER!r}")
-    data = lines[1:]
-    steps, n_blocks = _table_shape(data)
-    try:
-        # Only a table with as many lines as the file builds its columns.
-        if not steps or len(data) != steps * n_blocks:
-            raise ValueError
-        text = ",\n,".join(data)
-        # Lines of three fields split into step, block, cell and "\n" each,
-        # the last line without its "\n".
-        fields = text.split(",")
-        step_col, block_col, ends = _heatmap_columns(steps, n_blocks)
-        if not (
-            len(fields) == 4 * len(data) - 1
-            and fields[3::4] == ends
-            and fields[0::4] == step_col
-            and fields[1::4] == block_col
-            and _plain(text)  # the keys are plain, so this checks the cells
-        ):
-            raise ValueError
-        values = [float(cell) if cell else None for cell in fields[2::4]]
-        measured = [v for v in values if v is not None]
-        # min() may pass over a NaN, but any NaN or inf makes the sum NaN or inf.
-        if measured and not (min(measured) >= 0.0 and sum(measured) < math.inf):
-            raise ValueError
-    except ValueError:
-        # A walk that finds no bad line was sent here by finite distances
-        # whose sum overflowed, and the values stand.
-        _refuse(data, steps, n_blocks)
-    return [values[i : i + n_blocks] for i in range(0, len(values), n_blocks)]
-
-
-# What float() reads but write_heatmap never writes, other than non-ASCII
-# text (digits of other scripts, Unicode spaces): the ASCII whitespace that
-# it strips and the "_" that it drops between digits.
-_FOREIGN = (" ", "\t", "\r", "\x0b", "\x0c", "_")
-
-
-def _plain(text: str) -> bool:
-    """Whether ``text`` is ASCII and holds none of the _FOREIGN characters."""
-    return text.isascii() and not any(c in text for c in _FOREIGN)
-
-
-def _table_shape(data: list[str]) -> tuple[int, int]:
-    """(T, N): the first line's step plus one and that step's line count.
-
-    (0, 0) when there is no first line or its step is not an integer >= 0.
-    """
-    first = data[0].partition(",")[0] if data else ""
-    try:
-        steps = int(first) + 1
-    except ValueError:
-        steps = 0
-    if steps < 1:
-        return 0, 0
-    n_blocks = 1
-    while n_blocks < len(data) and data[n_blocks].partition(",")[0] == first:
-        n_blocks += 1
-    return steps, n_blocks
-
-
-@lru_cache(maxsize=16)
-def _heatmap_columns(steps: int, n_blocks: int) -> tuple[list[str], list[str], list[str]]:
-    """The step texts, block texts and line ends of a (steps, n_blocks) heatmap.
-
-    Laid out as read_heatmap's split puts them, every fourth field, and
-    lists so that they compare with its slices. Cached: a sweep reads tables
-    of a few shapes over and over, and building the columns costs about as
-    much as comparing them. Read only.
-    """
-    step_col = [str(s) for s in range(steps - 1, -1, -1) for _ in range(n_blocks)]
-    block_col = [str(b) for b in range(n_blocks)] * steps
-    return step_col, block_col, ["\n"] * (steps * n_blocks - 1)
-
-
-def _refuse(data: list[str], steps: int, n_blocks: int) -> None:
-    """Raise the error naming the first bad line of ``data``; return if none is.
-
-    Line by line, the ``step,block`` text must be the next key of the
-    (steps, n_blocks) table, the table must end with the file, and the cell
-    must be empty or a finite float >= 0 that passes _plain. A table of 0
-    steps fits no line.
-    """
-    for i, line in enumerate([*data, None]):  # None is the end of the file
-        if i < steps * n_blocks:
-            want = f"{steps - 1 - i // n_blocks},{i % n_blocks}"
-        else:
-            want = None if steps else "<step>,0"
-        key, _, cell = (None, "", "") if line is None else line.rpartition(",")
-        if key != want or not steps:
-            expected = "end of file" if want is None else repr(f"{want},<distance>")
-            if line is None:
-                raise TraceFormatError(f"line {i + 1}: expected {expected} next, got end of file")
-            raise TraceFormatError(f"line {i + 2}: expected {expected}, got {line!r}")
-        if cell:
-            try:
-                if not _plain(cell):
-                    raise ValueError
-                value = float(cell)
-            except ValueError:
-                raise TraceFormatError(f"line {i + 2}: bad distance {cell!r}") from None
-            if not math.isfinite(value):
-                raise TraceFormatError(f"line {i + 2}: non-finite distance")
-            if value < 0.0:
-                raise TraceFormatError(f"line {i + 2}: negative distance {cell!r}")
+    remedy = "a heatmap is a .npy table now; record one with `bwcache generate --policy none`"
+    table = _read_npy(path, "heatmap", remedy)
+    if table.dtype != np.dtype("<f8") or table.ndim != 2 or 0 in table.shape:
+        raise TraceFormatError(
+            f"heatmap needs a [T, N] <f8 table with T, N >= 1; has {table.dtype} {table.shape}"
+        )
+    bad = np.argwhere(np.isinf(table) | (table < 0.0))  # NaN < 0.0 is False
+    if len(bad):
+        i, block = bad[0]
+        step = len(table) - 1 - i
+        problem = f"distance {table[i, block]} at step {step}, block {block}"
+        raise TraceFormatError(f"heatmap {problem} is not a finite number >= 0")
+    cells = table.astype(object)
+    cells[np.isnan(table)] = None
+    return cells.tolist()
 
 
 def write_reuse_profile(decisions: Sequence[StepDecision], path) -> None:
@@ -357,25 +238,36 @@ def read_summary(path) -> tuple[RunSummary, str]:
 
 
 def write_latent(x: Tensor, path) -> None:
-    """A NumPy ``.npy`` format 1.0 file in C order; ``np.load`` reads it.
+    """A NumPy ``.npy`` format 1.0 file in C order; ``np.load`` reads it."""
+    _write_npy(x, path)
+
+
+def read_latent(path) -> Tensor:
+    """Read a latent dump, refusing anything write_latent does not write."""
+    return _read_npy(path, "latent dump", "write one with `bwcache generate --dump-latent`")
+
+
+def _write_npy(x: np.ndarray, path) -> None:
+    """``x`` as a ``.npy`` 1.0 file in C order.
 
     Any dtype but an object one is written; an object one is refused before
     the file is opened, so a refusal leaves no file behind.
     """
     x = np.ascontiguousarray(x)
     if x.dtype.hasobject:
-        raise ValueError(f"Object arrays cannot be dumped as a latent (dtype {x.dtype})")
+        raise ValueError(f"Object arrays cannot be written as .npy (dtype {x.dtype})")
     with open(path, "wb") as f:
         npy.write_array(f, x, version=(1, 0), allow_pickle=False)
 
 
-def read_latent(path) -> Tensor:
-    """Read a latent dump, refusing anything write_latent does not write.
+def _read_npy(path, what: str, remedy: str) -> np.ndarray:
+    """The array of a ``.npy`` file, refusing anything _write_npy does not write.
 
     The file must be ``.npy`` 1.0, its header within NumPy's header size
     bound, in C order, without objects or negative dims, and its payload
     exactly the bytes that shape and dtype call for, counted in Python ints
-    before any array is built.
+    before any array is built. ``what`` names the file in every message, and
+    ``remedy`` tells how to make one when the file is not ``.npy`` 1.0.
     """
     with open(path, "rb") as f:
         try:
@@ -384,12 +276,12 @@ def read_latent(path) -> Tensor:
                 raise ValueError(f"format version {version}, expected (1, 0)")
             shape, fortran_order, dtype = npy.read_array_header_1_0(f)
         except ValueError as exc:
-            raise TraceFormatError(f"latent dump is not a .npy 1.0 file: {exc}") from None
+            raise TraceFormatError(f"{what} is not a .npy 1.0 file ({exc}); {remedy}") from None
         payload = f.read()
     if fortran_order or dtype.hasobject or min(shape, default=0) < 0:
         problem = f"shape {shape}, dtype {dtype}, fortran_order {fortran_order}"
-        raise TraceFormatError(f"latent dump needs C order, no objects, dims >= 0; has {problem}")
+        raise TraceFormatError(f"{what} needs C order, no objects, dims >= 0; has {problem}")
     expected = math.prod(shape) * dtype.itemsize
     if len(payload) != expected:
-        raise TraceFormatError(f"latent dump payload is {len(payload)} bytes, expected {expected}")
+        raise TraceFormatError(f"{what} payload is {len(payload)} bytes, expected {expected}")
     return np.ndarray(shape, dtype, buffer=payload).copy()

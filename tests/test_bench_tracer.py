@@ -40,8 +40,8 @@ def test_every_traced_name_resolves_and_records_calls(tmp_path):
             tracer.install(mod, attr, worker.COUNTERS.get((mod, attr)))
         reference, trace_none = cache.run_policy(TINY, none)
         _, trace_cached = cache.run_policy(TINY, cached)
-        traceio.write_heatmap(trace_none.decisions, TINY.n_blocks, tmp_path / "heatmap.csv")
-        decisions = cache.replay_trace(traceio.read_heatmap(tmp_path / "heatmap.csv"), cached)
+        traceio.write_heatmap(trace_none.decisions, TINY.n_blocks, tmp_path / "heatmap.npy")
+        decisions = cache.replay_trace(traceio.read_heatmap(tmp_path / "heatmap.npy"), cached)
         summary = metrics.summarize(trace_cached, reference, TINY)
         traceio.write_reuse_profile(decisions, tmp_path / "reuse_profile.csv")
         traceio.write_summary(summary, traceio.config_fingerprint(TINY, cached), tmp_path / "summary.json")

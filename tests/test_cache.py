@@ -9,6 +9,7 @@ run-length bound, frozen protected tail, and trigger monotonicity in delta.
 
 from __future__ import annotations
 
+import math
 import tempfile
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
@@ -639,7 +640,7 @@ class TestLiveReplayAgreement:
         )
         _, trace = run_policy(config, policy)
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "heatmap.csv"
+            path = Path(tmp) / "heatmap.npy"
             write_heatmap(trace.decisions, config.n_blocks, path)
             rows = read_heatmap(path)
         assert actions(replay_trace(rows, policy)) == actions(trace.decisions)
@@ -667,7 +668,7 @@ class TestLiveReplayAgreement:
         none = CachePolicyConfig(kind=PolicyKind.NONE)
         _, trace_none = run_policy(config, none)
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "heatmap.csv"
+            path = Path(tmp) / "heatmap.npy"
             write_heatmap(trace_none.decisions, config.n_blocks, path)
             rows = read_heatmap(path)
         for policy in (none, CachePolicyConfig(kind=PolicyKind.STATIC, static_stride=stride)):
@@ -679,25 +680,54 @@ class TestLiveReplayAgreement:
         horizon = want.index(R) + 1 if R in want else len(want)
         assert actions(replay_trace(rows, policy))[:horizon] == want[:horizon]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 12: %.9g heatmap cells do not read back as the "
-        "float64 distances the live run compared",
-    )
     @pytest.mark.parametrize("interval", [1, 3, 10])
     def test_delta_at_a_printed_mean_replays_through_the_first_reuse(self, interval):
         """At seed 0 this delta lies between step 28's live float64 mean
-        (above it) and the mean of its printed cells (below it). So replay of
-        the none table reuses step 27, while the live run computes step 27
-        and reuses step 26 first."""
+        (above it) and the mean of the nine-digit text of its cells (below
+        it), which is what a CSV table once held. The table holds the float64
+        distances, so replay of the none table, like the live run, computes
+        step 27 and reuses step 26 first."""
         config = ModelConfig(seed=0)
         _, trace_none = run_policy(config, CachePolicyConfig(kind=PolicyKind.NONE))
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "heatmap.csv"
+            path = Path(tmp) / "heatmap.npy"
             write_heatmap(trace_none.decisions, config.n_blocks, path)
             rows = read_heatmap(path)
         policy = bw(0.18234386337894945, interval, TailRule.fixed(0))
         _, live = run_policy(config, policy)
         want = actions(live.decisions)
         horizon = want.index(R) + 1
+        assert actions(replay_trace(rows, policy))[:horizon] == want[:horizon]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        steps=st.integers(min_value=4, max_value=12),
+        interval=st.integers(min_value=1, max_value=4),
+        tail=tail_strategy(),
+        pick=st.integers(min_value=0, max_value=100),
+        above=st.booleans(),
+    )
+    def test_delta_at_a_recorded_mean_replays_through_the_first_reuse(
+        self, seed, steps, interval, tail, pick, above
+    ):
+        """With delta equal to a recorded step's mean, or to the next float
+        above it, replay of the none table equals the live run up to and
+        including the first reuse: the indicator's strict comparison lands on
+        the same side of delta in both, as it does only if the table holds the
+        exact float64 distances the live run compared."""
+        config = ModelConfig(
+            n_blocks=2, hidden_dim=8, n_heads=2, frames=2, tokens_per_frame=3, steps=steps, seed=seed
+        )
+        _, trace_none = run_policy(config, CachePolicyConfig(kind=PolicyKind.NONE))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "heatmap.npy"
+            write_heatmap(trace_none.decisions, config.n_blocks, path)
+            rows = read_heatmap(path)
+        means = [d.mean_l1 for d in trace_none.decisions if d.mean_l1 is not None]
+        mean = means[pick % len(means)]
+        policy = bw(math.nextafter(mean, math.inf) if above else mean, interval, tail)
+        _, live = run_policy(config, policy)
+        want = actions(live.decisions)
+        horizon = want.index(R) + 1 if R in want else len(want)
         assert actions(replay_trace(rows, policy))[:horizon] == want[:horizon]

@@ -21,8 +21,8 @@ from bwcache.cache import CachePolicyConfig, PolicyKind, ZeroDenominatorError, r
 from bwcache.cli import _model_from_args, _policy_from_args, build_parser, main
 from bwcache.metrics import psnr, ssim_frames
 from bwcache.model import ModelConfig, _build_weights, decode_latent
-from bwcache.traceio import config_fingerprint, read_latent, write_latent
-from test_traceio import MALFORMED
+from bwcache.traceio import Action, config_fingerprint, read_latent, write_latent
+from test_traceio import MALFORMED, npy_header
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -31,14 +31,39 @@ TINY = ["--dim", "16", "--heads", "2", "--frames", "2", "--tokens", "3"]
 TINY_SHAPE = TINY + ["--steps", "7", "--blocks", "2"]
 
 
-# Line breaks that str.splitlines() splits at but a heatmap line may not end in.
-BREAKS = {
-    "\r\n": "crlf",
-    "\r": "cr",
-    "\x0c": "form-feed",
-    "\x1c": "file-separator",
-    "\u2028": "line-separator",
-}
+# A [3, 2] table that replay accepts, and each way to break it as a file.
+HEATMAP = np.array([[np.nan, np.nan], [0.5, 0.25], [0.125, 0.0]])
+
+
+def malformed_heatmaps() -> dict[str, bytes]:
+    """Files a heatmap reader must refuse, by what is wrong with them."""
+    good = npy_header((3, 2), "<f8") + HEATMAP.tobytes()
+
+    def with_cell(value):
+        bad = HEATMAP.copy()
+        bad[1, 1] = value
+        return npy_header((3, 2), "<f8") + bad.tobytes()
+
+    return {
+        "csv": b"step,block,l1_rel\n2,0,\n1,0,0.5\n0,0,0.125\n",
+        "npy-2.0": npy_header((3, 2), "<f8", version=(2, 0)) + HEATMAP.tobytes(),
+        "fortran-order": npy_header((3, 2), "<f8", fortran_order=True) + HEATMAP.T.tobytes(),
+        "object-dtype": npy_header((3, 2), "|O") + bytes(48),
+        "float32": npy_header((3, 2)) + HEATMAP.astype("<f4").tobytes(),
+        "big-endian": npy_header((3, 2), ">f8") + HEATMAP.astype(">f8").tobytes(),
+        "1-d": npy_header((6,), "<f8") + HEATMAP.tobytes(),
+        "3-d": npy_header((3, 2, 1), "<f8") + HEATMAP.tobytes(),
+        "payload-8-short": good[:-8],
+        "payload-8-long": good + bytes(8),
+        "plus-inf-cell": with_cell(np.inf),
+        "minus-inf-cell": with_cell(-np.inf),
+        "negative-cell": with_cell(-0.5),
+        "no-steps": npy_header((0, 2), "<f8"),
+        "no-blocks": npy_header((3, 0), "<f8"),
+    }
+
+
+MALFORMED_HEATMAPS = malformed_heatmaps()
 
 
 # The argv that starts each kind of run. "compare" is the scored side of the
@@ -46,7 +71,7 @@ BREAKS = {
 RUNS = {
     "generate": ["generate", *TINY_SHAPE],
     "compare": ["generate", *TINY_SHAPE, "--reference-latent", "none/latent.bin"],
-    "replay": ["replay", "--trace", str(FIXTURES / "replay_trace.csv")],
+    "replay": ["replay", "--trace", str(FIXTURES / "replay_trace.npy")],
 }
 
 
@@ -82,10 +107,31 @@ class TestGenerate:
     def test_writes_all_outputs_by_default(self, tmp_path):
         """One generate run leaves heatmap, reuse profile, and summary."""
         assert run_generate(tmp_path) == 0
-        assert (tmp_path / "heatmap.csv").exists()
+        assert (tmp_path / "heatmap.npy").exists()
         assert (tmp_path / "reuse_profile.csv").exists()
         assert (tmp_path / "summary.json").exists()
         assert not (tmp_path / "latent.bin").exists()
+
+    def test_heatmap_is_the_live_distances_as_npy(self, tmp_path):
+        """np.load gives a float64 [T, N] table whose cells are the live run's
+        per-block distances bit for bit, NaN exactly at the first executed
+        step and at the reused steps."""
+        assert run_generate(tmp_path, "--delta", "0.9") == 0
+        table = np.load(tmp_path / "heatmap.npy", allow_pickle=False)
+        config = ModelConfig(
+            n_blocks=2, hidden_dim=16, n_heads=2, frames=2, tokens_per_frame=3, steps=7
+        )
+        policy = replace(CachePolicyConfig.recommended(7), delta=0.9)
+        _, trace = run_policy(config, policy)
+        assert table.dtype == np.float64 and table.shape == (7, 2)
+        reused = [i for i, d in enumerate(trace.decisions) if d.action is Action.REUSED]
+        assert reused  # the run reuses, so NaN rows other than the first are checked
+        unmeasured = np.isnan(table).any(axis=1)
+        assert np.flatnonzero(unmeasured).tolist() == [0, *reused]
+        assert np.isnan(table[unmeasured]).all()
+        for row, d in zip(table, trace.decisions):
+            if d.per_block_l1 is not None:
+                assert row.tobytes() == np.array(d.per_block_l1, dtype=np.float64).tobytes()
 
     def test_dump_latent_is_readable(self, tmp_path):
         """--dump-latent writes a latent.bin that round-trips with its shape."""
@@ -189,7 +235,7 @@ class TestGenerate:
         argv = ["--deterministic", "--dump-latent"]
         assert run_generate(tmp_path / "fresh", *argv) == 0
         fresh = exported_bytes(tmp_path / "fresh")
-        assert set(fresh) == {"heatmap.csv", "latent.bin", "reuse_profile.csv", "summary.json"}
+        assert set(fresh) == {"heatmap.npy", "latent.bin", "reuse_profile.csv", "summary.json"}
         stale = fill_with_longer_files(tmp_path / "stale", fresh)
         assert run_generate(stale, *argv) == 0
         assert exported_bytes(stale) == fresh
@@ -212,7 +258,7 @@ class TestGenerate:
         summaries = [json.loads((out / "summary.json").read_text()) for out in (plain, zeroed)]
         assert summaries[0]["wall_seconds"] > 0.0
         assert summaries[1] == {**summaries[0], "wall_seconds": 0.0}
-        for name in ("heatmap.csv", "reuse_profile.csv", "latent.bin"):
+        for name in ("heatmap.npy", "reuse_profile.csv", "latent.bin"):
             assert (plain / name).read_bytes() == (zeroed / name).read_bytes()
 
     def test_deterministic_bytes_do_not_depend_on_blas_threads(self, tmp_path):
@@ -231,7 +277,7 @@ class TestGenerate:
             )
             assert done.returncode == 0, done.stderr
             outs.append(exported_bytes(out))
-        assert set(outs[0]) == {"heatmap.csv", "latent.bin", "reuse_profile.csv", "summary.json"}
+        assert set(outs[0]) == {"heatmap.npy", "latent.bin", "reuse_profile.csv", "summary.json"}
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("command", ["generate", "replay"])
@@ -256,7 +302,7 @@ class TestGenerate:
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             assert run_generate(out, "--deterministic", "--dump-latent") == 0
-        for name in ("heatmap.csv", "reuse_profile.csv", "summary.json", "latent.bin"):
+        for name in ("heatmap.npy", "reuse_profile.csv", "summary.json", "latent.bin"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_zero_delta_matches_none_policy_bytes(self, tmp_path):
@@ -264,7 +310,7 @@ class TestGenerate:
         a, b = tmp_path / "a", tmp_path / "b"
         assert run_generate(a, "--policy", "bwcache", "--delta", "0", "--dump-latent") == 0
         assert run_generate(b, "--policy", "none", "--dump-latent") == 0
-        for name in ("heatmap.csv", "reuse_profile.csv", "latent.bin"):
+        for name in ("heatmap.npy", "reuse_profile.csv", "latent.bin"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_negative_zero_delta_has_the_zero_delta_fingerprint(self, tmp_path):
@@ -272,7 +318,7 @@ class TestGenerate:
         a, b = tmp_path / "a", tmp_path / "b"
         assert run_generate(a, "--delta", "-0", "--deterministic") == 0
         assert run_generate(b, "--delta", "0", "--deterministic") == 0
-        for name in ("heatmap.csv", "reuse_profile.csv", "summary.json"):
+        for name in ("heatmap.npy", "reuse_profile.csv", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_missing_reference_latent_is_runtime_error(self, tmp_path):
@@ -371,21 +417,21 @@ class TestReplay:
     def test_committed_fixture_reproduces_goldens(self, tmp_path, capsys):
         """Replaying the committed trace reproduces the hand-derived exports."""
         rc = main([
-            "replay", "--trace", str(FIXTURES / "replay_trace.csv"),
+            "replay", "--trace", str(FIXTURES / "replay_trace.npy"),
             "--delta", "0.15", "--reuse-interval", "10", "--tail", "fixed:1",
             "--out", str(tmp_path),
         ])
         assert rc == 0
         assert "reused=3/7" in capsys.readouterr().out
-        expect_heat = (FIXTURES / "replay_expected_heatmap.csv").read_bytes()
+        expect_heat = (FIXTURES / "replay_expected_heatmap.npy").read_bytes()
         expect_reuse = (FIXTURES / "replay_expected_reuse.csv").read_bytes()
-        assert (tmp_path / "heatmap.csv").read_bytes() == expect_heat
+        assert (tmp_path / "heatmap.npy").read_bytes() == expect_heat
         assert (tmp_path / "reuse_profile.csv").read_bytes() == expect_reuse
 
     def test_replay_summary_has_null_quality(self, tmp_path):
         """Offline replay has no pixels to score and no wall time to report."""
         rc = main([
-            "replay", "--trace", str(FIXTURES / "replay_trace.csv"),
+            "replay", "--trace", str(FIXTURES / "replay_trace.npy"),
             "--reuse-interval", "10", "--tail", "fixed:1",
             "--out", str(tmp_path),
         ])
@@ -398,7 +444,7 @@ class TestReplay:
     def test_exports_over_longer_files_are_the_fresh_bytes(self, tmp_path):
         """Each export replaces a longer file of its name with exactly the
         bytes that it writes into a fresh directory."""
-        argv = ["replay", "--trace", str(FIXTURES / "replay_trace.csv"), "--delta", "0.3"]
+        argv = ["replay", "--trace", str(FIXTURES / "replay_trace.npy"), "--delta", "0.3"]
         assert main([*argv, "--out", str(tmp_path / "fresh")]) == 0
         fresh = exported_bytes(tmp_path / "fresh")
         stale = fill_with_longer_files(tmp_path / "stale", fresh)
@@ -406,54 +452,30 @@ class TestReplay:
         assert exported_bytes(stale) == fresh
 
     def test_missing_trace_is_runtime_error(self, tmp_path):
-        rc = main(["replay", "--trace", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])
+        rc = main(["replay", "--trace", str(tmp_path / "absent.npy"), "--out", str(tmp_path)])
         assert rc == 1
 
-    @pytest.mark.parametrize(
-        "old, new, lineno",
-        [
-            (None, "step,block,l1_rel\n1,0,0.1\n1,0,0.2\n0,0,0.1\n", 3),
-            ("6,0,", "+6,0,", 2),
-            ("6,0,", "06,0,", 2),
-            ("3,0,", "\n3,0,", 5),
-            *[(None, sep.join(["step,block,l1_rel", "1,0,", "0,0,0.5", ""]), 1) for sep in BREAKS],
-            (None, "step,block,l1_rel\n1,0,\r\n0,0,0.5\r\n", 2),
-            (None, "step,block,l1_rel\n1,0,\x0c0,0,0.5\n", 2),
-            (None, "step,block,l1_rel\n1,0,\n0,0,0.5", 3),
-            (None, "step,block,l1_rel\n1,0,0.5\r\n0,0,0.5\r\n", 2),
-            (None, "step,block,l1_rel\n1,0, 0.5\n0,0,0.5\n", 2),
-            (None, "step,block,l1_rel\n1,0,0.5\n0,0,1_0\n", 3),
-            (None, "step,block,l1_rel\n1,0,\u0665\n0,0,0.5\n", 2),
-        ],
-        ids=[
-            "repeated-block", "plus-step", "zero-padded-step", "blank-line",
-            *[f"{name}-lines" for name in BREAKS.values()],
-            "crlf-after-header", "form-feed-after-header", "no-final-newline",
-            "crlf-measured-lines", "space-in-cell", "underscore-in-cell", "non-ascii-cell",
-        ],
-    )
-    def test_malformed_trace_is_config_error_naming_line(self, tmp_path, capsys, old, new, lineno):
-        """A repeated block, the committed fixture with one step respelled or a
-        blank line inserted, a two-step table whose lines end in another
-        break than a lone \\n or whose last line has none, and one with a cell
-        that float() reads but write_heatmap never writes, exit 2 naming the
-        line and write nothing."""
-        text = (FIXTURES / "replay_trace.csv").read_text()
-        bad = tmp_path / "bad.csv"
-        bad.write_text(new if old is None else text.replace(old, new, 1))
+    @pytest.mark.parametrize("name", list(MALFORMED_HEATMAPS))
+    def test_malformed_trace_is_config_error_writing_nothing(self, tmp_path, capsys, name):
+        """A table that is not a [T, N] little-endian float64 .npy 1.0 file
+        of finite distances >= 0 with T, N >= 1 exits 2 before any export;
+        a CSV table of the retired text format is told how to record one."""
+        bad = tmp_path / "bad.npy"
+        bad.write_bytes(MALFORMED_HEATMAPS[name])
         out = tmp_path / "out"
         assert main(["replay", "--trace", str(bad), "--out", str(out)]) == 2
-        assert f"line {lineno}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: heatmap ")
+        if name == "csv":
+            assert "a heatmap is a .npy table now" in err and "generate --policy none" in err
         assert not out.exists()
 
-    def test_negative_distance_is_config_error(self, tmp_path, capsys):
-        table = tmp_path / "negative.csv"
-        table.write_text("step,block,l1_rel\n2,0,\n2,1,\n1,0,-0.5\n1,1,0.1\n0,0,0.1\n0,1,0.1\n")
-        out = tmp_path / "out"
-        argv = ["--delta", "0.15", "--reuse-interval", "2", "--tail", "fixed:0"]
-        assert main(["replay", "--trace", str(table), *argv, "--out", str(out)]) == 2
-        assert "line 4: negative distance" in capsys.readouterr().err
-        assert not out.exists()
+    def test_mended_malformed_table_replays(self, tmp_path):
+        """The table the malformed ones are made from replays, so each is
+        refused for what is wrong with it."""
+        good = tmp_path / "good.npy"
+        good.write_bytes(npy_header((3, 2), "<f8") + HEATMAP.tobytes())
+        assert main(["replay", "--trace", str(good), "--out", str(tmp_path / "out")]) == 0
 
     def test_missing_subcommand_exits_two(self):
         assert main([]) == 2
@@ -532,7 +554,7 @@ class TestDefaults:
 
     def test_replay_refuses_deterministic(self, tmp_path):
         """Replay runs no matmul and always reports zero timings."""
-        trace = str(FIXTURES / "replay_trace.csv")
+        trace = str(FIXTURES / "replay_trace.npy")
         assert main(["replay", "--trace", trace, "--deterministic", "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
@@ -645,7 +667,7 @@ class TestEveryFlagIsRead:
             none_dump = ["--policy", "none", "--deterministic", "--dump-latent", "--out", "ref"]
             assert main(["generate", *TINY_SHAPE, *none_dump]) == 0
         if command == "replay":
-            base = ["replay", "--trace", str(FIXTURES / "replay_trace.csv")]
+            base = ["replay", "--trace", str(FIXTURES / "replay_trace.npy")]
         else:
             base = ["generate", *TINY_SHAPE]
             if option != "--deterministic":
