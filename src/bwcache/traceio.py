@@ -22,9 +22,11 @@ import json
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from tokenize import TokenError
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -140,8 +142,9 @@ def read_heatmap(path) -> list[list[float | None]]:
     """The execution-ordered rows of a write_heatmap table, None for NaN.
 
     Beyond what _read_npy refuses, the table must be 2-d little-endian
-    float64 with at least one step and one block, and no cell may be
-    infinite or negative.
+    float64 with at least one step and one block, no cell may be infinite
+    or negative, and a NaN must fill its row: a NaN beside measured cells
+    is a distance that was not a number, not an unmeasured step.
     """
     remedy = "a heatmap is a .npy table now; record one with `bwcache generate --policy none`"
     table = _read_npy(path, "heatmap", remedy)
@@ -149,14 +152,15 @@ def read_heatmap(path) -> list[list[float | None]]:
         raise TraceFormatError(
             f"heatmap needs a [T, N] <f8 table with T, N >= 1; has {table.dtype} {table.shape}"
         )
-    bad = np.argwhere(np.isinf(table) | (table < 0.0))  # NaN < 0.0 is False
+    nan = np.isnan(table)
+    bad = np.argwhere(np.isinf(table) | (table < 0.0) | (nan & ~nan.all(axis=1, keepdims=True)))
     if len(bad):
         i, block = bad[0]
         step = len(table) - 1 - i
         problem = f"distance {table[i, block]} at step {step}, block {block}"
         raise TraceFormatError(f"heatmap {problem} is not a finite number >= 0")
     cells = table.astype(object)
-    cells[np.isnan(table)] = None
+    cells[nan] = None
     return cells.tolist()
 
 
@@ -263,19 +267,21 @@ def _write_npy(x: np.ndarray, path) -> None:
 def _read_npy(path, what: str, remedy: str) -> np.ndarray:
     """The array of a ``.npy`` file, refusing anything _write_npy does not write.
 
-    The file must be ``.npy`` 1.0, its header within NumPy's header size
-    bound, in C order, without objects or negative dims, and its payload
+    The file must be ``.npy`` 1.0, its header a dict that NumPy parses
+    without repair and within its header size bound, in C order, without objects or negative dims, and its payload
     exactly the bytes that shape and dtype call for, counted in Python ints
     before any array is built. ``what`` names the file in every message, and
     ``remedy`` tells how to make one when the file is not ``.npy`` 1.0.
     """
-    with open(path, "rb") as f:
+    with open(path, "rb") as f, warnings.catch_warnings():
+        # NumPy repairs a Python 2 header with a warning; _write_npy writes none.
+        warnings.simplefilter("error")
         try:
             version = npy.read_magic(f)
             if version != (1, 0):
                 raise ValueError(f"format version {version}, expected (1, 0)")
             shape, fortran_order, dtype = npy.read_array_header_1_0(f)
-        except ValueError as exc:
+        except (ValueError, SyntaxError, TokenError, UserWarning) as exc:
             raise TraceFormatError(f"{what} is not a .npy 1.0 file ({exc}); {remedy}") from None
         payload = f.read()
     if fortran_order or dtype.hasobject or min(shape, default=0) < 0:

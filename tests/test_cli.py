@@ -60,10 +60,22 @@ def malformed_heatmaps() -> dict[str, bytes]:
         "negative-cell": with_cell(-0.5),
         "no-steps": npy_header((0, 2), "<f8"),
         "no-blocks": npy_header((3, 0), "<f8"),
+        "header-without-brace": good.replace(b"{", b" ", 1),
     }
 
 
 MALFORMED_HEATMAPS = malformed_heatmaps()
+
+# The committed replay fixture in the retired CSV text format, and the line
+# breaks other than a lone \n that its reader refused.
+CSV_TRACE = "step,block,l1_rel\n6,0,0.3\n5,0,0.2\n4,0,0.1\n3,0,0.05\n2,0,0.05\n1,0,0.08\n0,0,0.3\n"
+BREAKS = {
+    "\r\n": "crlf",
+    "\r": "cr",
+    "\x0c": "form-feed",
+    "\x1c": "file-separator",
+    "\u2028": "line-separator",
+}
 
 
 # The argv that starts each kind of run. "compare" is the scored side of the
@@ -476,6 +488,61 @@ class TestReplay:
         good = tmp_path / "good.npy"
         good.write_bytes(npy_header((3, 2), "<f8") + HEATMAP.tobytes())
         assert main(["replay", "--trace", str(good), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (None, "step,block,l1_rel\n1,0,0.1\n1,0,0.2\n0,0,0.1\n"),
+            ("6,0,", "+6,0,"),
+            ("6,0,", "06,0,"),
+            ("3,0,", "\n3,0,"),
+            *[(None, sep.join(["step,block,l1_rel", "1,0,", "0,0,0.5", ""])) for sep in BREAKS],
+            (None, "step,block,l1_rel\n1,0,\r\n0,0,0.5\r\n"),
+            (None, "step,block,l1_rel\n1,0,\x0c0,0,0.5\n"),
+            (None, "step,block,l1_rel\n1,0,\n0,0,0.5"),
+            (None, "step,block,l1_rel\n1,0,0.5\r\n0,0,0.5\r\n"),
+            (None, "step,block,l1_rel\n1,0, 0.5\n0,0,0.5\n"),
+            (None, "step,block,l1_rel\n1,0,0.5\n0,0,1_0\n"),
+            (None, "step,block,l1_rel\n1,0,\u0665\n0,0,0.5\n"),
+        ],
+        ids=[
+            "repeated-block", "plus-step", "zero-padded-step", "blank-line",
+            *[f"{name}-lines" for name in BREAKS.values()],
+            "crlf-after-header", "form-feed-after-header", "no-final-newline",
+            "crlf-measured-lines", "space-in-cell", "underscore-in-cell", "non-ascii-cell",
+        ],
+    )
+    def test_malformed_trace_is_config_error_naming_line(self, tmp_path, capsys, old, new):
+        """The text tables the CSV reader refused naming a line: a repeated
+        block, the old fixture with one step respelled or a blank line
+        inserted, lines ending in another break than a lone \\n or the last
+        one in none, and cells that float() reads. No line of a text table is
+        read now: each exits 2 at its first bytes, told how to record a .npy
+        table, and writes nothing."""
+        bad = tmp_path / "bad.csv"
+        bad.write_text(new if old is None else CSV_TRACE.replace(old, new, 1), newline="")
+        out = tmp_path / "out"
+        assert main(["replay", "--trace", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: heatmap is not a .npy 1.0 file ")
+        assert "a heatmap is a .npy table now" in err and "generate --policy none" in err
+        assert not out.exists()
+
+    def test_negative_distance_is_config_error(self, tmp_path, capsys):
+        """Named by its step and block, under the policy flags that would
+        otherwise replay the table."""
+        bad = HEATMAP.copy()
+        bad[1, 0] = -0.5
+        table = tmp_path / "negative.npy"
+        table.write_bytes(npy_header((3, 2), "<f8") + bad.tobytes())
+        out = tmp_path / "out"
+        argv = ["--delta", "0.15", "--reuse-interval", "2", "--tail", "fixed:0"]
+        assert main(["replay", "--trace", str(table), *argv, "--out", str(out)]) == 2
+        assert "distance -0.5 at step 1, block 0 is not" in capsys.readouterr().err
+        assert not out.exists()
+        good = tmp_path / "good.npy"
+        good.write_bytes(npy_header((3, 2), "<f8") + HEATMAP.tobytes())
+        assert main(["replay", "--trace", str(good), *argv, "--out", str(out)]) == 0
 
     def test_missing_subcommand_exits_two(self):
         assert main([]) == 2

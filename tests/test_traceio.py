@@ -80,6 +80,51 @@ def line_wise_reuse_profile_text(decisions) -> str:
     return "\n".join(lines) + "\n"
 
 
+def line_wise_heatmap_bytes(decisions, n_blocks: int) -> bytes:
+    """The heatmap as np.save writes a table filled in one row per step,
+    the reference for the writer."""
+    table = np.empty((len(decisions), n_blocks), dtype="<f8")
+    for i, d in enumerate(decisions):
+        table[i] = math.nan if d.per_block_l1 is None else d.per_block_l1
+    f = io.BytesIO()
+    np.save(f, table, allow_pickle=False)
+    return f.getvalue()
+
+
+def line_wise_read_heatmap(path) -> list[list[float | None]]:
+    """A heatmap's rows as np.load reads them, checked one row at a time:
+    the reference for the reader. Raises ValueError on what it refuses."""
+    raw = Path(path).read_bytes()
+    table = np.load(io.BytesIO(raw), allow_pickle=False)
+    if raw[6:8] != b"\x01\x00":
+        raise ValueError("not .npy 1.0")
+    header_end = 10 + int.from_bytes(raw[8:10], "little")
+    if b"'fortran_order': True" in raw[:header_end]:
+        raise ValueError("Fortran order")
+    if table.dtype.str != "<f8" or table.ndim != 2 or 0 in table.shape:
+        raise ValueError("not a [T, N] <f8 table with T, N >= 1")
+    if len(raw) != header_end + table.nbytes:
+        raise ValueError("payload size")
+    rows = []
+    for step, row in zip(range(len(table) - 1, -1, -1), table.tolist()):
+        if all(math.isnan(v) for v in row):
+            rows.append([None] * len(row))
+        elif all(0.0 <= v < math.inf for v in row):
+            rows.append(row)
+        else:
+            raise ValueError(f"bad distance at step {step}")
+    return rows
+
+
+def outcome(read, path):
+    """A reader's rows as hex strings and Nones, or the message it refused with."""
+    try:
+        rows = read(path)
+    except Exception as exc:  # noqa: BLE001 - the references raise what NumPy raises
+        return ("refused", str(exc))
+    return [[None if v is None else v.hex() for v in row] for row in rows]
+
+
 # Distances at the edges of float64: zero, the least subnormal, a tiny
 # normal, a repeating binary fraction, an integer beyond nine digits and the
 # largest finite float.
@@ -101,6 +146,28 @@ def heatmap_decisions(draw):
         action = Action.REUSED if values is None else Action.COMPUTED
         decisions.append(StepDecision(step, action, values, None, None))
     return decisions, n_blocks
+
+
+@st.composite
+def heatmap_files(draw):
+    """The bytes of a write_heatmap table, then possibly one change: a cell
+    set to a value the writer never writes, a payload cut or grown by 1-16
+    bytes, or any one byte overwritten."""
+    decisions, n_blocks = draw(heatmap_decisions())
+    raw = bytearray(line_wise_heatmap_bytes(decisions, n_blocks))
+    payload = len(raw) - 8 * len(decisions) * n_blocks
+    change = draw(st.sampled_from(["none", "cell", "cut", "grow", "byte"]))
+    if change == "cell":
+        at = payload + 8 * draw(st.integers(0, len(decisions) * n_blocks - 1))
+        value = draw(st.sampled_from([-0.5, -0.0, math.nan, math.inf, -math.inf, -5e-324]))
+        raw[at:at + 8] = struct.pack("<d", value)
+    elif change == "cut":
+        del raw[len(raw) - draw(st.integers(1, 16)):]
+    elif change == "grow":
+        raw += bytes(draw(st.integers(1, 16)))
+    elif change == "byte":
+        raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+    return bytes(raw)
 
 
 def make_summary(**overrides):
@@ -161,6 +228,52 @@ class TestHeatmap:
         with pytest.raises(TraceFormatError, match=message):
             read_heatmap(path)
 
+    def test_bad_field_count_names_line(self, tmp_path):
+        """A table whose cells carry the three CSV fields step, block and
+        l1_rel, as np.save writes a record array, is refused naming them."""
+        path = tmp_path / "h.npy"
+        fields = [("step", "<i8"), ("block", "<i8"), ("l1_rel", "<f8")]
+        np.save(path, np.array([(1, 0, 0.1), (0, 0, 0.1)], dtype=fields), allow_pickle=False)
+        with pytest.raises(TraceFormatError, match=r"<f8 table .*\('l1_rel', '<f8'\)\] \(2,\)"):
+            read_heatmap(path)
+
+    def test_wrong_block_order_names_line(self, tmp_path):
+        """A Fortran-order table, whose payload runs block by block instead
+        of step by step, is refused before any cell is read."""
+        path = tmp_path / "h.npy"
+        np.save(path, np.asfortranarray([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]), allow_pickle=False)
+        with pytest.raises(TraceFormatError, match=r"needs C order.* fortran_order True"):
+            read_heatmap(path)
+
+    def test_non_contiguous_steps_rejected(self, tmp_path):
+        """The rows of steps 3 and 1 alone, under a header that counts the
+        four steps 3 to 0, are refused by their payload size."""
+        path = tmp_path / "h.npy"
+        path.write_bytes(npy_header((4, 1), "<f8") + struct.pack("<2d", 0.1, 0.1))
+        with pytest.raises(TraceFormatError, match="heatmap payload is 16 bytes, expected 32"):
+            read_heatmap(path)
+
+    def test_nan_distance_rejected(self, tmp_path):
+        """NaN marks an unmeasured step only when it fills the row; beside a
+        measured cell it is a distance that is not a number."""
+        path = tmp_path / "h.npy"
+        path.write_bytes(npy_header((2, 2), "<f8") + struct.pack("<4d", math.nan, 0.1, 0.1, 0.1))
+        message = "heatmap distance nan at step 1, block 0 is not a finite number >= 0"
+        with pytest.raises(TraceFormatError, match=re.escape(message)):
+            read_heatmap(path)
+
+    def test_negative_distance_rejected_naming_line(self, tmp_path):
+        """The refusal names the cell's row by its step, and its block."""
+        path = tmp_path / "h.npy"
+        decisions = [
+            StepDecision(1, Action.COMPUTED, None, None, None),
+            StepDecision(0, Action.COMPUTED, (0.5, -0.5), None, None),
+        ]
+        write_heatmap(decisions, 2, path)
+        message = "heatmap distance -0.5 at step 0, block 1 is not a finite number >= 0"
+        with pytest.raises(TraceFormatError, match=re.escape(message)):
+            read_heatmap(path)
+
     def test_truncated_group_rejected(self, tmp_path):
         """A table whose last step lacks a cell is refused by its payload size."""
         path = tmp_path / "h.npy"
@@ -169,17 +282,47 @@ class TestHeatmap:
         with pytest.raises(TraceFormatError, match="heatmap payload is 40 bytes, expected 48"):
             read_heatmap(path)
 
-    @pytest.mark.parametrize("value", [-0.5, math.inf, -math.inf])
-    def test_bad_distance_rejected_naming_its_cell(self, tmp_path, value):
+    def test_trace_not_ending_at_zero_rejected(self, tmp_path):
+        """A table without rows has no step 0 for a run to end at."""
         path = tmp_path / "h.npy"
-        decisions = [
-            StepDecision(1, Action.COMPUTED, None, None, None),
-            StepDecision(0, Action.COMPUTED, (0.5, value), None, None),
-        ]
-        write_heatmap(decisions, 2, path)
-        message = f"heatmap distance {value} at step 0, block 1 is not a finite number >= 0"
-        with pytest.raises(TraceFormatError, match=re.escape(message)):
+        path.write_bytes(npy_header((0, 2), "<f8"))
+        with pytest.raises(TraceFormatError, match=re.escape("T, N >= 1; has float64 (0, 2)")):
             read_heatmap(path)
+
+    @pytest.mark.parametrize(
+        "cell",
+        ["0.5\r", " 0.5", "0.5 ", "\t0.5", "0.5\x0b", "0.5\x0c", "1_0", "\u0665", "0.5\xa0"],
+    )
+    def test_cell_write_heatmap_never_writes_is_refused(self, tmp_path, cell):
+        """float() reads each of these cells, but no text cell is a distance
+        now: a CSV table holding one is refused whole, by its first bytes,
+        with the way to record a .npy table."""
+        path = tmp_path / "h.csv"
+        path.write_text(f"step,block,l1_rel\n1,0,0.5\n0,0,{cell}\n")
+        with pytest.raises(TraceFormatError, match="not a .npy 1.0 file .*generate --policy none"):
+            read_heatmap(path)
+
+    def test_bytes_that_are_not_utf8_are_refused_naming_line(self, tmp_path):
+        """A byte that is not ASCII in the header's dict, where NumPy writes
+        only ASCII, is refused quoting the header line that holds it."""
+        path = tmp_path / "h.npy"
+        header = npy_header((1, 1), "<f8")
+        path.write_bytes(header[:-2] + b"\xff\n" + struct.pack("<d", 0.5))
+        with pytest.raises(TraceFormatError, match="heatmap is not a .npy 1.0 file .*\xff"):
+            read_heatmap(path)
+
+    def test_infinite_distance_rejected_naming_line(self, tmp_path):
+        """Either infinity; the refusal names the cell's step and block."""
+        path = tmp_path / "h.npy"
+        for value in (math.inf, -math.inf):
+            decisions = [
+                StepDecision(1, Action.COMPUTED, None, None, None),
+                StepDecision(0, Action.COMPUTED, (value,), None, None),
+            ]
+            write_heatmap(decisions, 1, path)
+            message = f"heatmap distance {value} at step 0, block 0 is not a finite number >= 0"
+            with pytest.raises(TraceFormatError, match=re.escape(message)):
+                read_heatmap(path)
 
     def test_claimed_step_count_sizes_nothing(self, tmp_path):
         """A header claiming four billion steps over a payload of three cells
@@ -218,6 +361,32 @@ class TestHeatmap:
         assert [[None if v is None else v.hex() for v in row] for row in rows] == [
             [None if v is None else v.hex() for v in row] for row in want
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=heatmap_files())
+    def test_reader_agrees_with_the_line_wise_reader(self, raw):
+        """What the reader accepts, np.load read row by row accepts with the
+        same bits, and what that reference refuses, the reader refuses,
+        each refusal naming the heatmap."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "heatmap.npy"
+            path.write_bytes(raw)
+            got = outcome(read_heatmap, path)
+            oracle = outcome(line_wise_read_heatmap, path)
+        if isinstance(got, tuple):
+            assert got[1].startswith("heatmap "), got[1]
+            assert isinstance(oracle, tuple), oracle
+        else:
+            assert got == oracle
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=heatmap_decisions())
+    def test_writer_bytes_equal_the_line_wise_writer(self, table):
+        decisions, n_blocks = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "heatmap.npy"
+            write_heatmap(decisions, n_blocks, path)
+            assert path.read_bytes() == line_wise_heatmap_bytes(decisions, n_blocks)
 
 
 class TestReuseProfile:
@@ -421,6 +590,10 @@ def malformed_latents() -> dict[str, bytes]:
         "dims-2^32-squared": npy_header((2**32, 2**32)),
         "dims-2^30-by-4": npy_header((2**30, 4)),
         "negative-dims": npy_header((-2, -2)) + bytes(16),
+        # NumPy's header filter raises tokenize's error on an unclosed bracket.
+        "header-without-brace": npy_header((3, 4)).replace(b"{", b" ") + x.tobytes(),
+        # NumPy parses a Python 2 long after repairing it, with a warning.
+        "python-2-header": npy_header((3, 4)).replace(b"(3, 4), ", b"(3L, 4),") + x.tobytes(),
     }
 
 
