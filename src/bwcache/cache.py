@@ -28,9 +28,10 @@ step (and still records distances, which is how full heatmaps are made), and
 new state); the state is the frozen trigger step and the current reuse run
 length, while the cached features are storage owned by the runner. One
 driver runs the ``decide`` loop for both runners: ``run_policy`` steps the
-real model, and ``replay_trace`` reads a recorded distance table with no
-model at all, which makes policy questions cheap to answer offline. Both
-record one ``traceio.StepDecision`` per step.
+real model, and ``replay_trace`` reads a recorded ``[T, N]`` float64
+distance table (the array ``traceio.read_heatmap`` returns, NaN where
+nothing was measured) with no model at all, which makes policy questions
+cheap to answer offline. Both record one ``traceio.StepDecision`` per step.
 """
 
 from __future__ import annotations
@@ -354,49 +355,36 @@ def run_policy(config: ModelConfig, policy: CachePolicyConfig):
     return x, trace
 
 
-def replay_trace(
-    rows: Sequence[Sequence[float | None]],
-    policy: CachePolicyConfig,
-) -> list[StepDecision]:
+def replay_trace(table, policy: CachePolicyConfig) -> list[StepDecision]:
     """Re-run the decision machine over a recorded distance table.
 
-    ``rows`` is execution-ordered (step T-1 first), one sequence of N
-    per-block distances per step. A distance may be None only where the
-    policy never reads it: the first executed step (which has no previous
-    cache even live) and steps the replayed policy reuses. Where a row is
-    read, its distances must be >= 0 with a finite sum (arl1), as every
-    live measurement is. Distances at reused steps are ignored, matching
-    live behavior where nothing is measured there.
+    ``table`` is a ``[T, N]`` float64 array in execution order (step T-1
+    first), as ``traceio.read_heatmap`` returns it, or anything that
+    ``np.asarray(table, dtype=np.float64)`` turns into one, such as lists of
+    rows with None for NaN. NaN marks a missing distance. A row may hold
+    one only where the policy never reads it: the first executed step (which
+    has no previous cache even live) and steps the replayed policy reuses.
+    Where a row is read, its distances must be >= 0 with a finite sum
+    (arl1), as every live measurement is, and they are recorded as a tuple
+    of Python floats.
     """
-    total = len(rows)
-    if total < 2:
-        raise ValueError("replay needs at least two steps")
-    n_blocks = len(rows[0])
-    if n_blocks == 0:
-        raise ValueError("replay needs at least one block per step")
-    for i, row in enumerate(rows):
-        if len(row) != n_blocks:
-            raise ValueError(
-                f"ragged trace: execution index {i} has {len(row)} values, expected {n_blocks}"
-            )
+    table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 2 or table.shape[0] < 2 or table.shape[1] < 1:
+        raise ValueError(f"replay needs a [T, N] table with T >= 2, N >= 1; has shape {table.shape}")
+    total = len(table)
     require_valid_tail(policy, total)
+    rows = table.tolist()
 
     def read_row(step: int, action: Action, measure: bool) -> tuple[float, ...] | None:
         if not measure:
             return None
         exec_idx = total - 1 - step
-        row = rows[exec_idx]
-        if None in row:
-            raise ValueError(
-                f"trace is missing distances at step {step} "
-                f"(execution index {exec_idx}), needed for a computed step"
-            )
-        per_block = tuple(map(float, row))
+        per_block = tuple(rows[exec_idx])
         # min() may pass over a NaN, but any NaN or inf makes the sum NaN or inf.
         if not (min(per_block) >= 0.0 and sum(per_block) < math.inf):
             raise ValueError(
-                f"trace has a negative or non-finite distance at step {step} "
-                f"(execution index {exec_idx})"
+                f"trace has a missing (NaN) or negative distance, or an infinite sum, at step "
+                f"{step} (execution index {exec_idx}), needed for a computed step"
             )
         return per_block
 

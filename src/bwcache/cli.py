@@ -180,11 +180,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    rows = read_heatmap(args.trace)
-    total_steps = len(rows)
-    n_blocks = len(rows[0])
+    table = read_heatmap(args.trace)
+    total_steps, n_blocks = table.shape
     policy = _policy_from_args(args, total_steps=total_steps)
-    decisions = replay_trace(rows, policy)
+    decisions = replay_trace(table, policy)
 
     config = _model_from_args(args, steps=total_steps, blocks=n_blocks)
     trace = RunTrace(

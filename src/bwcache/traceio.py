@@ -138,8 +138,9 @@ def write_heatmap(decisions: Sequence[StepDecision], n_blocks: int, path) -> Non
     _write_npy(np.array(rows, dtype="<f8").reshape(len(rows), n_blocks), path)
 
 
-def read_heatmap(path) -> list[list[float | None]]:
-    """The execution-ordered rows of a write_heatmap table, None for NaN.
+def read_heatmap(path) -> np.ndarray:
+    """The checked [T, N] little-endian float64 table of a write_heatmap file,
+    in execution order, with NaN rows where nothing was measured.
 
     Beyond what _read_npy refuses, the table must be 2-d little-endian
     float64 with at least one step and one block, no cell may be infinite
@@ -159,9 +160,7 @@ def read_heatmap(path) -> list[list[float | None]]:
         step = len(table) - 1 - i
         problem = f"distance {table[i, block]} at step {step}, block {block}"
         raise TraceFormatError(f"heatmap {problem} is not a finite number >= 0")
-    cells = table.astype(object)
-    cells[nan] = None
-    return cells.tolist()
+    return table
 
 
 def write_reuse_profile(decisions: Sequence[StepDecision], path) -> None:

@@ -61,6 +61,12 @@ def constant_rows(total_steps, n_blocks=1, value=0.01):
     return [[value] * n_blocks for _ in range(total_steps)]
 
 
+def both_forms(rows):
+    """The rows as lists with None, and as the float64 array with NaN for None
+    that read_heatmap returns."""
+    return rows, np.array(rows, dtype=np.float64)
+
+
 def actions(decisions) -> list[Action]:
     return [d.action for d in decisions]
 
@@ -356,14 +362,17 @@ class TestDecideEdges:
         assert actions(decisions) == [C, C, R, C, R, C, R, C]
 
     def test_ragged_trace_rejected(self):
+        """Rows of unequal length are no [T, N] table: NumPy refuses their shape."""
         rows = [[0.1, 0.1], [0.1], [0.1, 0.1]]
-        with pytest.raises(ValueError, match="ragged"):
+        with pytest.raises(ValueError, match="shape"):
             replay_trace(rows, bw(0.15, 3, TailRule.half()))
 
     def test_missing_needed_value_rejected(self):
+        """A None row in a list, or a NaN row in an array, where a computed step reads it."""
         rows = [[0.1], [None], [0.1], [0.1]]
-        with pytest.raises(ValueError, match="missing"):
-            replay_trace(rows, bw(0.0, 3, TailRule.half()))
+        for table in both_forms(rows):
+            with pytest.raises(ValueError, match="missing"):
+                replay_trace(table, bw(0.0, 3, TailRule.half()))
 
     @pytest.mark.parametrize(
         "row",
@@ -378,13 +387,15 @@ class TestDecideEdges:
     def test_impossible_needed_value_rejected(self, row):
         """A distance the policy reads must be finite and >= 0, like a live one."""
         rows = [[None, None], row, [0.1, 0.1]]
-        with pytest.raises(ValueError, match=r"at step 1 \(execution index 1\)"):
-            replay_trace(rows, bw(0.15, 2, TailRule.fixed(0)))
+        for table in both_forms(rows):
+            with pytest.raises(ValueError, match=r"at step 1 \(execution index 1\)"):
+                replay_trace(table, bw(0.15, 2, TailRule.fixed(0)))
 
     def test_impossible_value_at_reused_step_is_not_read(self):
         rows = [[None], [0.1], [float("nan")]]
-        decisions = replay_trace(rows, bw(0.15, 2, TailRule.fixed(0)))
-        assert actions(decisions) == [C, C, R]
+        for table in both_forms(rows):
+            decisions = replay_trace(table, bw(0.15, 2, TailRule.fixed(0)))
+            assert actions(decisions) == [C, C, R]
 
     def test_short_trace_rejected(self):
         with pytest.raises(ValueError):

@@ -44,6 +44,7 @@ from bwcache.traceio import (
     write_reuse_profile,
     write_summary,
 )
+from test_cache import policy_strategy
 
 
 def make_decisions():
@@ -91,8 +92,8 @@ def line_wise_heatmap_bytes(decisions, n_blocks: int) -> bytes:
     return f.getvalue()
 
 
-def line_wise_read_heatmap(path) -> list[list[float | None]]:
-    """A heatmap's rows as np.load reads them, checked one row at a time:
+def line_wise_read_heatmap(path) -> np.ndarray:
+    """A heatmap's table as np.load reads it, checked one row at a time:
     the reference for the reader. Raises ValueError on what it refuses."""
     raw = Path(path).read_bytes()
     table = np.load(io.BytesIO(raw), allow_pickle=False)
@@ -105,24 +106,19 @@ def line_wise_read_heatmap(path) -> list[list[float | None]]:
         raise ValueError("not a [T, N] <f8 table with T, N >= 1")
     if len(raw) != header_end + table.nbytes:
         raise ValueError("payload size")
-    rows = []
     for step, row in zip(range(len(table) - 1, -1, -1), table.tolist()):
-        if all(math.isnan(v) for v in row):
-            rows.append([None] * len(row))
-        elif all(0.0 <= v < math.inf for v in row):
-            rows.append(row)
-        else:
+        if not (all(math.isnan(v) for v in row) or all(0.0 <= v < math.inf for v in row)):
             raise ValueError(f"bad distance at step {step}")
-    return rows
+    return table
 
 
 def outcome(read, path):
-    """A reader's rows as hex strings and Nones, or the message it refused with."""
+    """A reader's table as its dtype, shape and bytes, or the message it refused with."""
     try:
-        rows = read(path)
+        table = read(path)
     except Exception as exc:  # noqa: BLE001 - the references raise what NumPy raises
         return ("refused", str(exc))
-    return [[None if v is None else v.hex() for v in row] for row in rows]
+    return [table.dtype.str, table.shape, table.tobytes()]
 
 
 # Distances at the edges of float64: zero, the least subnormal, a tiny
@@ -199,8 +195,10 @@ class TestHeatmap:
     def test_round_trip_preserves_values_and_gaps(self, tmp_path):
         path = tmp_path / "h.npy"
         write_heatmap(make_decisions(), 2, path)
-        rows = read_heatmap(path)
-        assert rows == [[None, None], [None, None], [0.125, 0.25]]
+        table = read_heatmap(path)
+        assert table.dtype.str == "<f8" and table.shape == (3, 2)
+        assert np.isnan(table).tolist() == [[True, True], [True, True], [False, False]]
+        assert table[2].tolist() == [0.125, 0.25]
 
     def test_reexport_is_byte_identical(self, tmp_path):
         """write -> read -> write is the identity."""
@@ -351,16 +349,58 @@ class TestHeatmap:
     def test_any_decisions_round_trip_exactly(self, table):
         """Every distance, zeros, subnormals and the largest finite floats
         included, reads back as the float64 it was, bit for bit, and every
-        unmeasured row as Nones."""
+        unmeasured row as a row of NaN."""
         decisions, n_blocks = table
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "heatmap.npy"
             write_heatmap(decisions, n_blocks, path)
-            rows = read_heatmap(path)
+            rows = read_heatmap(path).tolist()
         want = [[None] * n_blocks if d.per_block_l1 is None else d.per_block_l1 for d in decisions]
-        assert [[None if v is None else v.hex() for v in row] for row in rows] == [
+        assert [[None if math.isnan(v) else v.hex() for v in row] for row in rows] == [
             [None if v is None else v.hex() for v in row] for row in want
         ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=heatmap_decisions(), policy=policy_strategy(), gaps=st.booleans())
+    def test_read_table_is_np_load_and_replays_as_its_lists(self, table, policy, gaps):
+        """read_heatmap returns the <f8 array that np.load reads, bytes and
+        all. Replay over it decides what replay over the same table as lists
+        with None decides, or refuses with the same message, and every
+        distance it records is a Python float with its table cell's bits.
+        Without gaps, only the first row is unmeasured, so that most
+        replays read the rows they need rather than refuse."""
+        decisions, n_blocks = table
+        if not gaps:
+            filled = (1 / 3,) * n_blocks
+            decisions = decisions[:1] + [
+                d._replace(per_block_l1=d.per_block_l1 or filled) for d in decisions[1:]
+            ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "heatmap.npy"
+            write_heatmap(decisions, n_blocks, path)
+            got = read_heatmap(path)
+            loaded = np.load(path, allow_pickle=False)
+        assert isinstance(got, np.ndarray) and got.dtype.str == "<f8"
+        assert (got.shape, got.tobytes()) == (loaded.shape, loaded.tobytes())
+        as_lists = [
+            [None] * n_blocks if d.per_block_l1 is None else list(d.per_block_l1) for d in decisions
+        ]
+
+        def replayed(rows):
+            try:
+                return replay_trace(rows, policy)
+            except ValueError as exc:
+                return str(exc)
+
+        from_array = replayed(got)
+        assert from_array == replayed(as_lists)
+        if isinstance(from_array, str):
+            assert "missing" in from_array or "whole run" in from_array, from_array
+            return
+        for i, decision in enumerate(from_array):
+            for block, value in enumerate(decision.per_block_l1 or ()):
+                assert type(value) is float
+                assert struct.pack("<d", value) == loaded[i, block].tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(raw=heatmap_files())
