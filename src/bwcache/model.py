@@ -27,7 +27,11 @@ Sampling is the deterministic (zero extra noise) variant of the standard
 ancestral update: predict eps, form x0_hat, re-noise analytically to the
 previous level. All weights are float32 and drawn from the package's own
 seeded stream, so a seed pins the whole trajectory: each tensor family is
-one draw ``rand_normal(mix_seed(seed, salt), shape)`` with its own salt.
+one draw ``rand_normal(mix_seed(seed, salt), shape)`` with its own salt. The
+draws run on the caller's thread, and their bytes do not depend on numpy's
+CPU dispatch target; the forward pass's float32 exp (softmax) and tanh
+(GELU) do. A drawn normal lies within |x| <= sqrt(48 ln 2), about 5.77, so
+every weight within 5.77 WEIGHT_STD.
 
 The seeded builds are pure functions of the few config fields they read: the
 block weights of (seed, hidden_dim, n_blocks), the readout and decode

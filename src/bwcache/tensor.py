@@ -13,29 +13,25 @@ bit-identical to the op written as one plain numpy expression.
 
 Matmuls dispatch to BLAS; there is no second matmul path. The BLAS build
 picks its kernel per CPU, as numpy picks the SIMD kernels of its elementwise
-functions, and float32 exp, tanh, log, cos and sin and float64 log and tanh
-give different bits on different targets. So a run is byte-identical across
-reruns, and across BLAS thread counts, on one numpy build and one CPU
-dispatch target, not across targets.
+functions, and float32 exp and tanh give different bits on different
+targets. So a run is byte-identical across reruns, and across BLAS thread
+counts, on one numpy build and one CPU dispatch target, not across targets.
 
 The random stream is a SplitMix64 counter generator (golden-gamma increment,
-two xor-multiply finalizer rounds) mapped to normals with Box-Muller. It is
-specified to the bit so that a fixed seed pins every weight and latent in the
-package, independent of numpy's own Generator machinery. There is no stream
-object: a draw is the pure function ``rand_normal(state, shape)``, and each
-seeded family takes its state from ``mix_seed(seed, salt)``. Output i of a
-stream depends only on its state and i, so ``rand_normal`` works through a
-request in chunks whose temporaries are 128 KiB each, and splits the chunks
-into contiguous spans that threads fill side by side, at most one thread per
-CPU available to the process. Its values are bit-identical to one pass over
-the whole request, whatever the number of threads.
+two xor-multiply finalizer rounds) mapped to normals with a float32
+Box-Muller built from IEEE-exact operations only, so its bytes are the same
+on every dispatch target. It is specified to the bit so that a fixed seed
+pins every weight and latent in the package, independent of numpy's own
+Generator machinery. There is no stream object: a draw is the pure function
+``rand_normal(state, shape)``, and each seeded family takes its state from
+``mix_seed(seed, salt)``. Output i of a stream depends only on its state and
+i, so ``rand_normal`` works through a request on one thread in chunks whose
+temporaries stay the same size however large the request is.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 
 import numpy as np
 
@@ -161,37 +157,53 @@ def mix_seed(seed: int, salt: int) -> int:
     return _mix64((seed ^ ((salt + 1) * _GAMMA)) & _MASK64)
 
 
-# Values per chunk of a draw: each uint64 or float64 temporary is 128 KiB, so
-# one chunk's mixing and Box-Muller passes stay in L2 and a draw's temporaries
-# do not grow with its size.
-_CHUNK = 1 << 14
-# Counter offsets (i + 1) * gamma mod 2^64 of one chunk.
-_OFFSETS = np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+# Values per chunk of a draw. A chunk's uint64 counters take 256 KiB and each
+# int32 or float32 temporary 64 KiB, about 1.1 MiB at once, so a draw's
+# temporaries stay in L2 and do not grow with its size. The d=256 model's
+# 8.4M values drew in 49 ms in chunks of 2^15 or 2^16 values, 53 ms in 2^14
+# and 68 ms in 2^13 (one thread, Xeon with AVX-512).
+_CHUNK = 1 << 15
+# Counter offsets (i + 1) gamma mod 2^64 of one chunk's positions i, the even
+# positions (radii) in row 0 and the odd ones (angles) in row 1.
+_OFFSETS = (np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(_GAMMA)).reshape(-1, 2).T.copy()
 _OFFSETS.flags.writeable = False
-# Most threads one draw runs on: one per CPU this process may use.
-_WORKERS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
+# float32 polynomial coefficients, fitted for least maximum relative error:
+# -4 atanh(f) / f in f^2 for |f| <= 3 - 2 sqrt(2) (-4 times the atanh series),
+# and sin(pi d / 2) / d and cos(pi d / 2) (constant term 1) in d^2 for
+# |d| <= 1/2.
+_LOG_POLY = tuple(map(np.float32, (-4.0, -1.3333355, -0.79955137, -0.5974214)))
+_SIN_POLY = tuple(map(np.float32, (1.5707964, -0.6459635, 0.07968003, -0.004601658)))
+_COS_POLY = tuple(map(np.float32, (1.0, -1.2336977, 0.25360322, -0.020417282)))
+_MINUS_2_LN2 = np.float32(-2.0 * math.log(2.0))
+_SQRT_HALF_BITS = 0x3F3504F3  # float32 bits of the largest value below sqrt(1/2)
+_SIGN = np.uint32(1 << 31)
 
 
 def rand_normal(state: int, shape: tuple[int, ...] | int) -> Tensor:
-    """Float32 Box-Muller normals from the (0, 1] uniforms of the stream at ``state``.
+    """Float32 Box-Muller normals from the 24-bit uniforms of the stream at ``state``.
 
     Output i of the stream is mix64(state + (i + 1) gamma), with ``state``
-    masked to 64 bits, so a draw is a pure function of (state, shape).
-    Draws are consumed in pairs; an odd-sized request pads its last pair, so
-    requests of n and n+1 values agree on their common prefix.
+    masked to 64 bits, so a draw is a pure function of (state, shape). Its top
+    24 bits k give the uniform. Draws are consumed in pairs; an odd-sized
+    request pads its last pair, so requests of n and n+1 values agree on their
+    common prefix. Of a pair, the even position gives the radius
+    sqrt(-2 ln u) of u = (k + 1) 2^-24 in (0, 1], so |x| <= sqrt(48 ln 2),
+    about 5.77, and the odd one the angle 2 pi k 2^-24.
 
-    The request is cut into chunks of _CHUNK values, and the chunks into one
-    contiguous span per worker: at most one thread per CPU available to the
-    process, and never more than there are chunks. The caller fills the first
-    span itself and joins the threads of the others; a one-chunk draw starts
-    no thread. Each span works through its chunks from their own stream
-    positions, with 128 KiB temporaries per chunk, writing each chunk straight
-    into the float32 result. The values are bit-identical to one pass over
-    the whole request (float64 uniforms, float64 Box-Muller, one cast to
-    float32 at the end), whatever the number of threads. A span that fails
-    raises in the caller once every thread has been joined.
+    The transform runs in float32 on IEEE-exact operations only (+, -, *, /,
+    sqrt, integer shifts, masks and xors, and exact int-to-float conversions),
+    so its bytes do not depend on numpy's CPU dispatch target:
+
+    - ln u is e ln 2 + ln m from the exponent e and the mantissa m in
+      [sqrt(1/2), sqrt(2)) of u's bits, with ln m = 2 atanh((m - 1) / (m + 1))
+      from a series in ((m - 1) / (m + 1))^2;
+    - the angle is cut exactly, in integers, into the nearest quarter turn q
+      and a remainder d in [-1/2, 1/2) quarter turns, whose sine and cosine
+      are polynomials in d^2; q swaps them (odd q) and flips the signs of
+      both outputs (q = 2, 3) by bit operations.
+
+    The request is worked through on the caller's thread in chunks of _CHUNK
+    values, each written straight into the float32 result.
     """
     if isinstance(shape, int):
         shape = (shape,)
@@ -204,50 +216,76 @@ def rand_normal(state: int, shape: tuple[int, ...] | int) -> Tensor:
     result = np.empty(shape, dtype=np.float32)
     out = result.reshape(-1)
     start = state & _MASK64
-    chunks = -(-m // _CHUNK)
-    workers = max(1, min(_WORKERS, chunks))
-    edges = [j * chunks // workers * _CHUNK for j in range(workers)] + [m]
-    errors: list[BaseException] = []
-
-    def run(lo: int, hi: int) -> None:
-        try:
-            _fill_span(start, out, lo, hi)
-        except BaseException as exc:  # re-raised in the caller after the join
-            errors.append(exc)
-
-    threads: list[threading.Thread] = []
-    try:
-        for lo, hi in zip(edges[1:-1], edges[2:]):
-            thread = threading.Thread(target=run, args=(lo, hi), name="bwcache-rand-normal")
-            thread.start()
-            threads.append(thread)
-        _fill_span(start, out, edges[0], edges[1])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    for a in range(0, m, _CHUNK):
+        k = min(m - a, _CHUNK)
+        # Counter form of SplitMix64: position a + i is mix64(start + (a + i + 1) gamma).
+        z = _OFFSETS[:, : k // 2] + np.uint64((start + a * _GAMMA) & _MASK64)
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            z ^= z >> np.uint64(shift)
+            z *= np.uint64(mult)
+        # mix64's last step, z ^ (z >> 31), leaves the top 33 bits as they are.
+        z >>= np.uint64(40)
+        radius, angle = z.astype(np.int32)
+        _box_muller(radius, angle, out[a : a + k : 2], out[a + 1 : a + k : 2])
     return result
 
 
-def _fill_span(start: int, out: Tensor, lo: int, hi: int) -> None:
-    """Write padded stream positions [lo, hi) of a draw from state ``start`` into ``out``.
+def _box_muller(radius: Tensor, angle: Tensor, even: Tensor, odd: Tensor) -> None:
+    """Write r cos and r sin of each pair's top-24-bit integers into ``even``
+    and ``odd``, which is one short on a padded last pair; ``radius`` and
+    ``angle`` are int32 arrays this call may overwrite."""
+    # -2 ln u with u = (radius + 1) 2^-24: the int32 view of the float32
+    # radius + 1 less sqrt(1/2)'s bits and 24 exponents holds u's exponent e
+    # above its mantissa m, reduced to [sqrt(1/2), sqrt(2)).
+    radius += 1
+    v = radius.astype(np.float32)
+    bits = v.view(np.int32)
+    bits -= _SQRT_HALF_BITS + (24 << 23)
+    e = (bits >> 23).astype(np.float32)
+    bits &= 0x7FFFFF
+    bits += _SQRT_HALF_BITS  # v now holds m
+    f = v - np.float32(1.0)
+    v += np.float32(1.0)
+    f /= v
+    r = _horner(f * f, _LOG_POLY)
+    r *= f
+    e *= _MINUS_2_LN2
+    r += e
+    np.sqrt(r, out=r)
+    # The angle in 2^-24 turns: the signed low 22 bits are the remainder d in
+    # 2^-22 quarter turns, and after adding half a quarter turn, bits 22-23
+    # are the quadrant q, shifted here to bits 30-31.
+    d = (angle.view(np.uint32) << 10).view(np.int32)
+    d >>= 10
+    d = d.astype(np.float32)
+    d *= np.float32(2.0**-22)
+    t = d * d
+    sin = _horner(t, _SIN_POLY)
+    sin *= d
+    cos = _horner(t, _COS_POLY)
+    angle += 1 << 21
+    q = angle.view(np.uint32)
+    q <<= 8
+    r_bits = r.view(np.uint32)
+    r_bits ^= q & _SIGN  # q = 2, 3: both outputs change sign
+    swap = (q << 1).view(np.int32)
+    swap >>= 31
+    swap = swap.view(np.uint32)  # all ones where q is odd
+    cos_bits, sin_bits = cos.view(np.uint32), sin.view(np.uint32)
+    diff = cos_bits ^ sin_bits
+    diff &= swap
+    sin_bits ^= diff
+    cos_bits ^= diff
+    cos_bits ^= swap & _SIGN  # odd q: (cos, sin) becomes (-sin, cos)
+    np.multiply(r, cos, out=even)
+    np.multiply(r[: odd.size], sin[: odd.size], out=odd)
 
-    ``lo`` is a multiple of _CHUNK and ``hi`` is a chunk edge or the padded
-    end of the draw; only the last pair of the draw may lack its odd slot in
-    ``out``. Each of a chunk's temporaries is 128 KiB.
-    """
-    for a in range(lo, hi, _CHUNK):
-        k = min(hi - a, _CHUNK)
-        # Counter form of SplitMix64: position a + i is mix64(start + (a + i + 1) gamma).
-        z = _OFFSETS[:k] + np.uint64((start + a * _GAMMA) & _MASK64)
-        for shift, mult in ((30, _MIX1), (27, _MIX2)):
-            z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
-        z = z ^ (z >> np.uint64(31))
-        # Top 53 bits, shifted into (0, 1] so log() below never sees zero.
-        u = ((z >> np.uint64(11)) + 1.0) * 2.0**-53
-        r = np.sqrt(np.log(u[0::2]) * -2.0)
-        theta = u[1::2] * (2.0 * math.pi)
-        out[a : a + k : 2] = r * np.cos(theta)
-        odd = out[a + 1 : a + k : 2]  # one short on the padded last pair
-        odd[:] = (r * np.sin(theta))[: odd.size]
+
+def _horner(t: Tensor, coefficients: tuple[np.float32, ...]) -> Tensor:
+    """sum(c_j t^j) by Horner's rule, in float32, in a new array."""
+    acc = t * coefficients[-1]
+    for c in coefficients[-2:0:-1]:
+        acc += c
+        acc *= t
+    acc += coefficients[0]
+    return acc

@@ -53,6 +53,10 @@ SUMMARY_KEYS = (
 # Every summary key but the fingerprint is the RunSummary field of that name.
 _SUMMARY_FIELDS = tuple(key for key in SUMMARY_KEYS if key != "config_fingerprint")
 _FINGERPRINT = re.compile("[0-9a-f]{64}")
+# The revision of what a config computes, hashed into every fingerprint, so a
+# change that moves the outputs of an unchanged config moves its fingerprint:
+# 1, float64 libm Box-Muller draws; 2, float32 Box-Muller from IEEE-exact ops.
+_REVISION = 2
 
 
 class TraceFormatError(ValueError):
@@ -112,18 +116,24 @@ class RunSummary:
 
 
 def config_fingerprint(config: "ModelConfig", policy: "CachePolicyConfig") -> str:
-    """sha256 over the canonical JSON form of (model config, policy).
+    """sha256 over the canonical JSON form of (model config, policy, revision).
 
     The seed fixes the initial latent, so the two configs name everything
-    that selects a run's trajectory (the version-1 document). It holds every
-    field of both records as the record holds it (a PolicyKind is a str, so
-    JSON writes its value), with delta and tail in canonical form, so a field
-    added to either record is hashed without a change here.
+    that selects a run's trajectory (the version-1 document), and _REVISION
+    names the code that computes it. The document holds every field of both
+    records as the record holds it (a PolicyKind is a str, so JSON writes its
+    value), with delta and tail in canonical form, so a field added to either
+    record is hashed without a change here.
     """
     # vars, not dataclasses.asdict, which deep-copies and makes the tail a
     # dict. + 0.0 turns -0.0 and an int delta into the float they equal.
     canonical = {"delta": policy.delta + 0.0, "tail": policy.tail.canonical()}
-    doc = {"model": vars(config), "policy": {**vars(policy), **canonical}, "version": 1}
+    doc = {
+        "model": vars(config),
+        "policy": {**vars(policy), **canonical},
+        "revision": _REVISION,
+        "version": 1,
+    }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 

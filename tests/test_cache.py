@@ -694,20 +694,26 @@ class TestLiveReplayAgreement:
     @pytest.mark.parametrize("interval", [1, 3, 10])
     def test_delta_at_a_printed_mean_replays_through_the_first_reuse(self, interval):
         """At seed 0 this delta lies between step 28's live float64 mean
-        (above it) and the mean of the nine-digit text of its cells (below
+        (below it) and the mean of the nine-digit text of its cells (above
         it), which is what a CSV table once held. The table holds the float64
-        distances, so replay of the none table, like the live run, computes
-        step 27 and reuses step 26 first."""
+        distances, so replay of the none table, like the live run, reuses
+        step 27 first; a replay of the text would compute it."""
         config = ModelConfig(seed=0)
         _, trace_none = run_policy(config, CachePolicyConfig(kind=PolicyKind.NONE))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "heatmap.npy"
             write_heatmap(trace_none.decisions, config.n_blocks, path)
             rows = read_heatmap(path)
-        policy = bw(0.18234386337894945, interval, TailRule.fixed(0))
+        delta = 0.1823438349503014
+        step_28 = trace_none.decisions[1]
+        assert step_28.step == 28
+        printed = [float(f"{c:.9g}") for c in step_28.per_block_l1]
+        assert step_28.mean_l1 < delta < sum(printed) / len(printed)
+        policy = bw(delta, interval, TailRule.fixed(0))
         _, live = run_policy(config, policy)
         want = actions(live.decisions)
         horizon = want.index(R) + 1
+        assert live.decisions[horizon - 1].step == 27
         assert actions(replay_trace(rows, policy))[:horizon] == want[:horizon]
 
     @settings(max_examples=40, deadline=None)

@@ -250,23 +250,19 @@ class TestBuildCache:
         the one-pass reference generator, not the library's chunked one."""
         self.assert_weights_match_one_independent_stream(tiny_config(seed=11))
 
-    def test_weights_drawn_on_two_threads_match_the_same_stream(self, monkeypatch):
-        """A fresh build whose draw spans two chunks, forced onto two threads,
-        gives the same weights as the one-pass reference."""
-        started = []
+    def test_weights_drawn_over_several_chunks_match_the_same_stream(self, monkeypatch):
+        """A fresh build whose draw spans several chunks gives the same
+        weights as the one-pass reference, on the caller's thread alone."""
 
-        class CountingThread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a build started a thread")
 
-        monkeypatch.setattr(tensor, "_WORKERS", 2)
-        monkeypatch.setattr(threading, "Thread", CountingThread)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         for build in (_build_weights, _build_readout, _build_decode):
             build.cache_clear()
-        config = tiny_config(hidden_dim=32, seed=11)  # 16 * 32^2 * 2 values: two chunks
+        config = tiny_config(hidden_dim=64, seed=11)  # 16 * 64^2 * 2 values
+        assert 16 * 64**2 * config.n_blocks > 3 * tensor._CHUNK
         self.assert_weights_match_one_independent_stream(config)
-        assert len(started) == 1
 
     def assert_weights_match_one_independent_stream(self, config):
         d = config.hidden_dim
@@ -354,13 +350,12 @@ class TestBuildCache:
 class TestInitialLatent:
     def test_one_chunk_draw_starts_no_thread(self, monkeypatch):
         """Every initial latent at the default grid and d <= 256 is one chunk,
-        so it is drawn in the caller's thread even when more workers are free."""
+        drawn in the caller's thread and equal to the one-pass reference."""
 
         def no_thread(*args, **kwargs):
             raise AssertionError("a one-chunk draw started a thread")
 
-        monkeypatch.setattr(tensor, "_WORKERS", 4)
-        monkeypatch.setattr(threading, "Thread", no_thread)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         for d in (64, 256):
             config = ModelConfig(hidden_dim=d)
             got = sample_initial_latent(config)

@@ -779,6 +779,7 @@ class TestFingerprint:
                 "tail": "half",
                 "static_stride": 3,
             },
+            "revision": 2,
             "version": 1,
         }
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
@@ -786,8 +787,9 @@ class TestFingerprint:
         assert config_fingerprint(config, CachePolicyConfig(delta=-0.0)) == want
 
     def test_default_hash_is_over_the_version_1_document(self):
-        """The hashed document, and so every fingerprint already written to
-        a summary, is the version-1 form of the two configs."""
+        """The hashed document is the version-1 form of the two configs plus
+        revision 2 (the float32 draw), so no fingerprint written by revision
+        1, which hashed no revision key, recurs."""
         config = ModelConfig(seed=12, steps=40)
         policy = CachePolicyConfig(delta=0.1, reuse_interval=4)
         doc = {
@@ -807,6 +809,7 @@ class TestFingerprint:
                 "tail": "half",
                 "static_stride": 3,
             },
+            "revision": 2,
             "version": 1,
         }
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
