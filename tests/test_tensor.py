@@ -521,6 +521,11 @@ print(",".join(name for name in __cpu_dispatch__ if __cpu_features__.get(name)))
 print(hashlib.sha256(rand_normal(int(sys.argv[1]), int(sys.argv[2])).tobytes()).hexdigest())
 """
 
+# Request sizes about the ends of the first chunk, and one of several chunks.
+DRAW_SIZES = [0, 1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
+# Even chunk sizes other than the library's, below and above it.
+CHUNK_SIZES = [2, 6, 1 << 10, 1 << 16]
+
 # float32 ulps by which a draw may miss float64 Box-Muller of its own 24-bit
 # uniforms (the largest miss in 16M values was 3.9 ulps).
 ULP_BOUND = 4.0
@@ -596,18 +601,46 @@ class TestRandNormal:
         assert np.abs(rand_normal(7, 1 << 20)).max() <= math.sqrt(48.0 * math.log(2.0)) * (1 + 1e-6)
 
     @pytest.mark.parametrize("seed", [0, 99, MASK])
-    @pytest.mark.parametrize(
-        "n", [0, 1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5], ids=lambda n: f"n{n}"
-    )
+    @pytest.mark.parametrize("n", DRAW_SIZES, ids=lambda n: f"n{n}")
     def test_chunked_draw_equals_one_shot_reference(self, n, seed):
         """Values, dtype and shape match the one-pass form."""
         assert_draw_matches_one_shot(n, seed)
 
+    @pytest.mark.parametrize("n", DRAW_SIZES, ids=lambda n: f"n{n}")
+    def test_a_longer_request_extends_a_shorter_one(self, n):
+        """A request of n + 1 values begins with the n of a request of n: an
+        odd request pads its last pair instead of shifting the pairing."""
+        assert rand_normal(17, n + 1)[:n].tobytes() == rand_normal(17, n).tobytes()
+
+    @pytest.mark.parametrize("pairs", [1, CHUNK // 2 - 1, CHUNK // 2, CHUNK // 2 + 1])
+    @pytest.mark.parametrize("n", [1, 2, CHUNK - 1, CHUNK + 1], ids=lambda n: f"n{n}")
+    def test_a_state_advanced_by_whole_pairs_draws_the_tail_of_the_stream(self, n, pairs):
+        """Output i is mix64(state + (i + 1) gamma), so a state 2j gamma on
+        draws the stream from its pair j on, wherever the chunks of either
+        draw end."""
+        skip = 2 * pairs
+        got = rand_normal(8 + skip * GAMMA, n)
+        assert got.tobytes() == rand_normal(8, skip + n)[skip:].tobytes()
+
+    @pytest.mark.parametrize("chunks, tail", [(0, 1), (1, 1), (5, 3)], ids=["part", "1+", "5+"])
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES, ids=lambda c: f"c{c}")
+    def test_values_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk, chunks, tail):
+        """_CHUNK is a tuning constant: a draw of part of a chunk, or of
+        whole chunks and part of one more, has the same bytes whatever even
+        size the chunks are."""
+        n = chunks * chunk + tail
+        want = rand_normal(21, n)
+        offsets = np.arange(1, chunk + 1, dtype=np.uint64) * np.uint64(GAMMA)
+        monkeypatch.setattr(tensor, "_CHUNK", chunk)
+        monkeypatch.setattr(tensor, "_OFFSETS", offsets.reshape(-1, 2).T.copy())
+        assert rand_normal(21, n).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tail", [0, 3, CHUNK - 1])
     @pytest.mark.parametrize("chunks", [1, 8, 64])
-    def test_temporaries_stay_chunk_sized(self, chunks):
+    def test_temporaries_stay_chunk_sized(self, chunks, tail):
         """Beyond the result itself, a draw holds at most 1.5 MiB at once,
-        however many chunks it spans."""
-        n = chunks * CHUNK + 3
+        however many chunks it spans and however full its last one is."""
+        n = chunks * CHUNK + tail
         tracemalloc.start()
         try:
             result = rand_normal(3, n)
