@@ -2,7 +2,9 @@
 
 Two subcommands: ``generate`` samples once under a policy and exports the
 instrumentation, ``replay`` re-decides a recorded distance table (a
-``heatmap.npy`` of float64 distances) offline.
+``heatmap.npy`` of float64 distances) offline. Replay runs no model: its
+fingerprint names the table by its digest, and its FLOP counts come from the
+table's T and N with ``--dim``, ``--frames`` and ``--tokens``.
 A policy is scored against the uncached run by two ``generate`` runs: the
 ``none`` policy with ``--dump-latent``, then the policy with
 ``--reference-latent``. Exit codes: 0 success, 1 runtime failure (I/O,
@@ -42,15 +44,11 @@ from bwcache.traceio import (
 )
 
 
-def _add_model_flags(p: argparse.ArgumentParser, with_shape: bool = True) -> None:
-    if with_shape:
-        p.add_argument("--steps", type=int, default=ModelConfig.steps, help="denoising steps T")
-        p.add_argument("--blocks", type=int, default=ModelConfig.n_blocks, help="transformer blocks N")
+def _add_flop_flags(p: argparse.ArgumentParser) -> None:
+    """The width and latent shape: with T and N, they set the FLOP counts."""
     p.add_argument("--dim", type=int, default=ModelConfig.hidden_dim, help="hidden width d")
-    p.add_argument("--heads", type=int, default=ModelConfig.n_heads, help="attention heads")
     p.add_argument("--frames", type=int, default=ModelConfig.frames, help="latent frames F")
     p.add_argument("--tokens", type=int, default=ModelConfig.tokens_per_frame, help="tokens per frame S")
-    p.add_argument("--seed", type=int, default=ModelConfig.seed, help="run seed")
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
@@ -87,7 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="sample once under a policy and export traces")
-    _add_model_flags(g)
+    g.add_argument("--steps", type=int, default=ModelConfig.steps, help="denoising steps T")
+    g.add_argument("--blocks", type=int, default=ModelConfig.n_blocks, help="transformer blocks N")
+    g.add_argument("--heads", type=int, default=ModelConfig.n_heads, help="attention heads")
+    g.add_argument("--seed", type=int, default=ModelConfig.seed, help="run seed")
+    _add_flop_flags(g)
     _add_policy_flags(g)
     _add_output_flags(g)
     g.add_argument("--deterministic", action="store_true", help="zeroed timings (wall_seconds 0.0)")
@@ -100,15 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("replay", help="re-decide a recorded heatmap offline")
     r.add_argument("--trace", required=True, help="heatmap.npy from a previous run")
-    _add_model_flags(r, with_shape=False)
+    _add_flop_flags(r)
     _add_policy_flags(r)
     _add_output_flags(r)
     return parser
-
-
-def _resolve_out_dir(args) -> Path:
-    args.out.mkdir(parents=True, exist_ok=True)
-    return args.out
 
 
 def _policy_from_args(args, *, total_steps: int) -> CachePolicyConfig:
@@ -126,19 +123,21 @@ def _policy_from_args(args, *, total_steps: int) -> CachePolicyConfig:
     return policy
 
 
-def _model_from_args(args, steps: int | None = None, blocks: int | None = None) -> ModelConfig:
+def _model_from_args(args) -> ModelConfig:
     return ModelConfig(
-        n_blocks=blocks if blocks is not None else args.blocks,
+        n_blocks=args.blocks,
         hidden_dim=args.dim,
         n_heads=args.heads,
         frames=args.frames,
         tokens_per_frame=args.tokens,
-        steps=steps if steps is not None else args.steps,
+        steps=args.steps,
         seed=args.seed,
     )
 
 
 def _write_run(trace: RunTrace, summary: RunSummary, n_blocks: int, out: Path) -> None:
+    """The run's exports, into ``out``, which is made here: after every refusal."""
+    out.mkdir(parents=True, exist_ok=True)
     write_heatmap(trace.decisions, n_blocks, out / "heatmap.npy")
     write_reuse_profile(trace.decisions, out / "reuse_profile.csv")
     write_summary(summary, trace.config_fingerprint, out / "summary.json")
@@ -167,37 +166,38 @@ def _cmd_generate(args) -> int:
     summary = summarize(trace, reference, config)
     if args.deterministic:
         summary = replace(summary, wall_seconds=0.0)
-    out = _resolve_out_dir(args)
-    _write_run(trace, summary, config.n_blocks, out)
+    _write_run(trace, summary, config.n_blocks, args.out)
     if args.dump_latent:
-        write_latent(final, out / "latent.bin")
+        write_latent(final, args.out / "latent.bin")
     reused = round(summary.reuse_rate_steps * config.steps)
     print(
         f"policy={policy.kind.value} steps={config.steps} "
-        f"reused={reused}/{config.steps} out={out}"
+        f"reused={reused}/{config.steps} out={args.out}"
     )
     return 0
 
 
 def _cmd_replay(args) -> int:
     table = read_heatmap(args.trace)
-    total_steps, n_blocks = table.shape
-    policy = _policy_from_args(args, total_steps=total_steps)
-    decisions = replay_trace(table, policy)
-
-    config = _model_from_args(args, steps=total_steps, blocks=n_blocks)
+    steps, blocks = table.shape
+    # Replay runs no model, so the fields that only a live run reads are
+    # fixed: seed 0 and one head, which divides every width.
+    config = ModelConfig(
+        n_blocks=blocks, hidden_dim=args.dim, n_heads=1, frames=args.frames,
+        tokens_per_frame=args.tokens, steps=steps, seed=0,
+    )
+    policy = _policy_from_args(args, total_steps=steps)
     trace = RunTrace(
-        decisions=decisions,
-        timings=[0.0] * total_steps,
-        config_fingerprint=config_fingerprint(config, policy),
+        decisions=replay_trace(table, policy),
+        timings=[0.0] * steps,
+        config_fingerprint=config_fingerprint(config, policy, table),
     )
     summary = summarize(trace, None, config)
-    out = _resolve_out_dir(args)
-    _write_run(trace, summary, n_blocks, out)
-    reused = round(summary.reuse_rate_steps * total_steps)
+    _write_run(trace, summary, blocks, args.out)
+    reused = round(summary.reuse_rate_steps * steps)
     print(
         f"replayed {args.trace}: policy={policy.kind.value} "
-        f"reused={reused}/{total_steps} out={out}"
+        f"reused={reused}/{steps} out={args.out}"
     )
     return 0
 

@@ -12,7 +12,9 @@ float64 distances themselves, so ingest and re-export are exact.
 
 The heatmap is also the replay input format: a table recorded under the
 all-compute policy has a distance for every block at every step except the
-first executed one, and any policy can be re-decided against it offline.
+first executed one, and any policy can be re-decided against it offline. A
+replay's config fingerprint names the table it read by the digest of its
+bytes.
 """
 
 from __future__ import annotations
@@ -115,15 +117,19 @@ class RunSummary:
     ssim: float | None
 
 
-def config_fingerprint(config: "ModelConfig", policy: "CachePolicyConfig") -> str:
-    """sha256 over the canonical JSON form of (model config, policy, revision).
+def config_fingerprint(config: "ModelConfig", policy: "CachePolicyConfig", table=None) -> str:
+    """sha256 over the canonical JSON form of (model config, policy, revision),
+    and for a replay the table it re-decided.
 
     The seed fixes the initial latent, so the two configs name everything
-    that selects a run's trajectory (the version-1 document), and _REVISION
-    names the code that computes it. The document holds every field of both
-    records as the record holds it (a PolicyKind is a str, so JSON writes its
-    value), with delta and tail in canonical form, so a field added to either
-    record is hashed without a change here.
+    that selects a live run's trajectory (the version-1 document), and
+    _REVISION names the code that computes it. The document holds every field
+    of both records as the record holds it (a PolicyKind is a str, so JSON
+    writes its value), with delta and tail in canonical form, so a field
+    added to either record is hashed without a change here. A replay's
+    decisions come from its [T, N] float64 ``table``, not from a model, so its
+    document also holds the sha256 of the table's bytes: a replay fingerprint
+    names its table, and no live document has that key.
     """
     # vars, not dataclasses.asdict, which deep-copies and makes the tail a
     # dict. + 0.0 turns -0.0 and an int delta into the float they equal.
@@ -134,6 +140,8 @@ def config_fingerprint(config: "ModelConfig", policy: "CachePolicyConfig") -> st
         "revision": _REVISION,
         "version": 1,
     }
+    if table is not None:
+        doc["table"] = hashlib.sha256(table).hexdigest()
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
@@ -290,7 +298,9 @@ def _read_npy(path, what: str, remedy: str) -> np.ndarray:
             if version != (1, 0):
                 raise ValueError(f"format version {version}, expected (1, 0)")
             shape, fortran_order, dtype = npy.read_array_header_1_0(f)
-        except (ValueError, SyntaxError, TokenError, UserWarning) as exc:
+        # NumPy raises TypeError on a key that is not a str, sorting the keys
+        # for its own message.
+        except (ValueError, SyntaxError, TokenError, TypeError, UserWarning) as exc:
             raise TraceFormatError(f"{what} is not a .npy 1.0 file ({exc}); {remedy}") from None
         payload = f.read()
     if fortran_order or dtype.hasobject or min(shape, default=0) < 0:

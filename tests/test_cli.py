@@ -17,11 +17,19 @@ import numpy as np
 import pytest
 
 from bwcache import cli, model
-from bwcache.cache import CachePolicyConfig, PolicyKind, ZeroDenominatorError, run_policy
+from bwcache.cache import CachePolicyConfig, PolicyKind, TailRule, ZeroDenominatorError, run_policy
 from bwcache.cli import _model_from_args, _policy_from_args, build_parser, main
 from bwcache.metrics import psnr, ssim_frames
 from bwcache.model import ModelConfig, _build_weights, decode_latent
-from bwcache.traceio import Action, config_fingerprint, read_latent, write_latent
+from bwcache.traceio import (
+    Action,
+    StepDecision,
+    config_fingerprint,
+    read_heatmap,
+    read_latent,
+    write_heatmap,
+    write_latent,
+)
 from test_traceio import MALFORMED, npy_header
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -61,6 +69,7 @@ def malformed_heatmaps() -> dict[str, bytes]:
         "no-steps": npy_header((0, 2), "<f8"),
         "no-blocks": npy_header((3, 0), "<f8"),
         "header-without-brace": good.replace(b"{", b" ", 1),
+        "bytes-key-header": good.replace(b" 'fortran_order'", b"B'fortran_order'", 1),
     }
 
 
@@ -548,6 +557,81 @@ class TestReplay:
         assert main([]) == 2
 
 
+def summary_of(out: Path) -> dict:
+    return json.loads((out / "summary.json").read_text())
+
+
+# The policy under which replays of the seed-0 and seed-1 default none tables
+# reuse different steps.
+REPLAY_POLICY = ["--delta", "0.15", "--reuse-interval", "10", "--tail", "fixed:0"]
+
+
+class TestReplayFingerprint:
+    """A replay's fingerprint names the table it re-decided and its policy."""
+
+    @pytest.fixture(scope="class")
+    def none_tables(self, tmp_path_factory) -> dict[int, Path]:
+        """The heatmaps of the default-config none runs at seeds 0 and 1."""
+        tmp = tmp_path_factory.mktemp("none")
+        for seed in (0, 1):
+            argv = ["generate", "--policy", "none", "--seed", str(seed), "--deterministic"]
+            assert main([*argv, "--out", str(tmp / str(seed))]) == 0
+        return {seed: tmp / str(seed) / "heatmap.npy" for seed in (0, 1)}
+
+    def replay(self, table: Path, out: Path, *flags) -> dict:
+        assert main(["replay", "--trace", str(table), *REPLAY_POLICY, *flags, "--out", str(out)]) == 0
+        return summary_of(out)
+
+    def test_two_tables_under_one_policy_have_two_fingerprints(self, tmp_path, none_tables):
+        """The seed-0 and seed-1 tables reuse different steps under one policy,
+        and their replays record different fingerprints."""
+        runs = {seed: tmp_path / str(seed) for seed in none_tables}
+        summaries = {seed: self.replay(none_tables[seed], runs[seed]) for seed in runs}
+        profiles = {seed: (runs[seed] / "reuse_profile.csv").read_bytes() for seed in runs}
+        assert profiles[0] != profiles[1]
+        assert summaries[0]["config_fingerprint"] != summaries[1]["config_fingerprint"]
+
+    def test_one_table_has_one_fingerprint(self, tmp_path, none_tables):
+        """A table replayed twice, or re-written by write_heatmap under another
+        name, records one fingerprint: the table's bytes are hashed, not its path."""
+        table = read_heatmap(none_tables[0])
+        decisions = [
+            StepDecision(step, Action.COMPUTED, None if np.isnan(row[0]) else tuple(row), None, None)
+            for step, row in zip(range(len(table) - 1, -1, -1), table.tolist())
+        ]
+        copy = tmp_path / "copy.npy"
+        write_heatmap(decisions, table.shape[1], copy)
+        assert copy.read_bytes() == none_tables[0].read_bytes()
+        fingerprints = {
+            self.replay(path, tmp_path / name)["config_fingerprint"]
+            for name, path in (("a", none_tables[0]), ("b", none_tables[0]), ("copy", copy))
+        }
+        assert len(fingerprints) == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--dim", "32", "--frames", "2", "--tokens", "8"]])
+    def test_no_replay_fingerprint_is_a_live_one(self, tmp_path, none_tables, flags):
+        """A replay's fingerprint differs from the generate fingerprint of the
+        same flags and shape, and from the live document of its own config."""
+        replayed = self.replay(none_tables[0], tmp_path / "replay", *flags)["config_fingerprint"]
+        assert main(["generate", *REPLAY_POLICY, *flags, "--out", str(tmp_path / "live")]) == 0
+        assert replayed != summary_of(tmp_path / "live")["config_fingerprint"]
+        config = _model_from_args(build_parser().parse_args(["generate", *flags]))
+        config = replace(config, n_heads=1, seed=0)
+        policy = CachePolicyConfig(reuse_interval=10, tail=TailRule.parse("fixed:0"))
+        assert replayed != config_fingerprint(config, policy)
+        assert replayed == config_fingerprint(config, policy, read_heatmap(none_tables[0]))
+
+    @pytest.mark.parametrize("flag", ["--seed", "--heads"])
+    def test_replay_takes_no_seed_or_heads(self, tmp_path, capsys, flag):
+        """Replay runs no model: --seed and --heads exit 2 at parse time and
+        create no output directory."""
+        out = tmp_path / "out"
+        value = {"--seed": "1", "--heads": "2"}[flag]
+        assert main([*RUNS["replay"], flag, value, "--out", str(out)]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDefaults:
     def test_reuse_interval_defaults_to_tenth_of_steps(self):
         """Without --reuse-interval the cap is ceil(steps / 10)."""
@@ -564,14 +648,19 @@ class TestDefaults:
         assert policy.delta == 0.15
         assert policy.tail.canonical() == "half"
 
-    def test_bare_flags_build_the_record_defaults(self):
-        """The CLI states no default of its own: bare flags build the records'."""
+    def test_bare_flags_build_the_record_defaults(self, tmp_path):
+        """The CLI states no default of its own: bare flags build the records'.
+        A bare replay hashes the record defaults with its table's T and N and
+        the fixed seed 0 and one head, beside the table it read."""
         parser = build_parser()
         args = parser.parse_args(["generate"])
         assert _model_from_args(args) == ModelConfig()
         assert _policy_from_args(args, total_steps=30) == CachePolicyConfig.recommended(30)
-        args = parser.parse_args(["replay", "--trace", "x"])
-        assert _model_from_args(args, steps=7, blocks=2) == ModelConfig(steps=7, n_blocks=2)
+        assert main([*RUNS["replay"], "--out", str(tmp_path)]) == 0
+        config = ModelConfig(steps=7, n_blocks=1, n_heads=1, seed=0)
+        table = read_heatmap(FIXTURES / "replay_trace.npy")
+        want = config_fingerprint(config, CachePolicyConfig.recommended(7), table)
+        assert summary_of(tmp_path)["config_fingerprint"] == want
 
     @pytest.mark.parametrize("command", ["generate", "compare", "replay"])
     def test_every_subcommand_refuses_emit(self, command):
@@ -629,16 +718,16 @@ class TestDefaults:
         [
             [*RUNS["generate"], "--tail", "fixed:99"],
             [*RUNS["compare"], "--tail", "fixed:99"],
-            [*RUNS["replay"], "--heads", "3"],
+            [*RUNS["replay"], "--tail", "fixed:99"],
         ],
         ids=["generate", "compare", "replay"],
     )
-    def test_refused_run_leaves_no_output_directory(self, tmp_path, argv):
-        """Inputs refused after parsing (a tail covering the run, in a plain or
-        a scored run, heads that do not divide the width) exit 2 before the
-        output directory exists."""
+    def test_refused_run_leaves_no_output_directory(self, tmp_path, capsys, argv):
+        """Inputs refused after parsing (a tail covering the run, in a plain,
+        a scored or a replayed run) exit 2 before the output directory exists."""
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
+        assert "fixed tail of 99 covers the whole run of 7 steps" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "compare"])
@@ -682,10 +771,8 @@ ALTERNATES = {
     },
     "replay": {
         "--dim": "32",
-        "--heads": "2",
         "--frames": "2",
         "--tokens": "8",
-        "--seed": "1",
         "--policy": "static",
         "--delta": "0.3",
         "--reuse-interval": "2",

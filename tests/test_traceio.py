@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.lib import format as npy
 
 from bwcache.cache import (
@@ -164,6 +164,12 @@ def heatmap_files(draw):
     elif change == "byte":
         raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
     return bytes(raw)
+
+
+BYTES_KEY_HEATMAP = (
+    npy_header((2, 1), "<f8").replace(b" 'fortran_order'", b"B'fortran_order'")
+    + struct.pack("<2d", math.nan, 0.5)
+)
 
 
 def make_summary(**overrides):
@@ -404,6 +410,9 @@ class TestHeatmap:
 
     @settings(max_examples=300, deadline=None)
     @given(raw=heatmap_files())
+    # One byte flipped so that a header key reads B'fortran_order': NumPy
+    # raises TypeError, not ValueError, on a key that is not a str.
+    @example(raw=BYTES_KEY_HEATMAP)
     def test_reader_agrees_with_the_line_wise_reader(self, raw):
         """What the reader accepts, np.load read row by row accepts with the
         same bits, and what that reference refuses, the reader refuses,
@@ -632,6 +641,9 @@ def malformed_latents() -> dict[str, bytes]:
         "negative-dims": npy_header((-2, -2)) + bytes(16),
         # NumPy's header filter raises tokenize's error on an unclosed bracket.
         "header-without-brace": npy_header((3, 4)).replace(b"{", b" ") + x.tobytes(),
+        # NumPy raises TypeError sorting the keys when one is not a str.
+        "int-key-header": npy_header((3, 4)).replace(b"'fortran_order'", b"123456789012345")
+        + x.tobytes(),
         # NumPy parses a Python 2 long after repairing it, with a warning.
         "python-2-header": npy_header((3, 4)).replace(b"(3, 4), ", b"(3L, 4),") + x.tobytes(),
     }
