@@ -128,15 +128,21 @@ class TailRule:
 
     @classmethod
     def parse(cls, text: str) -> "TailRule":
-        """Parse 'third' | 'half' | 'twothirds' | 'fixed:<m>'."""
+        """Parse 'third' | 'half' | 'twothirds' | 'fixed:<m>', spelled only as
+        canonical() spells it."""
         names = {v: k for k, v in _FRACTION_NAMES.items()}
         if text in names:
             return cls(fraction=names[text])
         if text.startswith("fixed:"):
             try:
-                return cls.fixed(int(text.split(":", 1)[1]))
-            except ValueError as exc:
-                raise ValueError(f"bad fixed tail count in {text!r}") from exc
+                rule = cls.fixed(int(text[len("fixed:") :]))
+            except ValueError:
+                rule = None
+            # int() also reads a sign, '_', spaces, leading zeros and non-ASCII
+            # digits: only the spelling canonical() writes is a count.
+            if rule is None or rule.canonical() != text:
+                raise ValueError(f"bad fixed tail count in {text!r}")
+            return rule
         raise ValueError(f"unknown tail rule {text!r}")
 
     def canonical(self) -> str:

@@ -5,9 +5,10 @@ instrumentation, ``replay`` re-decides a recorded distance table (a
 ``heatmap.npy`` of float64 distances) offline. Replay runs no model: its
 fingerprint names the table by its digest, and its FLOP counts come from the
 table's T and N with ``--dim``, ``--frames`` and ``--tokens``.
-A policy is scored against the uncached run by two ``generate`` runs: the
-``none`` policy with ``--dump-latent``, then the policy with
-``--reference-latent``. Exit codes: 0 success, 1 runtime failure (I/O,
+Every ``generate`` writes its final latent as ``latent.bin``, so a policy is
+scored against the uncached run by two ``generate`` runs: the ``none``
+policy, then the policy with ``--reference-latent`` naming the first run's
+``latent.bin``. Exit codes: 0 success, 1 runtime failure (I/O,
 numerics), 2 configuration or trace-format problems.
 """
 
@@ -93,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_policy_flags(g)
     _add_output_flags(g)
     g.add_argument("--deterministic", action="store_true", help="zeroed timings (wall_seconds 0.0)")
-    g.add_argument("--dump-latent", action="store_true", help="also write latent.bin")
     g.add_argument(
         "--reference-latent",
         default=None,
@@ -167,8 +167,7 @@ def _cmd_generate(args) -> int:
     if args.deterministic:
         summary = replace(summary, wall_seconds=0.0)
     _write_run(trace, summary, config.n_blocks, args.out)
-    if args.dump_latent:
-        write_latent(final, args.out / "latent.bin")
+    write_latent(final, args.out / "latent.bin")
     reused = round(summary.reuse_rate_steps * config.steps)
     print(
         f"policy={policy.kind.value} steps={config.steps} "

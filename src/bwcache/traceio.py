@@ -12,13 +12,16 @@ float64 distances themselves, so ingest and re-export are exact.
 
 The heatmap is also the replay input format: a table recorded under the
 all-compute policy has a distance for every block at every step except the
-first executed one, and any policy can be re-decided against it offline. A
-replay's config fingerprint names the table it read by the digest of its
-bytes.
+first executed one, and any policy can be re-decided against it offline.
+
+A run's config fingerprint names its model config, the policy fields that
+its policy kind reads and the code revision; a replay's also names the table
+it read by the digest of its bytes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -42,23 +45,21 @@ if TYPE_CHECKING:
 
 REUSE_HEADER = "step,reused"
 
-SUMMARY_KEYS = (
-    "config_fingerprint",
-    "flops_saved",
-    "psnr_db",
-    "reuse_rate_blocks",
-    "reuse_rate_steps",
-    "ssim",
-    "total_flops",
-    "wall_seconds",
-)
-# Every summary key but the fingerprint is the RunSummary field of that name.
-_SUMMARY_FIELDS = tuple(key for key in SUMMARY_KEYS if key != "config_fingerprint")
 _FINGERPRINT = re.compile("[0-9a-f]{64}")
-# The revision of what a config computes, hashed into every fingerprint, so a
-# change that moves the outputs of an unchanged config moves its fingerprint:
-# 1, float64 libm Box-Muller draws; 2, float32 Box-Muller from IEEE-exact ops.
-_REVISION = 2
+# The revision of what a config computes and of how it is named, hashed into
+# every fingerprint: a change that moves the outputs or the fingerprint of an
+# unchanged config bumps it. 1, float64 libm Box-Muller draws; 2, float32
+# Box-Muller from IEEE-exact ops; 3, the same runs, each named by the policy
+# fields its kind reads.
+_REVISION = 3
+# The policy fields that each kind's decisions never read, left out of its
+# fingerprint. A field not named here is hashed, and a new kind is a KeyError
+# until its unread fields are named.
+_UNREAD = {
+    "none": ("delta", "reuse_interval", "tail", "static_stride"),
+    "static": ("delta", "reuse_interval", "tail"),
+    "bwcache": ("static_stride",),
+}
 
 
 class TraceFormatError(ValueError):
@@ -117,29 +118,32 @@ class RunSummary:
     ssim: float | None
 
 
+# A summary holds these keys and config_fingerprint.
+_SUMMARY_FIELDS = tuple(f.name for f in dataclasses.fields(RunSummary))
+
+
 def config_fingerprint(config: "ModelConfig", policy: "CachePolicyConfig", table=None) -> str:
     """sha256 over the canonical JSON form of (model config, policy, revision),
     and for a replay the table it re-decided.
 
-    The seed fixes the initial latent, so the two configs name everything
-    that selects a live run's trajectory (the version-1 document), and
-    _REVISION names the code that computes it. The document holds every field
-    of both records as the record holds it (a PolicyKind is a str, so JSON
-    writes its value), with delta and tail in canonical form, so a field
-    added to either record is hashed without a change here. A replay's
-    decisions come from its [T, N] float64 ``table``, not from a model, so its
-    document also holds the sha256 of the table's bytes: a replay fingerprint
-    names its table, and no live document has that key.
+    The seed fixes the initial latent, so the model config and the policy
+    fields that the policy's kind reads name everything that selects a live
+    run's trajectory, and _REVISION names the code that computes it. The
+    document holds every field of the model config, and every policy field
+    that _UNREAD does not name for the kind, as the record holds it (a
+    PolicyKind is a str, so JSON writes its value), with delta and tail in
+    canonical form. So a field added to either record is hashed without a
+    change here, and a field a kind never reads does not rename its runs. A
+    replay's decisions come from its [T, N] float64 ``table``, not from a
+    model, so its document also holds the sha256 of the table's bytes: a
+    replay fingerprint names its table, and no live document has that key.
     """
     # vars, not dataclasses.asdict, which deep-copies and makes the tail a
     # dict. + 0.0 turns -0.0 and an int delta into the float they equal.
-    canonical = {"delta": policy.delta + 0.0, "tail": policy.tail.canonical()}
-    doc = {
-        "model": vars(config),
-        "policy": {**vars(policy), **canonical},
-        "revision": _REVISION,
-        "version": 1,
-    }
+    fields = {**vars(policy), "delta": policy.delta + 0.0, "tail": policy.tail.canonical()}
+    for name in _UNREAD[policy.kind.value]:
+        del fields[name]
+    doc = {"model": vars(config), "policy": fields, "revision": _REVISION}
     if table is not None:
         doc["table"] = hashlib.sha256(table).hexdigest()
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -218,8 +222,9 @@ def _check_summary(doc: dict) -> None:
 
 
 def write_summary(summary: RunSummary, fingerprint: str, path) -> None:
-    """The SUMMARY_KEYS as stable JSON: 'inf' for an infinite psnr_db, sorted
-    keys, two-space indent, no NaN, trailing newline."""
+    """The RunSummary fields and config_fingerprint as stable JSON: 'inf' for
+    an infinite psnr_db, sorted keys, two-space indent, no NaN, trailing
+    newline."""
     doc = {key: getattr(summary, key) for key in _SUMMARY_FIELDS}
     doc["config_fingerprint"] = fingerprint
     if doc["psnr_db"] is not None and math.isinf(doc["psnr_db"]):
@@ -249,8 +254,9 @@ def read_summary(path) -> tuple[RunSummary, str]:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"summary is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or set(doc) != set(SUMMARY_KEYS):
-        raise TraceFormatError(f"summary must have exactly the keys {sorted(SUMMARY_KEYS)}")
+    keys = {*_SUMMARY_FIELDS, "config_fingerprint"}
+    if not isinstance(doc, dict) or set(doc) != keys:
+        raise TraceFormatError(f"summary must have exactly the keys {sorted(keys)}")
     _check_summary(doc)
     fields = {key: doc[key] for key in _SUMMARY_FIELDS}
     if fields["psnr_db"] == "inf":
@@ -265,7 +271,7 @@ def write_latent(x: Tensor, path) -> None:
 
 def read_latent(path) -> Tensor:
     """Read a latent dump, refusing anything write_latent does not write."""
-    return _read_npy(path, "latent dump", "write one with `bwcache generate --dump-latent`")
+    return _read_npy(path, "latent dump", "write one with `bwcache generate`")
 
 
 def _write_npy(x: np.ndarray, path) -> None:

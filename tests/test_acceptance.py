@@ -79,7 +79,7 @@ def test_criterion_01_zero_delta_oracle_equivalence(tmp_path):
     for seed in range(20):
         a = tmp_path / f"zero_{seed}"
         b = tmp_path / f"none_{seed}"
-        common = ["generate", "--seed", str(seed), "--dump-latent"]
+        common = ["generate", "--seed", str(seed)]
         assert main(common + ["--policy", "bwcache", "--delta", "0", "--out", str(a)]) == 0
         assert main(common + ["--policy", "none", "--out", str(b)]) == 0
         for name in ("latent.bin", "heatmap.npy", "reuse_profile.csv"):
@@ -344,7 +344,7 @@ def test_criterion_10_round_trip_and_determinism(tmp_path):
     assert compared > 0
 
     a, b = tmp_path / "a", tmp_path / "b"
-    flags = ["generate", "--seed", "7", "--deterministic", "--dump-latent"]
+    flags = ["generate", "--seed", "7", "--deterministic"]
     assert main(flags + ["--out", str(a)]) == 0
     assert main(flags + ["--out", str(b)]) == 0
     for name in ("heatmap.npy", "reuse_profile.csv", "summary.json", "latent.bin"):

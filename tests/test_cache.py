@@ -10,13 +10,14 @@ run-length bound, frozen protected tail, and trigger monotonicity in delta.
 from __future__ import annotations
 
 import math
+import re
 import tempfile
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bwcache import cache as cache_module, model as model_module
 from bwcache.cache import (
@@ -140,6 +141,36 @@ class TestTailRule:
         for text in ("quarter", "fixed:x", "fixed:"):
             with pytest.raises(ValueError):
                 TailRule.parse(text)
+
+    @pytest.mark.parametrize("text", ["fixed: 3", "fixed:+3", "fixed:03", "fixed:٣", "fixed:1_0"])
+    def test_parse_refuses_a_count_int_reads_but_canonical_does_not_write(self, text):
+        """int() reads each of these as 3 or 10; the tail is refused, named."""
+        with pytest.raises(ValueError, match=re.escape(f"bad fixed tail count in {text!r}")):
+            TailRule.parse(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        text=st.one_of(
+            st.text(),
+            st.text().map("fixed:".__add__),
+            st.from_regex(r"fixed:[-+ 0٣]?[0-9_]{0,3} ?", fullmatch=True),
+            st.integers(min_value=0).map("fixed:{}".format),
+            st.sampled_from(["third", "half", "twothirds"]),
+        )
+    )
+    @example("fixed:0")
+    @example("fixed:00")
+    @example("fixed:-0")
+    @example("Half")
+    @example("third ")
+    def test_accepted_text_round_trips(self, text):
+        """parse accepts only the spelling canonical() writes: any text it
+        accepts is its own rule's canonical form."""
+        try:
+            rule = TailRule.parse(text)
+        except ValueError:
+            return
+        assert rule.canonical() == text
 
     def test_fraction_sizes_use_exact_ceil(self):
         # trigger at step 27: 28 remaining; ceil(28/3)=10, ceil(28/2)=14, ceil(56/3)=19

@@ -113,11 +113,11 @@ def refuse_to_sample(*args):
 
 
 def run_comparison(out, shape, *policy):
-    """The none-vs-policy recipe: a `generate --policy none --dump-latent` run
-    in out/none, then a run under `policy` scored against that latent in
-    out/scored. Both runs take `shape`. Returns the two summaries."""
+    """The none-vs-policy recipe: a `generate --policy none` run in out/none,
+    then a run under `policy` scored against its latent.bin in out/scored.
+    Both runs take `shape`. Returns the two summaries."""
     none, scored = out / "none", out / "scored"
-    assert main(["generate", *shape, "--policy", "none", "--dump-latent", "--out", str(none)]) == 0
+    assert main(["generate", *shape, "--policy", "none", "--out", str(none)]) == 0
     reference = str(none / "latent.bin")
     scored_run = [*policy, "--reference-latent", reference, "--out", str(scored)]
     assert main(["generate", *shape, *scored_run]) == 0
@@ -126,12 +126,12 @@ def run_comparison(out, shape, *policy):
 
 class TestGenerate:
     def test_writes_all_outputs_by_default(self, tmp_path):
-        """One generate run leaves heatmap, reuse profile, and summary."""
+        """One generate run leaves heatmap, reuse profile, summary and latent."""
         assert run_generate(tmp_path) == 0
         assert (tmp_path / "heatmap.npy").exists()
         assert (tmp_path / "reuse_profile.csv").exists()
         assert (tmp_path / "summary.json").exists()
-        assert not (tmp_path / "latent.bin").exists()
+        assert (tmp_path / "latent.bin").exists()
 
     def test_heatmap_is_the_live_distances_as_npy(self, tmp_path):
         """np.load gives a float64 [T, N] table whose cells are the live run's
@@ -155,15 +155,15 @@ class TestGenerate:
                 assert row.tobytes() == np.array(d.per_block_l1, dtype=np.float64).tobytes()
 
     def test_dump_latent_is_readable(self, tmp_path):
-        """--dump-latent writes a latent.bin that round-trips with its shape."""
-        assert run_generate(tmp_path, "--dump-latent") == 0
+        """Generate writes a latent.bin that round-trips with its shape."""
+        assert run_generate(tmp_path) == 0
         latent = read_latent(tmp_path / "latent.bin")
         assert latent.shape == (2 * 3, 16)  # frames * tokens rows, dim cols
         assert str(latent.dtype) == "float32"
 
     def test_dump_latent_is_the_run_latent_as_npy(self, tmp_path):
         """np.load returns the run's final float32 latent bit for bit."""
-        assert run_generate(tmp_path, "--dump-latent") == 0
+        assert run_generate(tmp_path) == 0
         config = ModelConfig(
             n_blocks=2, hidden_dim=16, n_heads=2, frames=2, tokens_per_frame=3, steps=7
         )  # TINY_SHAPE under the default policy
@@ -181,7 +181,7 @@ class TestGenerate:
     def test_reference_latent_scores_quality(self, tmp_path):
         """Scoring against a reference latent fills psnr_db and ssim."""
         ref_dir = tmp_path / "ref"
-        assert run_generate(ref_dir, "--policy", "none", "--dump-latent") == 0
+        assert run_generate(ref_dir, "--policy", "none") == 0
         out_dir = tmp_path / "cached"
         rc = run_generate(
             out_dir,
@@ -199,7 +199,7 @@ class TestGenerate:
         """The same reference values score as float32; as float64 the run exits 2
         before sampling and writes nothing."""
         ref_dir = tmp_path / "ref"
-        assert run_generate(ref_dir, "--policy", "none", "--dump-latent") == 0
+        assert run_generate(ref_dir, "--policy", "none") == 0
         latent = read_latent(ref_dir / "latent.bin")
         write_latent(latent.astype(np.float64), tmp_path / "wide.bin")
 
@@ -253,7 +253,7 @@ class TestGenerate:
     def test_exports_over_longer_files_are_the_fresh_bytes(self, tmp_path):
         """Each export, the latent dump included, replaces a longer file of
         its name with exactly the bytes that it writes into a fresh directory."""
-        argv = ["--deterministic", "--dump-latent"]
+        argv = ["--deterministic"]
         assert run_generate(tmp_path / "fresh", *argv) == 0
         fresh = exported_bytes(tmp_path / "fresh")
         assert set(fresh) == {"heatmap.npy", "latent.bin", "reuse_profile.csv", "summary.json"}
@@ -274,8 +274,8 @@ class TestGenerate:
         """--deterministic reports zero timings and changes no other byte:
         the run computes exactly what a default run computes."""
         plain, zeroed = tmp_path / "plain", tmp_path / "zeroed"
-        assert run_generate(plain, "--dump-latent") == 0
-        assert run_generate(zeroed, "--deterministic", "--dump-latent") == 0
+        assert run_generate(plain) == 0
+        assert run_generate(zeroed, "--deterministic") == 0
         summaries = [json.loads((out / "summary.json").read_text()) for out in (plain, zeroed)]
         assert summaries[0]["wall_seconds"] > 0.0
         assert summaries[1] == {**summaries[0], "wall_seconds": 0.0}
@@ -291,7 +291,7 @@ class TestGenerate:
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             out = tmp_path / f"threads{threads}"
-            argv = ["generate", "--dim", "256", "--steps", "4", "--deterministic", "--dump-latent"]
+            argv = ["generate", "--dim", "256", "--steps", "4", "--deterministic"]
             done = subprocess.run(
                 [sys.executable, "-m", "bwcache.cli", *argv, "--out", str(out)],
                 env=env, capture_output=True, text=True,
@@ -322,15 +322,15 @@ class TestGenerate:
         """Identical flags with --deterministic reproduce every file exactly."""
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert run_generate(out, "--deterministic", "--dump-latent") == 0
+            assert run_generate(out, "--deterministic") == 0
         for name in ("heatmap.npy", "reuse_profile.csv", "summary.json", "latent.bin"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_zero_delta_matches_none_policy_bytes(self, tmp_path):
         """delta=0 never fires, so its outputs match the none policy exactly."""
         a, b = tmp_path / "a", tmp_path / "b"
-        assert run_generate(a, "--policy", "bwcache", "--delta", "0", "--dump-latent") == 0
-        assert run_generate(b, "--policy", "none", "--dump-latent") == 0
+        assert run_generate(a, "--policy", "bwcache", "--delta", "0") == 0
+        assert run_generate(b, "--policy", "none") == 0
         for name in ("heatmap.npy", "reuse_profile.csv", "latent.bin"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -362,6 +362,14 @@ class TestGenerate:
 
     def test_malformed_tail_rule_is_config_error(self, tmp_path):
         assert run_generate(tmp_path, "--tail", "fixed:lots") == 2
+
+    def test_respelled_fixed_tail_is_refused_writing_nothing(self, tmp_path, capsys):
+        """int() reads fixed:1_0 as 10, but only the canonical fixed:10 is a
+        tail: it exits 2 naming the text, before the output directory exists."""
+        out = tmp_path / "out"
+        assert run_generate(out, "--tail", "fixed:1_0") == 2
+        assert "'fixed:1_0'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
     def test_non_finite_delta_is_config_error(self, tmp_path, delta):
@@ -667,6 +675,15 @@ class TestDefaults:
         """Every run writes all of its exports; there is no selector flag."""
         assert main([*RUNS[command], "--emit", "heatmap"]) == 2
 
+    @pytest.mark.parametrize("command", ["generate", "compare"])
+    def test_every_generate_refuses_dump_latent(self, tmp_path, capsys, command):
+        """Every generate writes latent.bin, so --dump-latent selects nothing:
+        it exits 2 at parse time and creates no output directory."""
+        out = tmp_path / "out"
+        assert main([*RUNS[command], "--dump-latent", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --dump-latent" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("steps", [7, 30])
     def test_compare_side_a_is_the_default_none_policy(self, tmp_path, steps):
         """The recipe's none run keeps the default policy fields under kind
@@ -750,7 +767,9 @@ class TestDefaults:
 
 # One alternate value per declared option. The base run is the tiny model
 # with --deterministic (replay: the committed fixture), so only the option
-# under test can change an exported byte. A flag's alternate is None.
+# under test can change an exported byte. A flag's alternate is None. The
+# base policy is bwcache, which reads every policy option but the stride;
+# --static-stride runs on a static base, the one kind that reads it.
 ALTERNATES = {
     "generate": {
         "--steps": "6",
@@ -766,7 +785,6 @@ ALTERNATES = {
         "--tail": "third",
         "--static-stride": "2",
         "--deterministic": None,
-        "--dump-latent": None,
         "--reference-latent": "ref/latent.bin",  # the base run's none dump, written by the test
     },
     "replay": {
@@ -781,11 +799,9 @@ ALTERNATES = {
     },
 }
 # The comparison recipe passes each generate option to both of its runs; it
-# sets --dump-latent and --reference-latent itself.
+# sets --reference-latent itself.
 ALTERNATES["compare"] = {
-    k: v
-    for k, v in ALTERNATES["generate"].items()
-    if k not in ("--dump-latent", "--reference-latent")
+    k: v for k, v in ALTERNATES["generate"].items() if k != "--reference-latent"
 }
 # Covered by their own tests: the output directory and the replay input.
 EXEMPT = {"-h", "--out", "--trace"}
@@ -818,7 +834,7 @@ class TestEveryFlagIsRead:
     def test_alternate_value_changes_an_export(self, tmp_path, monkeypatch, command, option):
         monkeypatch.chdir(tmp_path)
         if option == "--reference-latent":
-            none_dump = ["--policy", "none", "--deterministic", "--dump-latent", "--out", "ref"]
+            none_dump = ["--policy", "none", "--deterministic", "--out", "ref"]
             assert main(["generate", *TINY_SHAPE, *none_dump]) == 0
         if command == "replay":
             base = ["replay", "--trace", str(FIXTURES / "replay_trace.npy")]
@@ -826,6 +842,8 @@ class TestEveryFlagIsRead:
             base = ["generate", *TINY_SHAPE]
             if option != "--deterministic":
                 base.append("--deterministic")
+        if option == "--static-stride":
+            base += ["--policy", "static"]
         value = ALTERNATES[command][option]
         alternate = [*base, option] + ([] if value is None else [value])
         for name, argv in (("default", base), ("alternate", alternate)):
@@ -836,3 +854,27 @@ class TestEveryFlagIsRead:
         scored = "scored" if command == "compare" else ""
         exports = [exported_bytes(tmp_path / name / scored) for name in ("default", "alternate")]
         assert exports[0] != exports[1]
+
+    @pytest.mark.parametrize(
+        "base, unread",
+        [
+            (["generate", *TINY_SHAPE], ["--static-stride", "2"]),
+            (
+                ["generate", *TINY_SHAPE, "--policy", "none"],
+                ["--delta", "0.9", "--tail", "third", "--reuse-interval", "7", "--static-stride", "5"],
+            ),
+            (["generate", *TINY_SHAPE, "--policy", "static", "--static-stride", "2"], ["--delta", "0.9"]),
+            (RUNS["replay"], ["--static-stride", "2"]),
+        ],
+        ids=["generate-bwcache", "generate-none", "generate-static", "replay-bwcache"],
+    )
+    def test_unread_policy_options_change_no_byte(self, tmp_path, base, unread):
+        """A policy option that the run's kind never reads leaves every
+        export byte-identical, summary.json and its fingerprint included."""
+        if base[0] == "generate":
+            base = [*base, "--deterministic"]
+        for name, argv in (("default", base), ("unread", [*base, *unread])):
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        exports = [exported_bytes(tmp_path / name) for name in ("default", "unread")]
+        assert "summary.json" in exports[0]
+        assert exports[0] == exports[1]

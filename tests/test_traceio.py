@@ -44,7 +44,7 @@ from bwcache.traceio import (
     write_reuse_profile,
     write_summary,
 )
-from test_cache import policy_strategy
+from test_cache import policy_strategy, rows_strategy, tail_strategy
 
 
 def make_decisions():
@@ -734,7 +734,8 @@ class TestRunTrace:
             RunTrace(decisions=bad, timings=[0.0] * 3, config_fingerprint="x")
 
 
-# One non-default value per config field; every one must move the fingerprint.
+# One non-default value per config field. Each must move the fingerprint of
+# every kind that reads the field, and leave that of every other kind equal.
 FINGERPRINT_ALTERNATES = {
     (ModelConfig, "n_blocks"): 4,
     (ModelConfig, "hidden_dim"): 32,
@@ -743,11 +744,18 @@ FINGERPRINT_ALTERNATES = {
     (ModelConfig, "tokens_per_frame"): 8,
     (ModelConfig, "steps"): 20,
     (ModelConfig, "seed"): 1,
-    (CachePolicyConfig, "kind"): PolicyKind.STATIC,
+    (CachePolicyConfig, "kind"): None,  # each of the other kinds
     (CachePolicyConfig, "delta"): 0.2,
     (CachePolicyConfig, "reuse_interval"): 4,
     (CachePolicyConfig, "tail"): TailRule.third(),
     (CachePolicyConfig, "static_stride"): 2,
+}
+# New values for the policy fields that some kind never reads.
+UNREAD_VALUES = {
+    "delta": st.floats(min_value=0.0, max_value=1.0),
+    "reuse_interval": st.integers(min_value=1, max_value=40),
+    "tail": st.one_of(tail_strategy(), st.integers(min_value=0, max_value=40).map(TailRule.fixed)),
+    "static_stride": st.integers(min_value=1, max_value=40),
 }
 CONFIG_FIELDS = [
     (cls, f.name) for cls in (ModelConfig, CachePolicyConfig) for f in dataclasses.fields(cls)
@@ -759,18 +767,37 @@ class TestFingerprint:
         "cls, name", CONFIG_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in CONFIG_FIELDS]
     )
     def test_stable_and_sensitive(self, cls, name):
-        """Equal configs hash equal; changing any one field changes the hash."""
+        """Under each kind, equal configs hash equal; changing a field that the
+        kind reads changes the hash, and changing a field that the kind never
+        reads (named in _UNREAD) leaves it equal. Every two kinds hash apart."""
         assert set(FINGERPRINT_ALTERNATES) == set(CONFIG_FIELDS)
-        config, policy = ModelConfig(), CachePolicyConfig()
-        a = config_fingerprint(config, policy)
-        assert a == config_fingerprint(ModelConfig(), CachePolicyConfig())
-        assert len(a) == 64
-        value = FINGERPRINT_ALTERNATES[cls, name]
-        if cls is ModelConfig:
-            config = dataclasses.replace(config, **{name: value})
-        else:
-            policy = dataclasses.replace(policy, **{name: value})
-        assert a != config_fingerprint(config, policy)
+        for kind in PolicyKind:
+            config, policy = ModelConfig(), CachePolicyConfig(kind=kind)
+            a = config_fingerprint(config, policy)
+            assert a == config_fingerprint(ModelConfig(), CachePolicyConfig(kind=kind))
+            assert len(a) == 64
+            value = FINGERPRINT_ALTERNATES[cls, name]
+            values = [k for k in PolicyKind if k is not kind] if value is None else [value]
+            unread = cls is CachePolicyConfig and name in traceio._UNREAD[kind.value]
+            for value in values:
+                if cls is ModelConfig:
+                    b = config_fingerprint(dataclasses.replace(config, **{name: value}), policy)
+                else:
+                    b = config_fingerprint(config, dataclasses.replace(policy, **{name: value}))
+                assert (a == b) is unread, f"{name}={value!r} under kind {kind.value}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=rows_strategy(), policy=policy_strategy(), data=st.data())
+    def test_unread_fields_change_no_decision_and_no_fingerprint(self, rows, policy, data):
+        """A new value for a field that _UNREAD names for the policy's kind
+        replays any table to the same decisions, under the same fingerprint:
+        _UNREAD names only fields that decide() never reads for that kind."""
+        name = data.draw(st.sampled_from(traceio._UNREAD[policy.kind.value]))
+        other = dataclasses.replace(policy, **{name: data.draw(UNREAD_VALUES[name])})
+        assert replay_trace(rows, other) == replay_trace(rows, policy)
+        table = np.array(rows, dtype=np.float64)
+        config = ModelConfig(n_blocks=table.shape[1], steps=len(table), n_heads=1, seed=0)
+        assert config_fingerprint(config, other, table) == config_fingerprint(config, policy, table)
 
     def test_equal_deltas_share_one_fingerprint(self):
         """0, 0.0 and -0.0 (and 1 and 1.0) are equal deltas with one hash, the
@@ -784,49 +811,39 @@ class TestFingerprint:
             }
         doc = {
             "model": {f.name: getattr(config, f.name) for f in dataclasses.fields(config)},
-            "policy": {
-                "kind": "bwcache",
-                "delta": 0.0,
-                "reuse_interval": 3,
-                "tail": "half",
-                "static_stride": 3,
-            },
-            "revision": 2,
-            "version": 1,
+            "policy": {"kind": "bwcache", "delta": 0.0, "reuse_interval": 3, "tail": "half"},
+            "revision": 3,
         }
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
         want = hashlib.sha256(blob).hexdigest()
         assert config_fingerprint(config, CachePolicyConfig(delta=-0.0)) == want
 
-    def test_default_hash_is_over_the_version_1_document(self):
-        """The hashed document is the version-1 form of the two configs plus
-        revision 2 (the float32 draw), so no fingerprint written by revision
-        1, which hashed no revision key, recurs."""
+    def test_default_hash_is_over_the_revision_3_document(self):
+        """The hashed document is the model config, the policy fields that
+        the kind reads and revision 3: bwcache's delta, R and tail, static's
+        stride, and none's kind alone. No revision-2 document, which held
+        every policy field and a version key, recurs."""
         config = ModelConfig(seed=12, steps=40)
-        policy = CachePolicyConfig(delta=0.1, reuse_interval=4)
-        doc = {
-            "model": {
-                "n_blocks": 8,
-                "hidden_dim": 64,
-                "n_heads": 4,
-                "frames": 4,
-                "tokens_per_frame": 16,
-                "steps": 40,
-                "seed": 12,
-            },
-            "policy": {
-                "kind": "bwcache",
-                "delta": 0.1,
-                "reuse_interval": 4,
-                "tail": "half",
-                "static_stride": 3,
-            },
-            "revision": 2,
-            "version": 1,
+        policy = CachePolicyConfig(delta=0.1, reuse_interval=4, static_stride=5)
+        model = {
+            "n_blocks": 8,
+            "hidden_dim": 64,
+            "n_heads": 4,
+            "frames": 4,
+            "tokens_per_frame": 16,
+            "steps": 40,
+            "seed": 12,
         }
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
-        want = hashlib.sha256(blob).hexdigest()
-        assert config_fingerprint(config, policy) == want
+        documents = {
+            PolicyKind.BWCACHE: {"kind": "bwcache", "delta": 0.1, "reuse_interval": 4, "tail": "half"},
+            PolicyKind.STATIC: {"kind": "static", "static_stride": 5},
+            PolicyKind.NONE: {"kind": "none"},
+        }
+        for kind, policy_doc in documents.items():
+            doc = {"model": model, "policy": policy_doc, "revision": 3}
+            blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+            want = hashlib.sha256(blob).hexdigest()
+            assert config_fingerprint(config, dataclasses.replace(policy, kind=kind)) == want
 
 
 class TestEndToEndExports:
