@@ -8,15 +8,22 @@ table's T and N with ``--dim``, ``--frames`` and ``--tokens``.
 Every ``generate`` writes its final latent as ``latent.bin``, so a policy is
 scored against the uncached run by two ``generate`` runs: the ``none``
 policy, then the policy with ``--reference-latent`` naming the first run's
-``latent.bin``. Exit codes: 0 success, 1 runtime failure (I/O,
-numerics), 2 configuration or trace-format problems.
+``latent.bin``.
+
+The flags that both subcommands take are declared once, on one parent
+parser. A flag that sets a field of ``ModelConfig`` or ``CachePolicyConfig``
+stores its value under the field's name, and a model flag not given takes
+the record's default. A path flag's empty value is refused as it is parsed.
+Exit codes: 0 success, 1 runtime failure (I/O, numerics), 2 configuration
+or trace-format problems.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,66 +52,62 @@ from bwcache.traceio import (
 )
 
 
-def _add_flop_flags(p: argparse.ArgumentParser) -> None:
-    """The width and latent shape: with T and N, they set the FLOP counts."""
-    p.add_argument("--dim", type=int, default=ModelConfig.hidden_dim, help="hidden width d")
-    p.add_argument("--frames", type=int, default=ModelConfig.frames, help="latent frames F")
-    p.add_argument("--tokens", type=int, default=ModelConfig.tokens_per_frame, help="tokens per frame S")
-
-
-def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--policy", choices=[k.value for k in PolicyKind], default=CachePolicyConfig.kind.value)
-    p.add_argument("--delta", type=float, default=CachePolicyConfig.delta, help="reuse threshold")
-    p.add_argument(
-        "--reuse-interval",
-        type=int,
-        default=None,
-        help="max consecutive reuses (default: ceil(steps / 10))",
-    )
-    p.add_argument(
-        "--tail",
-        default=CachePolicyConfig.tail.canonical(),
-        help="protected tail: third | half | twothirds | fixed:<m>",
-    )
-    p.add_argument("--static-stride", type=int, default=CachePolicyConfig.static_stride)
-
-
-def _out_dir(text: str) -> Path:
-    """An --out value. An empty one is refused: Path("") is the working
-    directory, whose files of the exports' names would be overwritten."""
+def _path(what: str, text: str) -> Path:
+    """A path flag's value. An empty one is refused: Path("") is the working
+    directory, whose export files --out would overwrite, and an input flag
+    would read it as no path given."""
     if not text:
-        raise argparse.ArgumentTypeError("empty output directory")
+        raise argparse.ArgumentTypeError(f"empty {what}")
     return Path(text)
-
-
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", type=_out_dir, default="bwcache_out", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bwcache", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="sample once under a policy and export traces")
-    g.add_argument("--steps", type=int, default=ModelConfig.steps, help="denoising steps T")
-    g.add_argument("--blocks", type=int, default=ModelConfig.n_blocks, help="transformer blocks N")
-    g.add_argument("--heads", type=int, default=ModelConfig.n_heads, help="attention heads")
-    g.add_argument("--seed", type=int, default=ModelConfig.seed, help="run seed")
-    _add_flop_flags(g)
-    _add_policy_flags(g)
-    _add_output_flags(g)
+    # The flags of both subcommands. A flag that sets a record field stores
+    # its value under the field's name. A model flag not given is None, and
+    # _model_from_args takes the field's default for it.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--dim", dest="hidden_dim", type=int, help="hidden width d")
+    shared.add_argument("--frames", type=int, help="latent frames F")
+    shared.add_argument("--tokens", dest="tokens_per_frame", type=int, help="tokens per frame S")
+    shared.add_argument(
+        "--policy", dest="kind", choices=[k.value for k in PolicyKind],
+        default=CachePolicyConfig.kind.value,
+        help="none computes every step, bwcache reuses below --delta, static by --static-stride",
+    )
+    shared.add_argument("--delta", type=float, default=CachePolicyConfig.delta, help="reuse threshold")
+    shared.add_argument(
+        "--reuse-interval", type=int, help="max consecutive reuses (default: ceil(steps / 10))"
+    )
+    shared.add_argument(
+        "--tail", default=CachePolicyConfig.tail.canonical(),
+        help="protected tail: third | half | twothirds | fixed:<m>",
+    )
+    shared.add_argument(
+        "--static-stride", type=int, default=CachePolicyConfig.static_stride,
+        help="the static policy computes every stride-th step and reuses the rest",
+    )
+    shared.add_argument(
+        "--out", type=partial(_path, "output directory"), default="bwcache_out", help="output directory"
+    )
+
+    g = sub.add_parser("generate", parents=[shared], help="sample once under a policy and export traces")
+    g.add_argument("--steps", type=int, help="denoising steps T")
+    g.add_argument("--blocks", dest="n_blocks", type=int, help="transformer blocks N")
+    g.add_argument("--heads", dest="n_heads", type=int, help="attention heads")
+    g.add_argument("--seed", type=int, help="run seed")
     g.add_argument("--deterministic", action="store_true", help="zeroed timings (wall_seconds 0.0)")
     g.add_argument(
-        "--reference-latent",
-        default=None,
+        "--reference-latent", type=partial(_path, "reference latent"),
         help="latent dump to score psnr/ssim against",
     )
 
-    r = sub.add_parser("replay", help="re-decide a recorded heatmap offline")
-    r.add_argument("--trace", required=True, help="heatmap.npy from a previous run")
-    _add_flop_flags(r)
-    _add_policy_flags(r)
-    _add_output_flags(r)
+    r = sub.add_parser("replay", parents=[shared], help="re-decide a recorded heatmap offline")
+    r.add_argument(
+        "--trace", type=partial(_path, "trace"), required=True, help="heatmap.npy from a previous run"
+    )
     return parser
 
 
@@ -113,7 +116,7 @@ def _policy_from_args(args, *, total_steps: int) -> CachePolicyConfig:
     if interval is None:
         interval = CachePolicyConfig.recommended(total_steps).reuse_interval
     policy = CachePolicyConfig(
-        kind=PolicyKind(args.policy),
+        kind=PolicyKind(args.kind),
         delta=args.delta,
         reuse_interval=interval,
         tail=TailRule.parse(args.tail),
@@ -123,16 +126,12 @@ def _policy_from_args(args, *, total_steps: int) -> CachePolicyConfig:
     return policy
 
 
-def _model_from_args(args) -> ModelConfig:
-    return ModelConfig(
-        n_blocks=args.blocks,
-        hidden_dim=args.dim,
-        n_heads=args.heads,
-        frames=args.frames,
-        tokens_per_frame=args.tokens,
-        steps=args.steps,
-        seed=args.seed,
-    )
+def _model_from_args(args, **fixed) -> ModelConfig:
+    """The config of the flags, each stored under its field's name (a flag
+    not given is None and takes the field's default), and of ``fixed`` for
+    the fields that the subcommand has no flag for."""
+    flags = {f.name: getattr(args, f.name) for f in fields(ModelConfig) if f.name not in fixed}
+    return ModelConfig(**{name: v for name, v in flags.items() if v is not None}, **fixed)
 
 
 def _write_run(trace: RunTrace, summary: RunSummary, n_blocks: int, out: Path) -> None:
@@ -181,10 +180,7 @@ def _cmd_replay(args) -> int:
     steps, blocks = table.shape
     # Replay runs no model, so the fields that only a live run reads are
     # fixed: seed 0 and one head, which divides every width.
-    config = ModelConfig(
-        n_blocks=blocks, hidden_dim=args.dim, n_heads=1, frames=args.frames,
-        tokens_per_frame=args.tokens, steps=steps, seed=0,
-    )
+    config = _model_from_args(args, steps=steps, n_blocks=blocks, n_heads=1, seed=0)
     policy = _policy_from_args(args, total_steps=steps)
     trace = RunTrace(
         decisions=replay_trace(table, policy),

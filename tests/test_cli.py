@@ -10,13 +10,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bwcache import cli, model
+from bwcache import cli, model, traceio
 from bwcache.cache import CachePolicyConfig, PolicyKind, TailRule, ZeroDenominatorError, run_policy
 from bwcache.cli import _model_from_args, _policy_from_args, build_parser, main
 from bwcache.metrics import psnr, ssim_frames
@@ -30,7 +32,8 @@ from bwcache.traceio import (
     write_heatmap,
     write_latent,
 )
-from test_traceio import MALFORMED, npy_header
+from test_cache import tail_strategy
+from test_traceio import MALFORMED, UNREAD_VALUES, npy_header
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -316,6 +319,32 @@ class TestGenerate:
         monkeypatch.chdir(tmp_path)
         assert main([*RUNS[command], "--out", ""]) == 2
         assert "argument --out: empty output directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ([*RUNS["generate"], "--reference-latent", ""], "--reference-latent"),
+            (["replay", "--trace", ""], "--trace"),
+        ],
+        ids=["reference-latent", "trace"],
+    )
+    def test_empty_input_path_is_refused_before_any_draw(
+        self, tmp_path, monkeypatch, capsys, argv, flag
+    ):
+        """An empty input path would read as no reference or as the working
+        directory: it exits 2 at parse time naming the flag, before anything
+        is drawn or read, and creates no output directory."""
+
+        def refuse(*args):
+            raise AssertionError(f"drew or read before {flag} was checked")
+
+        monkeypatch.setattr(model, "rand_normal", refuse)
+        monkeypatch.setattr(cli, "read_heatmap", refuse)
+        monkeypatch.setattr(cli, "read_latent", refuse)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert f"argument {flag}: empty " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_reruns_are_byte_identical(self, tmp_path):
@@ -807,13 +836,17 @@ ALTERNATES["compare"] = {
 EXEMPT = {"-h", "--out", "--trace"}
 
 
-def declared_options() -> dict[str, set[str]]:
+def subcommands() -> dict[str, argparse.ArgumentParser]:
     (subparsers,) = [
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     ]
+    return subparsers.choices
+
+
+def declared_options() -> dict[str, set[str]]:
     return {
         command: {a.option_strings[0] for a in p._actions if a.option_strings}
-        for command, p in subparsers.choices.items()
+        for command, p in subcommands().items()
     }
 
 
@@ -877,4 +910,166 @@ class TestEveryFlagIsRead:
             assert main([*argv, "--out", str(tmp_path / name)]) == 0
         exports = [exported_bytes(tmp_path / name) for name in ("default", "unread")]
         assert "summary.json" in exports[0]
+        assert exports[0] == exports[1]
+
+
+def test_every_option_explains_itself():
+    """Every declared option of both subcommands has a help string."""
+    for command, parser in subcommands().items():
+        for action in parser._actions:
+            assert action.help, f"{command} {action.option_strings[0]} has no help"
+
+
+# The record field that each option sets, written out by hand: the oracle
+# that a flag feeds its own field and no other. --deterministic and
+# --reference-latent set no field.
+FIELD_OF = {
+    "--steps": ("model", "steps"),
+    "--blocks": ("model", "n_blocks"),
+    "--dim": ("model", "hidden_dim"),
+    "--heads": ("model", "n_heads"),
+    "--frames": ("model", "frames"),
+    "--tokens": ("model", "tokens_per_frame"),
+    "--seed": ("model", "seed"),
+    "--policy": ("policy", "kind"),
+    "--delta": ("policy", "delta"),
+    "--reuse-interval": ("policy", "reuse_interval"),
+    "--tail": ("policy", "tail"),
+    "--static-stride": ("policy", "static_stride"),
+}
+
+
+def records_of(argv: list[str], out: Path, monkeypatch) -> dict[str, dict]:
+    """The model config and policy a run of ``argv`` builds, as field dicts.
+    A generate run's come from the parse; a replay's are the ones that it
+    hashes into its fingerprint, caught as it runs."""
+    if argv[0] == "generate":
+        args = build_parser().parse_args(argv)
+        config = _model_from_args(args)
+        policy = _policy_from_args(args, total_steps=config.steps)
+    else:
+        hashed = []
+
+        def spy(config, policy, table):
+            hashed.append((config, policy))
+            return config_fingerprint(config, policy, table)
+
+        monkeypatch.setattr(cli, "config_fingerprint", spy)
+        assert main([*argv, "--out", str(out)]) == 0
+        ((config, policy),) = hashed
+    return {"model": vars(config), "policy": vars(policy)}
+
+
+class TestEachFlagSetsItsField:
+    def test_table_covers_every_option_that_sets_a_field(self):
+        unset = {"--deterministic", "--reference-latent"}
+        assert set(FIELD_OF) == set(ALTERNATES["generate"]) - unset
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            (command, option)
+            for command in ("generate", "replay")
+            for option in ALTERNATES[command]
+            if option in FIELD_OF
+        ],
+    )
+    def test_alternate_value_moves_only_its_field(self, tmp_path, monkeypatch, command, option):
+        """The alternate value of one option changes exactly the record field
+        that the table names for it, so two swapped flags fail here."""
+        base = RUNS[command]
+        alternate = [*base, option, ALTERNATES[command][option]]
+        records = [
+            records_of(argv, tmp_path / name, monkeypatch)
+            for name, argv in (("default", base), ("alternate", alternate))
+        ]
+        moved = {
+            (record, name)
+            for record, values in records[0].items()
+            for name, value in values.items()
+            if records[1][record][name] != value
+        }
+        assert moved == {FIELD_OF[option]}
+
+
+def flag_text(value) -> str:
+    """A record field's value as its flag spells it."""
+    if isinstance(value, PolicyKind):
+        return value.value
+    if isinstance(value, TailRule):
+        return value.canonical()
+    return str(value)
+
+
+# A policy of each kind. A tiny run's step distances are about 0.1 to 0.5,
+# so a bwcache run mostly reuses, and its R and tail move the exports.
+KIND_POLICIES = {
+    PolicyKind.NONE: st.just(CachePolicyConfig(kind=PolicyKind.NONE)),
+    PolicyKind.STATIC: st.builds(
+        CachePolicyConfig, kind=st.just(PolicyKind.STATIC), static_stride=st.integers(1, 4)
+    ),
+    PolicyKind.BWCACHE: st.builds(
+        CachePolicyConfig,
+        delta=st.floats(min_value=0.3, max_value=1.0),
+        reuse_interval=st.integers(1, 3),
+        tail=tail_strategy(),
+    ),
+}
+
+
+@st.composite
+def fingerprint_twins(draw, kind: PolicyKind):
+    """A tiny model config and two policies of ``kind``, each with the text
+    of its --delta, that differ only where the fingerprint does not look: in
+    a field that the kind never reads, in the spelling of a zero delta, or
+    in an int delta against the float it equals."""
+    config = ModelConfig(
+        n_blocks=draw(st.integers(min_value=1, max_value=2)),
+        hidden_dim=draw(st.sampled_from([4, 8])),
+        n_heads=draw(st.sampled_from([1, 2])),
+        frames=draw(st.integers(min_value=1, max_value=2)),
+        tokens_per_frame=draw(st.integers(min_value=1, max_value=3)),
+        steps=draw(st.integers(min_value=6, max_value=10)),
+        seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
+    )
+    policy = draw(KIND_POLICIES[kind])
+    twin = draw(st.sampled_from(["unread", "zero", "int"]))
+    if twin == "unread":
+        name = draw(st.sampled_from(traceio._UNREAD[policy.kind.value]))
+        other = replace(policy, **{name: draw(UNREAD_VALUES[name])})
+        return config, (policy, repr(policy.delta)), (other, repr(other.delta))
+    if twin == "zero":
+        zeros = st.sampled_from(["0", "0.0", "-0.0"])
+        texts = draw(st.lists(zeros, min_size=2, max_size=2, unique=True))
+    else:
+        whole = draw(st.integers(min_value=0, max_value=2))
+        texts = draw(st.permutations([str(whole), f"{whole}.0"]))
+    # Each record holds what its text spells: an int for bare digits, else a float.
+    deltas = [int(text) if text.isdigit() else float(text) for text in texts]
+    return config, *[(replace(policy, delta=d), text) for d, text in zip(deltas, texts)]
+
+
+class TestEqualFingerprintsExportEqualBytes:
+    @pytest.mark.parametrize("kind", list(PolicyKind), ids=[k.value for k in PolicyKind])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_twins_write_byte_identical_exports(self, kind, data):
+        """Two policies with one fingerprint are one run: generate
+        --deterministic writes byte-identical files for both, latent.bin
+        included, and each summary holds that fingerprint."""
+        config, *runs = data.draw(fingerprint_twins(kind))
+        fingerprints = {config_fingerprint(config, policy) for policy, _ in runs}
+        assert len(fingerprints) == 1
+        exports = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for k, (policy, delta) in enumerate(runs):
+                argv = ["generate", "--deterministic"]
+                for flag, (record, name) in FIELD_OF.items():
+                    value = getattr(config if record == "model" else policy, name)
+                    argv += [flag, delta if flag == "--delta" else flag_text(value)]
+                out = Path(tmp) / str(k)
+                assert main([*argv, "--out", str(out)]) == 0
+                assert summary_of(out)["config_fingerprint"] in fingerprints
+                exports.append(exported_bytes(out))
+        assert "latent.bin" in exports[0]
         assert exports[0] == exports[1]
