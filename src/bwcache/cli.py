@@ -14,8 +14,8 @@ The flags that both subcommands take are declared once, on one parent
 parser. A flag that sets a field of ``ModelConfig`` or ``CachePolicyConfig``
 stores its value under the field's name, and a model flag not given takes
 the record's default. A path flag's empty value is refused as it is parsed.
-Exit codes: 0 success, 1 runtime failure (I/O, numerics), 2 configuration
-or trace-format problems.
+Exit codes: 0 success, 1 runtime failure (I/O, numerics, a model too large
+to allocate), 2 configuration or trace-format problems.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
     except (TraceFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ArithmeticError) as exc:
+    except (OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,13 +34,19 @@ CPU dispatch target; the forward pass's float32 exp (softmax) and tanh
 every weight within 5.77 WEIGHT_STD.
 
 The seeded builds are pure functions of the few config fields they read: the
-block weights of (seed, hidden_dim, n_blocks), the readout and decode
-matrices of (seed, hidden_dim). Each is built once per such key and kept for
-the two most recently used keys, so configs that differ only in steps, heads
-or frame grid share one build. Every cached array is read-only: the same
-objects serve every later run that reads them. A model's block weights are
-drawn in one call into one contiguous read-only buffer, and each weight
-array is a view of it, so keeping any one array keeps the whole build alive.
+block weights of (seed, hidden_dim, n_blocks) and their layout, the readout
+and decode matrices of (seed, hidden_dim). Each is built once per such key
+and kept for the two most recently used keys, so configs that differ only in
+steps, heads or frame grid share one build, except that from d=182 a grid
+of fewer than 16 token rows has a layout, and so a build, of its own. Every
+cached array is read-only: the same objects serve every later run that reads
+them. A model's block weights are drawn in one call into one contiguous
+read-only buffer, and each weight array is a view of it, so keeping any one
+array keeps the whole build alive. The views are C-contiguous, except that
+the wide projections of a run with at least 16 token rows are stored
+transposed and viewed F-contiguous, which makes their products about 30%
+faster at d=256 with the same bytes (see _TRANSPOSABLE and
+``tensor.matmul``).
 """
 
 from __future__ import annotations
@@ -54,6 +60,8 @@ from typing import Sequence
 import numpy as np
 
 from bwcache.tensor import (
+    TRANSPOSED_MIN_ROWS,
+    TRANSPOSED_MIN_SIZE,
     DimensionError,
     Tensor,
     batched_matmul,
@@ -89,6 +97,25 @@ _SALT_DECODE = 0x44454331
 # seeds, widths or depths) draw each once, while bounding what a long-lived
 # caller keeps alive.
 _CACHED_BUILDS = 2
+
+# The block weights stored transposed, when they hold at least
+# TRANSPOSED_MIN_SIZE values and the run has at least TRANSPOSED_MIN_ROWS
+# token rows: mlp_in and mlp_out from d=182, qkv_proj from d=210. The size
+# rule is measured, not tuned. Median time per product at 64 rows, one BLAS
+# thread, cycling through 8 blocks' weights as a forward does (2-core Xeon
+# with AVX-512, OpenBLAS 0.3.31):
+#
+#   d=64   [64, 192]    C 16 us,  transposed 21 us
+#   d=64   [256, 64]    C 27 us,  transposed 36 us
+#   d=256  [256, 768]   C 447 us, transposed 311 us
+#   d=256  [256, 1024]  C 584 us, transposed 408 us
+#   d=256  [1024, 256]  C 570 us, transposed 407 us
+#   d=256  [256, 256]   C 119 us, transposed 113 us
+#
+# out_proj reaches the size at d=364 and gains nothing there (an 8-block d=384
+# forward, 29-38 ms transposed against 30-31 ms C). adaln_proj is a one-row
+# product, which is never transposed.
+_TRANSPOSABLE = ("qkv_proj", "mlp_in", "mlp_out")
 
 
 class Axis(str, Enum):
@@ -201,40 +228,69 @@ def init_weights(config: ModelConfig) -> tuple[DiTBlockWeights, ...]:
 
     Per block the draw order is fixed: qkv_proj, out_proj, mlp_in, mlp_out,
     adaln_proj. Changing it would silently re-seed every regression number.
-    The arrays are C-contiguous read-only views of one buffer holding the
-    whole draw in that order. The result is cached per (seed, hidden_dim,
-    n_blocks); copy an array before perturbing it.
+    The arrays are read-only views of one buffer that holds the whole draw in
+    that order. Each is C-contiguous, except that in a run of at least
+    TRANSPOSED_MIN_ROWS token rows a qkv_proj, mlp_in or mlp_out of at least
+    TRANSPOSED_MIN_SIZE values is stored transposed: its segment of the
+    buffer holds the transpose in C order, and the field is the logical
+    [k, n] array as an F-contiguous view, which ``matmul`` multiplies as
+    (Wᵀ aᵀ)ᵀ with the same bytes as a @ W. The result is cached per (seed,
+    hidden_dim, n_blocks) and the set of weights stored transposed; copy an
+    array before perturbing it.
     """
-    return _build_weights(config.seed, config.hidden_dim, config.n_blocks)
+    shapes = _block_shapes(config.hidden_dim)
+    transposed = frozenset(
+        name for name in _TRANSPOSABLE
+        if config.tokens >= TRANSPOSED_MIN_ROWS and math.prod(shapes[name]) >= TRANSPOSED_MIN_SIZE
+    )
+    return _build_weights(config.seed, config.hidden_dim, config.n_blocks, transposed)
+
+
+def _block_shapes(d: int) -> dict[str, tuple[int, int]]:
+    """The [k, n] of each block weight, in the draw order."""
+    return {
+        "qkv_proj": (d, 3 * d),
+        "out_proj": (d, d),
+        "mlp_in": (d, 4 * d),
+        "mlp_out": (4 * d, d),
+        "adaln_proj": (d, 4 * d),
+    }
 
 
 @lru_cache(maxsize=_CACHED_BUILDS)
-def _build_weights(seed: int, d: int, n_blocks: int) -> tuple[DiTBlockWeights, ...]:
+def _build_weights(
+    seed: int, d: int, n_blocks: int, transposed: frozenset[str]
+) -> tuple[DiTBlockWeights, ...]:
     # One draw for the whole model, cut into views in the documented order.
     # Every array has an even size, so this consumes the stream exactly as
     # one draw per array would.
     flat = rand_normal(mix_seed(seed, _SALT_WEIGHTS), 16 * d * d * n_blocks)
-    flat *= WEIGHT_STD
-    _read_only(flat)  # before slicing, so every view is read-only too
+    shapes = _block_shapes(d)
+    # The scaled copy of the weight being transposed, reused for each one:
+    # 1 MiB at d=256, no more than the draw's own temporaries.
+    scratch = np.empty(max((math.prod(shapes[name]) for name in transposed), default=0), np.float32)
     offset = 0
 
-    def take(shape):
+    def take(name):
         nonlocal offset
-        size = shape[0] * shape[1]
-        offset += size
-        return flat[offset - size : offset].reshape(shape)
+        k, n = shapes[name]
+        part = flat[offset : offset + k * n]
+        offset += k * n
+        if name not in transposed:
+            part *= WEIGHT_STD
+            return _read_only(part.reshape(k, n))
+        scaled = scratch[: k * n]
+        np.multiply(part, WEIGHT_STD, out=scaled)
+        stored = part.reshape(n, k)
+        np.copyto(stored, scaled.reshape(k, n).T)
+        return _read_only(stored.T)
 
-    return tuple(
-        DiTBlockWeights(
-            axis=_axis(i),
-            qkv_proj=take((d, 3 * d)),
-            out_proj=take((d, d)),
-            mlp_in=take((d, 4 * d)),
-            mlp_out=take((4 * d, d)),
-            adaln_proj=take((d, 4 * d)),
-        )
+    blocks = tuple(
+        DiTBlockWeights(axis=_axis(i), **{name: take(name) for name in shapes})
         for i in range(n_blocks)
     )
+    _read_only(flat)  # the buffer every view's base names
+    return blocks
 
 
 def timestep_embedding(t: int, dim: int) -> Tensor:
@@ -251,14 +307,16 @@ def _group_qkv(qkv: Tensor, axis: Axis, frames: int, tokens_per_frame: int, n_he
     """[F*S, 3d] -> [3, groups * heads, L, head_dim] where L is the attended axis.
 
     Index 0, 1, 2 along the first axis is q, k, v; all three are regrouped
-    by one transpose and one copy.
+    by one transpose and one C-order copy, also where a reshape could give a
+    view, so the attention products see the same operands whether qkv came
+    C-ordered or as the transpose view of a transposed product.
     """
     f, s, h = frames, tokens_per_frame, n_heads
     dh = qkv.shape[1] // (3 * h)
     z = qkv.reshape(f, s, 3, h, dh)
     if axis is Axis.SPATIAL:
-        return z.transpose(2, 0, 3, 1, 4).reshape(3, f * h, s, dh)
-    return z.transpose(2, 1, 3, 0, 4).reshape(3, s * h, f, dh)
+        return np.ascontiguousarray(z.transpose(2, 0, 3, 1, 4)).reshape(3, f * h, s, dh)
+    return np.ascontiguousarray(z.transpose(2, 1, 3, 0, 4)).reshape(3, s * h, f, dh)
 
 
 def _ungroup_heads(z: Tensor, axis: Axis, frames: int, tokens_per_frame: int, n_heads: int) -> Tensor:
@@ -295,7 +353,11 @@ def dit_block_forward(h: Tensor, weights: DiTBlockWeights, t_emb: Tensor, config
     h1 += h
 
     b = layer_norm(h1, scale2, shift2)
+    # GELU is elementwise, so it gives the same bits in the transposed layout.
     out = matmul(gelu(matmul(b, weights.mlp_in)), weights.mlp_out)
+    if not out.flags.c_contiguous:
+        # A block output is C-ordered whatever the weights' layout.
+        return np.add(out, h1, order="C")
     out += h1
     return out
 

@@ -1,18 +1,28 @@
 """Dense numeric primitives shared by the sampler, the denoiser and the metrics.
 
-Arrays are plain numpy ndarrays in C (row-major) order. The working precision
-of the pipeline is float32; distances and quality metrics accumulate in
-float64 on top of these primitives. Every op validates shapes up front and
-checks its output for NaN/Inf, so failures surface at the op that produced
-them instead of three modules later.
+Arrays are plain numpy ndarrays in C (row-major) order, except a matmul
+operand stored transposed and the product it gives (below). The working
+precision of the pipeline is float32; distances and quality metrics
+accumulate in float64 on top of these primitives. Every op validates shapes
+up front and checks its output for NaN/Inf, so failures surface at the op
+that produced them instead of three modules later.
 
 Ops may work in place on temporaries they allocated themselves, never on an
 array they were given, and each still checks its own output. The in-place
 forms keep numpy's evaluation order and dtype promotion, so each result is
 bit-identical to the op written as one plain numpy expression.
 
-Matmuls dispatch to BLAS; there is no second matmul path. The BLAS build
-picks its kernel per CPU, as numpy picks the SIMD kernels of its elementwise
+Matmuls dispatch to BLAS through one op, ``matmul``, which picks the
+product's orientation from the layout of its right operand. A weight stored
+transposed (F-contiguous: the model's wide block projections) is multiplied
+as (Wᵀ aᵀ)ᵀ when it has at least 2^17 values and a has at least 16 rows.
+Per product at 64 rows, that takes 311-408 us at d=256 where a @ W takes
+447-584 us; at d=64 it would be slower, 21-36 us against 16-27 us (see
+``model._TRANSPOSABLE`` for the table). The two give the same bytes only
+above both bounds, where OpenBLAS leaves its small-matrix kernels, so any
+other stored-transposed operand is multiplied as a C copy. The operand
+shapes and FLOP counts are those of a @ W either way. The BLAS build picks
+its kernel per CPU, as numpy picks the SIMD kernels of its elementwise
 functions, and float32 exp and tanh give different bits on different
 targets. So a run is byte-identical across reruns, and across BLAS thread
 counts, on one numpy build and one CPU dispatch target, not across targets.
@@ -38,6 +48,15 @@ import numpy as np
 Tensor = np.ndarray
 
 LAYER_NORM_EPS = 1e-5
+# matmul takes the transposed product of a b stored transposed only where it
+# was measured to give the bytes of a @ b: a of at least TRANSPOSED_MIN_ROWS
+# rows and b of at least TRANSPOSED_MIN_SIZE values. On the block weights'
+# shapes, with d up to 512 and 16 to 1024 rows, 0 of 3782 products differed.
+# Below either bound OpenBLAS's small-matrix kernels sum in another order:
+# with 1-15 rows, 185 of 930 products differed, and some 64x64 and 256x64
+# products did at 16-19 rows.
+TRANSPOSED_MIN_ROWS = 16
+TRANSPOSED_MIN_SIZE = 1 << 17
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -60,11 +79,22 @@ def _check_finite(out: Tensor, op: str) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product of a [m, k] and b [k, n] in the operands' dtype."""
+    """Product of a [m, k] and b [k, n] in the operands' dtype.
+
+    A b stored transposed (F-contiguous, not C-contiguous) of at least
+    TRANSPOSED_MIN_SIZE values is multiplied as (bᵀ aᵀ)ᵀ when a has at least
+    TRANSPOSED_MIN_ROWS rows, and the result is the F-contiguous transpose of
+    that product. Any other such b is multiplied as a C copy. Either way the
+    bytes are those of a @ np.ascontiguousarray(b), with the same FLOPs.
+    """
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
+    if b.flags.f_contiguous and not b.flags.c_contiguous:
+        if a.shape[0] >= TRANSPOSED_MIN_ROWS and b.size >= TRANSPOSED_MIN_SIZE:
+            return _check_finite(np.matmul(b.T, a.T).T, "matmul")
+        b = np.ascontiguousarray(b)
     return _check_finite(a @ b, "matmul")
 
 

@@ -389,6 +389,20 @@ class TestGenerate:
         monkeypatch.setattr(cli, "run_policy", zero_mass)
         assert run_generate(tmp_path / "out") == 1
 
+    def test_unallocatable_model_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        """A model too large to allocate (--dim 100000 asks for 4.66 TiB of
+        block weights) exits 1 with one error line, not a traceback. The
+        MemoryError is raised here, so the test allocates nothing."""
+
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 4.66 TiB for an array")
+
+        monkeypatch.setattr(cli, "run_policy", out_of_memory)
+        assert run_generate(tmp_path / "out", "--dim", "100000") == 1
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 4.66 TiB for an array\n"
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_tail_rule_is_config_error(self, tmp_path):
         assert run_generate(tmp_path, "--tail", "fixed:lots") == 2
 

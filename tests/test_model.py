@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import threading
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -43,7 +44,7 @@ from bwcache.model import (
     WEIGHT_STD,
 )
 from bwcache import tensor
-from bwcache.tensor import DimensionError, mix_seed
+from bwcache.tensor import TRANSPOSED_MIN_ROWS, TRANSPOSED_MIN_SIZE, DimensionError, mix_seed
 from test_tensor import one_shot_rand_normal
 
 
@@ -53,6 +54,31 @@ def tiny_config(**overrides) -> ModelConfig:
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+# Configs whose builds store weights transposed: at d=192 the MLP's two
+# projections, at d=210 qkv_proj too (with 64 token rows each).
+WIDE_CONFIGS = [
+    pytest.param(ModelConfig(hidden_dim=192, n_blocks=1, seed=12), id="d192"),
+    pytest.param(ModelConfig(hidden_dim=210, n_heads=2, n_blocks=2, seed=12), id="d210"),
+]
+
+
+def stored_transposed(config: ModelConfig, name: str) -> bool:
+    """Whether a build for ``config`` stores its ``name`` projection transposed."""
+    d = config.hidden_dim
+    size = {"qkv_proj": 3 * d * d, "mlp_in": 4 * d * d, "mlp_out": 4 * d * d}.get(name, 0)
+    return size >= TRANSPOSED_MIN_SIZE and config.tokens >= TRANSPOSED_MIN_ROWS
+
+
+def c_contiguous_copies(weights) -> tuple[DiTBlockWeights, ...]:
+    return tuple(
+        DiTBlockWeights(
+            axis=w.axis,
+            **{f.name: np.ascontiguousarray(getattr(w, f.name)) for f in fields(w) if f.name != "axis"},
+        )
+        for w in weights
+    )
 
 
 def layer_norm_reference(x, scale, shift):
@@ -264,6 +290,12 @@ class TestBuildCache:
         assert 16 * 64**2 * config.n_blocks > 3 * tensor._CHUNK
         self.assert_weights_match_one_independent_stream(config)
 
+    @pytest.mark.parametrize("config", WIDE_CONFIGS)
+    def test_transposed_weights_match_the_same_stream(self, config):
+        """Above the size threshold the logical arrays are still the one
+        draw in the documented order, each stored at its draw position."""
+        self.assert_weights_match_one_independent_stream(config)
+
     def assert_weights_match_one_independent_stream(self, config):
         d = config.hidden_dim
         names = ("qkv_proj", "out_proj", "mlp_in", "mlp_out", "adaln_proj")
@@ -280,18 +312,33 @@ class TestBuildCache:
             for name, shape in zip(names, shapes):
                 n = shape[0] * shape[1]
                 want = flat[offset : offset + n].reshape(shape)
+                got = getattr(w, name)
+                assert got.tobytes() == want.tobytes(), name
+                # Stored transposed or not, the array fills its own segment
+                # of the one shared buffer.
+                start = got.__array_interface__["data"][0] - got.base.__array_interface__["data"][0]
+                assert start == offset * got.itemsize, name
+                if stored_transposed(config, name):
+                    assert got.flags.f_contiguous and not got.flags.c_contiguous, name
+                else:
+                    assert got.flags.c_contiguous, name
                 offset += n
-                assert getattr(w, name).tobytes() == want.tobytes(), name
         assert offset == flat.size
 
-    def test_cached_arrays_are_read_only(self):
-        config = tiny_config(seed=12)
+    @pytest.mark.parametrize("config", [pytest.param(tiny_config(seed=12), id="tiny"), *WIDE_CONFIGS])
+    def test_cached_arrays_are_read_only(self, config):
+        """Every cached array is read-only, and so is the buffer it views.
+        Each is C-contiguous, or F-contiguous for the transposed projections."""
         weights = init_weights(config)
-        arrays = [getattr(w, f.name) for w in weights for f in fields(w) if f.name != "axis"]
-        arrays += [readout_matrix(config), decode_matrix(config)]
-        assert len(arrays) == 5 * config.n_blocks + 2
-        for a in arrays:
-            assert a.flags.c_contiguous
+        named = [(f.name, getattr(w, f.name)) for w in weights for f in fields(w) if f.name != "axis"]
+        named += [("readout", readout_matrix(config)), ("decode", decode_matrix(config))]
+        assert len(named) == 5 * config.n_blocks + 2
+        assert any(stored_transposed(config, name) for name, _ in named) is (config.hidden_dim > 64)
+        for name, a in named:
+            if stored_transposed(config, name):
+                assert a.flags.f_contiguous and not a.flags.c_contiguous
+            else:
+                assert a.flags.c_contiguous
             before = a.copy()
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
@@ -305,7 +352,7 @@ class TestBuildCache:
                 base = base.base
             assert np.array_equal(a, before)
         with pytest.raises(TypeError):
-            weights[0] = weights[1]
+            weights[0] = weights[-1]
 
     def test_none_run_after_cached_run_matches_fresh_build(self):
         """A cached run leaves the shared build untouched: a none run that
@@ -323,8 +370,9 @@ class TestBuildCache:
 
     def test_builds_are_keyed_on_the_fields_they_read(self):
         """Steps, heads and the frame grid enter no build, so configs that
-        differ only there share one build of each; n_blocks enters only the
-        block weights."""
+        differ only there share one build of each, except where the grid
+        changes the block weights' layout; n_blocks enters only the block
+        weights."""
         builds = (_build_weights, _build_readout, _build_decode)
         for build in builds:
             build.cache_clear()
@@ -345,6 +393,39 @@ class TestBuildCache:
         assert init_weights(deeper) is not weights
         assert readout_matrix(deeper) is readout
         assert [b.cache_info().misses for b in builds] == [2, 1, 1]
+
+        # Nothing at d=8 is stored transposed, so 16 token rows share it too.
+        sixteen_rows = replace(deeper, frames=4, tokens_per_frame=4)
+        assert init_weights(sixteen_rows) is init_weights(deeper)
+        assert readout_matrix(sixteen_rows) is readout
+        assert [b.cache_info().misses for b in builds] == [2, 1, 1]
+
+    def test_a_grid_under_16_rows_has_its_own_layout(self):
+        """From d=182 a grid of fewer than 16 token rows builds its weights
+        C-ordered, once, and 16 rows or more share the transposed build."""
+        _build_weights.cache_clear()
+        wide = ModelConfig(hidden_dim=192, n_blocks=1, frames=4, tokens_per_frame=4)
+        weights = init_weights(wide)
+        assert weights[0].mlp_in.flags.f_contiguous
+        assert init_weights(replace(wide, frames=17, tokens_per_frame=1)) is weights
+        narrow = init_weights(replace(wide, frames=3, tokens_per_frame=5))
+        assert narrow[0].mlp_in.flags.c_contiguous
+        assert init_weights(replace(wide, frames=1, tokens_per_frame=1)) is narrow
+        assert _build_weights.cache_info().misses == 2
+
+    def test_a_build_holds_at_most_1_5_mib_beyond_its_buffer(self):
+        """Transposing the d=256 projections goes through one reused 1 MiB
+        scratch buffer, so a fresh build's peak stays that of its draw."""
+        _build_weights.cache_clear()
+        config = ModelConfig(hidden_dim=256, n_blocks=1)
+        tracemalloc.start()
+        try:
+            weights = init_weights(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert weights[0].mlp_in.flags.f_contiguous
+        assert peak - weights[0].mlp_in.base.nbytes <= 1.5 * 2**20
 
 
 class TestInitialLatent:
@@ -417,6 +498,44 @@ class TestBlockForward:
             assert got.tobytes() == want.tobytes()
         assert h.tobytes() == h_before.tobytes()
         assert t_emb.tobytes() == t_before.tobytes()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(ModelConfig(hidden_dim=256, n_blocks=2, seed=5), id="d256-64rows"),
+            # One frame: a reshape of qkv to the heads could be a view here.
+            pytest.param(
+                ModelConfig(hidden_dim=256, n_blocks=2, frames=1, tokens_per_frame=16, seed=5),
+                id="d256-16rows",
+            ),
+            pytest.param(
+                ModelConfig(hidden_dim=192, n_blocks=2, frames=1, tokens_per_frame=4, seed=5),
+                id="d192-4rows",
+            ),
+        ],
+    )
+    def test_forward_bytes_do_not_depend_on_the_weight_layout(self, config):
+        """The library's weights, transposed or not, give the bytes of the
+        same weights as C-contiguous copies, and C-ordered block outputs. A
+        run of fewer than 16 token rows stores nothing transposed, and also
+        multiplies a 64-row build's transposed weights as C copies."""
+        library = init_weights(config)
+        names = [f.name for f in fields(DiTBlockWeights) if f.name != "axis"]
+        for w in library:
+            for name in names:
+                assert getattr(w, name).flags.f_contiguous is stored_transposed(config, name)
+        x = make_latent(config, seed=16)
+        want = [o.tobytes() for o in denoiser_forward(x, 7, c_contiguous_copies(library), config)]
+        sources = [library]
+        if config.tokens < TRANSPOSED_MIN_ROWS:
+            assert not any(stored_transposed(config, name) for name in names)
+            sixteen_rows = init_weights(replace(config, frames=4))
+            assert sixteen_rows[0].mlp_in.flags.f_contiguous
+            sources.append(sixteen_rows)
+        for weights in sources:
+            got = denoiser_forward(x, 7, weights, config)
+            assert all(o.flags.c_contiguous for o in got)
+            assert [o.tobytes() for o in got] == want
 
     def test_zeroed_branches_pass_input_through_bit_exact(self):
         """With zero branch outputs the residual path is the identity."""

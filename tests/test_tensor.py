@@ -219,10 +219,15 @@ class TestMatmul:
             matmul(a[0], b)
 
     def test_non_finite_output_raises(self):
-        """An overflowing product raises NonFiniteError instead of returning inf."""
+        """An overflowing product raises NonFiniteError instead of returning
+        inf, also when it is taken as the transposed product."""
         a = np.full((2, 2), 1e30, dtype=np.float32)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="matmul"):
             matmul(a, a)
+        rows = np.full((16, 256), 1e30, dtype=np.float32)
+        wide = np.asfortranarray(np.full((256, 512), 1e30, dtype=np.float32))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="matmul"):
+            matmul(rows, wide)
 
     def test_batched_matches_per_slice_matmul(self):
         """batched_matmul equals a loop of 2-d matmuls slice by slice."""
@@ -240,6 +245,57 @@ class TestMatmul:
             batched_matmul(a, make_random((2, 5, 2)))
         with pytest.raises(DimensionError):
             batched_matmul(a, make_random((3, 4, 2)))
+
+
+def block_product_shapes(d: int) -> list[tuple[int, int]]:
+    """The [k, n] of a block's qkv, out, mlp_in and mlp_out projections."""
+    return [(d, 3 * d), (d, d), (d, 4 * d), (4 * d, d)]
+
+
+# At d = 64 every projection is under TRANSPOSED_MIN_SIZE; at 192 only the
+# MLP's reach it, at 256 qkv too, and at 384 all four.
+TRANSPOSED_WIDTHS = (64, 192, 256, 384)
+
+
+def stored_transposed(k: int, n: int, seed: int) -> np.ndarray:
+    """A [k, n] weight stored as its transpose: an F-contiguous view."""
+    return np.ascontiguousarray(make_random((k, n), seed=seed).T).T
+
+
+class TestTransposedOperand:
+    @pytest.mark.parametrize("d", TRANSPOSED_WIDTHS)
+    def test_bytes_do_not_depend_on_the_weight_layout(self, d):
+        """With 16 or more rows, a product with a weight stored transposed
+        gives the bytes of the product with its C copy, for a C- or
+        F-ordered left operand (the GELU output that meets mlp_out is F)."""
+        for k, n in block_product_shapes(d):
+            w = stored_transposed(k, n, seed=d + n)
+            assert w.flags.f_contiguous and not w.flags.c_contiguous
+            w_c = np.ascontiguousarray(w)
+            for rows in (16, 17, 31, 64, 100, 256):
+                a = make_random((rows, k), seed=rows)
+                want = (a @ w_c).tobytes()
+                for left in (a, np.asfortranarray(a)):
+                    got = matmul(left, w)
+                    assert got.tobytes() == want, (d, k, n, rows)
+                    # The transposed product is taken exactly at the size rule.
+                    assert got.flags.f_contiguous is (k * n >= tensor.TRANSPOSED_MIN_SIZE)
+
+    def test_fewer_than_16_rows_never_take_the_transposed_product(self):
+        """With 1-15 rows a weight stored transposed is multiplied as a C
+        copy: the result is C-ordered and has the bytes of a @ W. (Measured
+        on the block shapes of at least 2^17 values, the transposed product
+        gave other bytes in 185 of 930 products with 1-15 rows.)"""
+        assert tensor.TRANSPOSED_MIN_ROWS == 16
+        for d in TRANSPOSED_WIDTHS[1:3]:
+            for k, n in block_product_shapes(d):
+                w = stored_transposed(k, n, seed=d + n)
+                w_c = np.ascontiguousarray(w)
+                for rows in range(1, 16):
+                    a = make_random((rows, k), seed=rows)
+                    got = matmul(a, w)
+                    assert got.flags.c_contiguous
+                    assert got.tobytes() == (a @ w_c).tobytes(), (d, k, n, rows)
 
 
 class TestLayerNorm:
