@@ -205,6 +205,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
 
     try:
+        # Making --out would fail only after the whole run: check it first,
+        # creating nothing. Its nearest existing path must be a directory.
+        if not next(p for p in (args.out, *args.out.parents) if p.exists()).is_dir():
+            raise NotADirectoryError(f"--out {args.out} is a file or lies under one")
         if args.command == "replay":
             return _cmd_replay(args)
         return _cmd_generate(args)

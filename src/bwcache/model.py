@@ -33,20 +33,20 @@ CPU dispatch target; the forward pass's float32 exp (softmax) and tanh
 (GELU) do. A drawn normal lies within |x| <= sqrt(48 ln 2), about 5.77, so
 every weight within 5.77 WEIGHT_STD.
 
-The seeded builds are pure functions of the few config fields they read: the
-block weights of (seed, hidden_dim, n_blocks) and their layout, the readout
-and decode matrices of (seed, hidden_dim). Each is built once per such key
-and kept for the two most recently used keys, so configs that differ only in
-steps, heads or frame grid share one build, except that from d=182 a grid
-of fewer than 16 token rows has a layout, and so a build, of its own. Every
-cached array is read-only: the same objects serve every later run that reads
-them. A model's block weights are drawn in one call into one contiguous
-read-only buffer, and each weight array is a view of it, so keeping any one
-array keeps the whole build alive. The views are C-contiguous, except that
-the wide projections of a run with at least 16 token rows are stored
-transposed and viewed F-contiguous, which makes their products about 30%
-faster at d=256 with the same bytes (see _TRANSPOSABLE and
-``tensor.matmul``).
+The block weights are the one cached build: a pure function of (seed,
+hidden_dim, n_blocks) and their layout, built once per such key and kept for
+the two most recently used keys, so configs that differ only in steps, heads
+or frame grid share one build, except that from d=182 a grid of fewer than
+16 token rows has a layout, and so a build, of its own. The build is
+read-only: the same objects serve every later run that reads them. The
+readout and decode matrices, a pure function of (seed, hidden_dim), are
+drawn on every call and belong to the caller. A model's block weights are
+drawn in one call into one contiguous read-only buffer, and each weight
+array is a view of it, so keeping any one array keeps the whole build
+alive. The views are C-contiguous, except that the wide projections of a
+run with at least 16 token rows are stored transposed and viewed
+F-contiguous, which makes their products about 30% faster at d=256 with
+the same bytes (see _TRANSPOSABLE and ``tensor.matmul``).
 """
 
 from __future__ import annotations
@@ -93,9 +93,10 @@ _SALT_READOUT = 0x52454144
 _SALT_DECODE = 0x44454331
 
 # One model's block weights are 16 d^2 N float32 values (32 MiB at d=256,
-# N=8). Two entries let a caller that alternates between two models (two
-# seeds, widths or depths) draw each once, while bounding what a long-lived
-# caller keeps alive.
+# N=8), drawn in 70-100 ms at d=256. Two entries let a caller that alternates
+# between two models (two seeds, widths or depths) draw each once, while
+# bounding what a long-lived caller keeps alive. They are the only cached
+# build: the readout and decode matrices are d^2 + 3d values, drawn per call.
 _CACHED_BUILDS = 2
 
 # The block weights stored transposed, when they hold at least
@@ -234,9 +235,9 @@ def init_weights(config: ModelConfig) -> tuple[DiTBlockWeights, ...]:
     TRANSPOSED_MIN_SIZE values is stored transposed: its segment of the
     buffer holds the transpose in C order, and the field is the logical
     [k, n] array as an F-contiguous view, which ``matmul`` multiplies as
-    (Wᵀ aᵀ)ᵀ with the same bytes as a @ W. The result is cached per (seed,
-    hidden_dim, n_blocks) and the set of weights stored transposed; copy an
-    array before perturbing it.
+    (Wᵀ aᵀ)ᵀ with the same bytes as a @ W. The result is the package's one
+    cached build, kept per (seed, hidden_dim, n_blocks) and the set of
+    weights stored transposed; copy an array before perturbing it.
     """
     shapes = _block_shapes(config.hidden_dim)
     transposed = frozenset(
@@ -355,11 +356,8 @@ def dit_block_forward(h: Tensor, weights: DiTBlockWeights, t_emb: Tensor, config
     b = layer_norm(h1, scale2, shift2)
     # GELU is elementwise, so it gives the same bits in the transposed layout.
     out = matmul(gelu(matmul(b, weights.mlp_in)), weights.mlp_out)
-    if not out.flags.c_contiguous:
-        # A block output is C-ordered whatever the weights' layout.
-        return np.add(out, h1, order="C")
-    out += h1
-    return out
+    # A block output is C-ordered whatever the weights' layout.
+    return np.add(out, h1, order="C")
 
 
 def readout_matrix(config: ModelConfig) -> Tensor:
@@ -367,26 +365,18 @@ def readout_matrix(config: ModelConfig) -> Tensor:
 
     Identity component scaled by READOUT_SELF_GAIN plus a random matrix with
     entries N(0, (READOUT_MIX_GAIN / sqrt(d))^2), so the prediction's scale is
-    width-independent. Cached per (seed, hidden_dim), read-only.
+    width-independent. Drawn from (seed, hidden_dim) on every call; the
+    caller owns the array.
     """
-    return _build_readout(config.seed, config.hidden_dim)
-
-
-@lru_cache(maxsize=_CACHED_BUILDS)
-def _build_readout(seed: int, d: int) -> Tensor:
-    mix = rand_normal(mix_seed(seed, _SALT_READOUT), (d, d)) * (READOUT_MIX_GAIN / math.sqrt(d))
-    eye = np.eye(d, dtype=np.float32) * np.float32(READOUT_SELF_GAIN)
-    return _read_only(eye + mix)
+    d = config.hidden_dim
+    mix = rand_normal(mix_seed(config.seed, _SALT_READOUT), (d, d)) * (READOUT_MIX_GAIN / math.sqrt(d))
+    return np.eye(d, dtype=np.float32) * np.float32(READOUT_SELF_GAIN) + mix
 
 
 def decode_matrix(config: ModelConfig) -> Tensor:
-    """Fixed seeded [d, 3] pixel projection; cached per (seed, hidden_dim), read-only."""
-    return _build_decode(config.seed, config.hidden_dim)
-
-
-@lru_cache(maxsize=_CACHED_BUILDS)
-def _build_decode(seed: int, d: int) -> Tensor:
-    return _read_only(rand_normal(mix_seed(seed, _SALT_DECODE), (d, 3)) * (1.0 / math.sqrt(d)))
+    """Fixed seeded [d, 3] pixel projection, drawn from (seed, hidden_dim) on every call."""
+    d = config.hidden_dim
+    return rand_normal(mix_seed(config.seed, _SALT_DECODE), (d, 3)) * (1.0 / math.sqrt(d))
 
 
 def sample_initial_latent(config: ModelConfig) -> Tensor:

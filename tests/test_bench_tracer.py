@@ -19,7 +19,7 @@ sys.path.insert(0, str(PERFBENCH))
 
 from bwcache import cache, metrics, traceio  # noqa: E402
 from bwcache.cache import Action, CachePolicyConfig, PolicyKind, TailRule  # noqa: E402
-from bwcache.model import ModelConfig, _build_decode, _build_readout, _build_weights  # noqa: E402
+from bwcache.model import ModelConfig, _build_weights  # noqa: E402
 
 import worker  # noqa: E402
 from spans import Tracer, aggregate  # noqa: E402
@@ -33,8 +33,7 @@ def test_every_traced_name_resolves_and_records_calls(tmp_path):
 
     none = CachePolicyConfig(kind=PolicyKind.NONE)
     cached = CachePolicyConfig(kind=PolicyKind.BWCACHE, delta=1e9, reuse_interval=2, tail=TailRule.fixed(1))
-    for build in (_build_weights, _build_readout, _build_decode):
-        build.cache_clear()
+    _build_weights.cache_clear()
     with Tracer() as tracer:
         for mod, attr in traced:
             tracer.install(mod, attr, worker.COUNTERS.get((mod, attr)))
@@ -53,9 +52,10 @@ def test_every_traced_name_resolves_and_records_calls(tmp_path):
     live = (trace_none, trace_cached)
     assert any(d.action is Action.REUSED for d in trace_cached.decisions)
     assert calls["cache.decide"] == 3 * TINY.steps  # two live runs and one replay
-    # One draw per build (all block weights, readout, decode), shared by both
-    # live runs, and one initial latent per live run.
-    assert calls["tensor.rand_normal"] == 3 + 2
+    # One draw for the block weights, shared by both live runs; one readout
+    # per live run; two decodes in summarize (the reference and the final
+    # latent); and one initial latent per live run.
+    assert calls["tensor.rand_normal"] == 1 + 2 + 2 + 2
     assert calls["cache.relative_l1"] == sum(
         len(d.per_block_l1) for t in live for d in t.decisions if d.per_block_l1 is not None
     )

@@ -380,6 +380,27 @@ class TestGenerate:
         blocker.write_text("not a directory\n")
         assert run_generate(blocker / "sub") == 1
 
+    @pytest.mark.parametrize("command", ["generate", "replay"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_at_or_under_a_file_is_refused_before_any_run(
+        self, tmp_path, monkeypatch, capsys, command, under
+    ):
+        """--out naming a file, or a path under one, exits 1 before anything
+        is sampled or replayed, and creates nothing."""
+
+        def refuse(*args):
+            raise AssertionError("ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_policy", refuse)
+        monkeypatch.setattr(cli, "replay_trace", refuse)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out = blocker / "sub" if under else blocker
+        assert main([*RUNS[command], "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --out {out} is a file or lies under one\n"
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "not a directory\n"
+
     def test_zero_mass_reference_is_runtime_error(self, tmp_path, monkeypatch):
         """A zero-mass reference is a numeric fault: exit 1, like a non-finite op."""
 

@@ -22,8 +22,6 @@ from bwcache.model import (
     _SALT_LATENT,
     _SALT_READOUT,
     _SALT_WEIGHTS,
-    _build_decode,
-    _build_readout,
     _build_weights,
     Axis,
     DiTBlockWeights,
@@ -284,8 +282,7 @@ class TestBuildCache:
             raise AssertionError("a build started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", no_thread)
-        for build in (_build_weights, _build_readout, _build_decode):
-            build.cache_clear()
+        _build_weights.cache_clear()
         config = tiny_config(hidden_dim=64, seed=11)  # 16 * 64^2 * 2 values
         assert 16 * 64**2 * config.n_blocks > 3 * tensor._CHUNK
         self.assert_weights_match_one_independent_stream(config)
@@ -327,12 +324,11 @@ class TestBuildCache:
 
     @pytest.mark.parametrize("config", [pytest.param(tiny_config(seed=12), id="tiny"), *WIDE_CONFIGS])
     def test_cached_arrays_are_read_only(self, config):
-        """Every cached array is read-only, and so is the buffer it views.
+        """Every cached weight is read-only, and so is the buffer it views.
         Each is C-contiguous, or F-contiguous for the transposed projections."""
         weights = init_weights(config)
         named = [(f.name, getattr(w, f.name)) for w in weights for f in fields(w) if f.name != "axis"]
-        named += [("readout", readout_matrix(config)), ("decode", decode_matrix(config))]
-        assert len(named) == 5 * config.n_blocks + 2
+        assert len(named) == 5 * config.n_blocks
         assert any(stored_transposed(config, name) for name, _ in named) is (config.hidden_dim > 64)
         for name, a in named:
             if stored_transposed(config, name):
@@ -362,22 +358,18 @@ class TestBuildCache:
         _, cached = run_policy(config, CachePolicyConfig(delta=1e9, reuse_interval=3))
         assert any(d.action is Action.REUSED for d in cached.decisions)
         after_cached, _ = run_policy(config, none)
-        for build in (_build_weights, _build_readout, _build_decode):
-            build.cache_clear()
+        _build_weights.cache_clear()
         fresh, _ = run_policy(config, none)
         assert _build_weights.cache_info().misses == 1
         assert after_cached.tobytes() == fresh.tobytes()
 
     def test_builds_are_keyed_on_the_fields_they_read(self):
         """Steps, heads and the frame grid enter no build, so configs that
-        differ only there share one build of each, except where the grid
-        changes the block weights' layout; n_blocks enters only the block
-        weights."""
-        builds = (_build_weights, _build_readout, _build_decode)
-        for build in builds:
-            build.cache_clear()
+        differ only there share one build, except where the grid changes the
+        block weights' layout; n_blocks makes a build of its own."""
+        _build_weights.cache_clear()
         base = tiny_config(hidden_dim=8, seed=21)
-        weights, readout, decode = init_weights(base), readout_matrix(base), decode_matrix(base)
+        weights = init_weights(base)
         for config in (
             replace(base, steps=30),
             replace(base, steps=100),
@@ -385,20 +377,36 @@ class TestBuildCache:
             replace(base, frames=3, tokens_per_frame=1),
         ):
             assert init_weights(config) is weights
-            assert readout_matrix(config) is readout
-            assert decode_matrix(config) is decode
-        assert [b.cache_info().misses for b in builds] == [1, 1, 1]
+        assert _build_weights.cache_info().misses == 1
 
         deeper = replace(base, n_blocks=3)
         assert init_weights(deeper) is not weights
-        assert readout_matrix(deeper) is readout
-        assert [b.cache_info().misses for b in builds] == [2, 1, 1]
+        assert _build_weights.cache_info().misses == 2
 
         # Nothing at d=8 is stored transposed, so 16 token rows share it too.
         sixteen_rows = replace(deeper, frames=4, tokens_per_frame=4)
         assert init_weights(sixteen_rows) is init_weights(deeper)
-        assert readout_matrix(sixteen_rows) is readout
-        assert [b.cache_info().misses for b in builds] == [2, 1, 1]
+        assert _build_weights.cache_info().misses == 2
+
+    def test_readout_and_decode_are_the_callers_own_arrays(self):
+        """Each call draws the readout and decode matrices afresh: writing
+        into one leaves the next call's bytes unchanged, and configs that
+        differ only in steps, heads, frame grid or n_blocks get equal bytes."""
+        base = tiny_config(hidden_dim=8, seed=21)
+        readout, decode = readout_matrix(base), decode_matrix(base)
+        want = readout.tobytes(), decode.tobytes()
+        readout[0, 0] = 1e3
+        decode *= 2.0
+        for config in (
+            base,
+            replace(base, steps=30),
+            replace(base, n_heads=4),
+            replace(base, frames=4, tokens_per_frame=4),
+            replace(base, n_blocks=3),
+        ):
+            got = readout_matrix(config), decode_matrix(config)
+            assert tuple(a.tobytes() for a in got) == want
+            assert all(a.flags.writeable and a.flags.c_contiguous for a in got)
 
     def test_a_grid_under_16_rows_has_its_own_layout(self):
         """From d=182 a grid of fewer than 16 token rows builds its weights
@@ -413,11 +421,23 @@ class TestBuildCache:
         assert init_weights(replace(wide, frames=1, tokens_per_frame=1)) is narrow
         assert _build_weights.cache_info().misses == 2
 
-    def test_a_build_holds_at_most_1_5_mib_beyond_its_buffer(self):
-        """Transposing the d=256 projections goes through one reused 1 MiB
-        scratch buffer, so a fresh build's peak stays that of its draw."""
+    @pytest.mark.parametrize(
+        "d, bound",
+        [
+            # The 1 MiB scratch is no more than the draw's own temporaries.
+            pytest.param(256, 1.5 * 2**20, id="d256"),
+            # Above d=256 the scratch is the largest transposed weight, 4d^2
+            # values (1.56 MiB at d=320), on top of the draw's chunk
+            # temporaries (1.07 MiB for a 2^15-value chunk).
+            pytest.param(320, 4 * 320**2 * 4 + 1.1 * 2**20, id="d320"),
+        ],
+    )
+    def test_a_build_holds_at_most_its_scratch_beyond_its_buffer(self, d, bound):
+        """Transposing the wide projections goes through one reused scratch
+        buffer, the largest transposed weight, so a fresh build's peak beyond
+        its weight buffer is bounded by that and the draw's temporaries."""
         _build_weights.cache_clear()
-        config = ModelConfig(hidden_dim=256, n_blocks=1)
+        config = ModelConfig(hidden_dim=d, n_blocks=1)
         tracemalloc.start()
         try:
             weights = init_weights(config)
@@ -425,7 +445,7 @@ class TestBuildCache:
         finally:
             tracemalloc.stop()
         assert weights[0].mlp_in.flags.f_contiguous
-        assert peak - weights[0].mlp_in.base.nbytes <= 1.5 * 2**20
+        assert peak - weights[0].mlp_in.base.nbytes <= bound
 
 
 class TestInitialLatent:

@@ -1,10 +1,11 @@
 """Print the sha256 of every file that ``generate --deterministic`` exports.
 
-The runs form a fixed grid: widths 64, 192 and 256; a grid of 4 frames x 16
-tokens (64 token rows) and one of 1 frame x 4 tokens; the ``none`` policy,
-the default policy, the criterion-08 policy (bwcache, delta 0.5, reuse
-interval 5, the third tail) and ``static`` with stride 2; seeds 0-2. Each
-run takes every other option at its default, so 30 steps and 8 blocks.
+The runs form a fixed grid: widths 64, 192, 256 and 320; a grid of 4
+frames x 16 tokens (64 token rows) and one of 1 frame x 4 tokens; the
+``none`` policy, the default policy, the criterion-08 policy (bwcache, delta
+0.5, reuse interval 5, the third tail) and ``static`` with stride 2; seeds
+0-2. Each run takes every other option at its default, so 30 steps and 8
+blocks.
 
 Run as ``python3 tools/export_digests.py`` from any directory: it imports
 ``bwcache`` from the ``src/`` of the checkout that holds it, and writes the
@@ -28,7 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bwcache.cli import main as bwcache_main  # noqa: E402
 
-WIDTHS = (64, 192, 256)
+WIDTHS = (64, 192, 256, 320)
 GRIDS = {
     "4x16": ("--frames", "4", "--tokens", "16"),
     "1x4": ("--frames", "1", "--tokens", "4"),
