@@ -26,12 +26,16 @@ step (and still records distances, which is how full heatmaps are made), and
 
 ``decide`` is a pure function from (state, indicator, position) to (action,
 new state); the state is the frozen trigger step and the current reuse run
-length, while the cached features are storage owned by the runner. One
-driver runs the ``decide`` loop for both runners: ``run_policy`` steps the
-real model, and ``replay_trace`` reads a recorded ``[T, N]`` float64
-distance table (the array ``traceio.read_heatmap`` returns, NaN where
-nothing was measured) with no model at all, which makes policy questions
-cheap to answer offline. Both record one ``traceio.StepDecision`` per step.
+length. The cached features are not part of it. ``advance`` is the one place
+where a sampler step runs: it takes the latent and the cached features,
+computes the block stack or substitutes the cache, reads out eps and takes
+the reverse update, and returns the next latent and features. One driver,
+``_drive``, runs the ``decide`` loop for both runners: ``run_policy`` is
+``_drive`` over ``advance`` plus per-step timings, and ``replay_trace`` reads
+a recorded ``[T, N]`` float64 distance table (the array
+``traceio.read_heatmap`` returns, NaN where nothing was measured) with no
+model at all, which makes policy questions cheap to answer offline. Both
+record one ``traceio.StepDecision`` per step.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -293,8 +297,10 @@ def _drive(total_steps: int, policy: CachePolicyConfig, run_step: Callable) -> l
 
     ``run_step(step, action, measure)`` carries out one decided step and, if
     ``measure``, returns its per-block distances to the previous computed
-    step's features, else None. Only computed steps after the first are
-    measured: the first executed step has nothing to compare against.
+    step's features, else None: ``run_policy``'s takes the step with
+    ``advance`` and times it, ``replay_trace``'s reads a table row. Only
+    computed steps after the first are measured: the first executed step has
+    nothing to compare against.
     """
     state = BlockCacheState()
     mean_l1: float | None = None
@@ -310,40 +316,61 @@ def _drive(total_steps: int, policy: CachePolicyConfig, run_step: Callable) -> l
     return decisions
 
 
+class Sampler(NamedTuple):
+    """What every step of one run reads: its config, block weights, noise
+    schedule and readout matrix, built once per run."""
+
+    config: ModelConfig
+    weights: tuple  # one DiTBlockWeights per block, as init_weights returns them
+    schedule: NoiseSchedule
+    readout: Tensor
+
+
+def advance(x: Tensor, features, step: int, action: Action, measure: bool, sampler: Sampler):
+    """Take one decided step from latent ``x``: the one place where a sampler
+    step runs. Returns (x_next, features_next, per_block).
+
+    ``features`` is the list of block outputs of the last computed step, or
+    None before the first. A computed step runs the block stack and returns
+    its outputs as the new features, read-only so that nothing can alter
+    what a later reused step substitutes, with their per-block distances to
+    ``features`` if ``measure``. A reused step returns ``features`` itself
+    and per_block None. Either way eps_pred is read out of the last block
+    output, through the one readout, and the reverse update from ``x`` makes
+    x_next. Neither ``x`` nor ``features`` is written.
+    """
+    per_block = None
+    if action is _COMPUTED:
+        outputs = denoiser_forward(x, step, sampler.weights, sampler.config)
+        for o in outputs:
+            o.flags.writeable = False
+        if measure:
+            per_block = tuple(relative_l1(o, f) for o, f in zip(outputs, features))
+        features = outputs
+    elif features is None:
+        raise ProtocolError(f"reuse decided at step {step} with an empty cache")
+    x = reverse_step(x, matmul(features[-1], sampler.readout), step, sampler.schedule)
+    return x, features, per_block
+
+
 def run_policy(config: ModelConfig, policy: CachePolicyConfig):
     """Sample under ``policy`` and return (final_latent, RunTrace).
 
-    Computed steps run the full block stack, measure per-block distances
-    against the previous cache when one exists, and replace the cache.
-    Reused steps substitute the cached block features unchanged. Either way
-    the step reads eps_pred out of the cache's last block output, through the
-    one readout below. Cached features are read-only, so nothing can alter
-    what a later reused step substitutes. The trace holds the measured
-    seconds of each step.
+    ``_drive`` over ``advance`` plus timings: ``_drive`` decides each step,
+    and ``advance`` takes it, threading the latent and the cached block
+    features from step to step. The trace holds the measured seconds of each
+    step.
     """
     total = config.steps
     require_valid_tail(policy, total)
     x = sample_initial_latent(config)
-    weights = init_weights(config)
-    schedule = NoiseSchedule.linear(total)
-    readout = readout_matrix(config)
-
+    sampler = Sampler(config, init_weights(config), NoiseSchedule.linear(total), readout_matrix(config))
     features: list[Tensor] | None = None  # block outputs of the last computed step
     timings: list[float] = []
 
     def run_step(step: int, action: Action, measure: bool) -> tuple[float, ...] | None:
         nonlocal x, features, last
-        per_block = None
-        if action is Action.COMPUTED:
-            outputs = denoiser_forward(x, step, weights, config)
-            for o in outputs:
-                o.flags.writeable = False
-            if measure:
-                per_block = tuple(relative_l1(o, f) for o, f in zip(outputs, features))
-            features = outputs
-        elif features is None:
-            raise ProtocolError(f"reuse decided at step {step} with an empty cache")
-        x = reverse_step(x, matmul(features[-1], readout), step, schedule)
+        x, features, per_block = advance(x, features, step, action, measure, sampler)
         # Timed from the end of the previous step, so the decision is included.
         now = time.perf_counter()
         timings.append(now - last)

@@ -206,8 +206,9 @@ def main(argv=None) -> int:
 
     try:
         # Making --out would fail only after the whole run: check it first,
-        # creating nothing. Its nearest existing path must be a directory.
-        if not next(p for p in (args.out, *args.out.parents) if p.exists()).is_dir():
+        # creating nothing. Its nearest existing path must be a directory; a
+        # dangling symlink exists as a path but is none.
+        if not next(p for p in (args.out, *args.out.parents) if p.is_symlink() or p.exists()).is_dir():
             raise NotADirectoryError(f"--out {args.out} is a file or lies under one")
         if args.command == "replay":
             return _cmd_replay(args)

@@ -26,9 +26,11 @@ from bwcache.cache import (
     CachePolicyConfig,
     PolicyKind,
     ProtocolError,
+    Sampler,
     StepDecision,
     TailRule,
     ZeroDenominatorError,
+    advance,
     aggregate_distances,
     decide,
     relative_l1,
@@ -649,6 +651,94 @@ class TestRunPolicy:
             assert [d.action for d in replayed[:first_reuse]] == [
                 d.action for d in live.decisions[:first_reuse]
             ]
+
+
+def toy_sampler(config: ModelConfig) -> Sampler:
+    return Sampler(
+        config, init_weights(config), NoiseSchedule.linear(config.steps), readout_matrix(config)
+    )
+
+
+def run_actions(config: ModelConfig, actions_in_order) -> tuple[np.ndarray, list]:
+    """Sample ``config`` under a given action sequence, in execution order
+    (step T-1 first), by ``advance`` alone; return the final latent and each
+    step's per-block distances. A computed step after the first is measured,
+    as a live run measures it."""
+    sampler = toy_sampler(config)
+    x, features = sample_initial_latent(config), None
+    per_blocks = []
+    for i, action in enumerate(actions_in_order):
+        step = config.steps - 1 - i
+        x, features, per_block = advance(x, features, step, action, action is C and i > 0, sampler)
+        per_blocks.append(per_block)
+    return x, per_blocks
+
+
+class TestAdvance:
+    @pytest.mark.parametrize(
+        "policy, reuses",
+        [
+            (CachePolicyConfig(kind=PolicyKind.NONE), False),
+            (CachePolicyConfig(), False),
+            (bw(0.5, 5, TailRule.third()), True),
+            (CachePolicyConfig(kind=PolicyKind.STATIC, static_stride=2), True),
+        ],
+        ids=["none", "default", "criterion-08", "static-2"],
+    )
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_the_actions_of_a_live_run_reproduce_it(self, policy, reuses, seed):
+        """A loop over advance that follows a run_policy run's actions gives
+        that run's final latent bytes and per-block distances, reused steps
+        included where the policy reuses on this model."""
+        config = toy_config(seed=seed)
+        final, trace = run_policy(config, policy)
+        assert (R in actions(trace.decisions)) == reuses
+        got, per_blocks = run_actions(config, actions(trace.decisions))
+        assert got.tobytes() == final.tobytes()
+        assert per_blocks == [d.per_block_l1 for d in trace.decisions]
+
+    def test_reuse_with_an_empty_cache_is_a_protocol_error(self):
+        config = toy_config()
+        x = sample_initial_latent(config)
+        with pytest.raises(ProtocolError, match="empty cache"):
+            advance(x, None, config.steps - 1, R, False, toy_sampler(config))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=3),
+        tail=st.lists(st.tuples(st.sampled_from([C, R]), st.booleans()), min_size=1, max_size=9),
+    )
+    def test_a_step_writes_neither_its_latent_nor_its_features(self, seed, tail):
+        """Over random action sequences whose first executed step computes: a
+        reused step returns the same features object, bytes unchanged, and no
+        distances; a computed step's outputs are read-only; the latent passed
+        in is never written."""
+        config = ModelConfig(
+            n_blocks=2, hidden_dim=8, n_heads=2, frames=2, tokens_per_frame=3,
+            steps=len(tail) + 1, seed=seed,
+        )
+        sampler = toy_sampler(config)
+        x, features = sample_initial_latent(config), None
+        for i, (action, measure) in enumerate([(C, False), *tail]):
+            step = config.steps - 1 - i
+            x_bytes = x.tobytes()
+            before = None if features is None else [digest(f) for f in features]
+            x_next, features_next, per_block = advance(x, features, step, action, measure, sampler)
+            assert x.tobytes() == x_bytes
+            if before is not None:
+                assert [digest(f) for f in features] == before
+            if action is R:
+                assert features_next is features
+                assert per_block is None
+            else:
+                assert len(features_next) == config.n_blocks
+                assert not any(o.flags.writeable for o in features_next)
+                if measure:
+                    assert len(per_block) == config.n_blocks
+                else:
+                    assert per_block is None
+            assert x_next.shape == x.shape
+            x, features = x_next, features_next
 
 
 def policy_strategy():

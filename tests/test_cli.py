@@ -401,6 +401,28 @@ class TestGenerate:
         assert list(tmp_path.iterdir()) == [blocker]
         assert blocker.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("command", ["generate", "replay"])
+    @pytest.mark.parametrize("under", [False, True], ids=["link", "under-link"])
+    def test_out_at_or_under_a_dangling_symlink_is_refused_before_any_run(
+        self, tmp_path, monkeypatch, capsys, command, under
+    ):
+        """--out naming a symlink to a missing path, or a path under one,
+        exits 1 before anything is sampled or replayed, and creates nothing:
+        the link is no directory, though Path.exists() on it is False."""
+
+        def refuse(*args):
+            raise AssertionError("ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_policy", refuse)
+        monkeypatch.setattr(cli, "replay_trace", refuse)
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "missing")
+        out = link / "sub" if under else link
+        assert main([*RUNS[command], "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --out {out} is a file or lies under one\n"
+        assert list(tmp_path.iterdir()) == [link]
+        assert link.is_symlink() and not link.exists()
+
     def test_zero_mass_reference_is_runtime_error(self, tmp_path, monkeypatch):
         """A zero-mass reference is a numeric fault: exit 1, like a non-finite op."""
 
