@@ -2,9 +2,11 @@
 
 Two subcommands: ``generate`` samples once under a policy and exports the
 instrumentation, ``replay`` re-decides a recorded distance table (a
-``heatmap.npy`` of float64 distances) offline. Replay runs no model: its
-fingerprint names the table by its digest, and its FLOP counts come from the
-table's T and N with ``--dim``, ``--frames`` and ``--tokens``.
+``heatmap.npy`` of float64 distances) offline. ``generate`` has no step,
+block or head flag: every run takes ``ModelConfig``'s 30 steps, 8 blocks and
+4 heads. Replay runs no model: its fingerprint names the table by its
+digest, and its FLOP counts come from the table's T and N with ``--dim``,
+``--frames`` and ``--tokens``.
 Every ``generate`` writes its final latent as ``latent.bin``, so a policy is
 scored against the uncached run by two ``generate`` runs: the ``none``
 policy, then the policy with ``--reference-latent`` naming the first run's
@@ -12,8 +14,9 @@ policy, then the policy with ``--reference-latent`` naming the first run's
 
 The flags that both subcommands take are declared once, on one parent
 parser. A flag that sets a field of ``ModelConfig`` or ``CachePolicyConfig``
-stores its value under the field's name, and a model flag not given takes
-the record's default. A path flag's empty value is refused as it is parsed.
+stores its value under the field's name, and a model field that no flag
+sets and the run does not fix takes the record's default. A path flag's
+empty value is refused as it is parsed.
 Exit codes: 0 success, 1 runtime failure (I/O, numerics, a model too large
 to allocate), 2 configuration or trace-format problems.
 """
@@ -94,9 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     g = sub.add_parser("generate", parents=[shared], help="sample once under a policy and export traces")
-    g.add_argument("--steps", type=int, help="denoising steps T")
-    g.add_argument("--blocks", dest="n_blocks", type=int, help="transformer blocks N")
-    g.add_argument("--heads", dest="n_heads", type=int, help="attention heads")
     g.add_argument("--seed", type=int, help="run seed")
     g.add_argument("--deterministic", action="store_true", help="zeroed timings (wall_seconds 0.0)")
     g.add_argument(
@@ -127,11 +127,12 @@ def _policy_from_args(args, *, total_steps: int) -> CachePolicyConfig:
 
 
 def _model_from_args(args, **fixed) -> ModelConfig:
-    """The config of the flags, each stored under its field's name (a flag
-    not given is None and takes the field's default), and of ``fixed`` for
-    the fields that the subcommand has no flag for."""
-    flags = {f.name: getattr(args, f.name) for f in fields(ModelConfig) if f.name not in fixed}
-    return ModelConfig(**{name: v for name, v in flags.items() if v is not None}, **fixed)
+    """The config of the subcommand's model flags, each stored under its
+    field's name, and of ``fixed`` for the fields that the run sets itself.
+    A field with no flag given and none fixed takes the record's default."""
+    names = {f.name for f in fields(ModelConfig)}
+    flags = {name: v for name, v in vars(args).items() if name in names and v is not None}
+    return ModelConfig(**flags, **fixed)
 
 
 def _write_run(trace: RunTrace, summary: RunSummary, n_blocks: int, out: Path) -> None:

@@ -6,8 +6,12 @@ of the contract (0 ok, 1 runtime failure, 2 bad configuration or trace).
 """
 
 import argparse
+import ast
 import json
+import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -37,9 +41,10 @@ from test_traceio import MALFORMED, UNREAD_VALUES, npy_header
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-# Small enough that a full sampling run is a few milliseconds.
-TINY = ["--dim", "16", "--heads", "2", "--frames", "2", "--tokens", "3"]
-TINY_SHAPE = TINY + ["--steps", "7", "--blocks", "2"]
+# The smallest model that generate's flags set, under ModelConfig's 30 steps,
+# 8 blocks and 4 heads: a full sampling run is a few tens of milliseconds.
+TINY = ["--dim", "16", "--frames", "2", "--tokens", "3"]
+TINY_CONFIG = ModelConfig(hidden_dim=16, frames=2, tokens_per_frame=3)
 
 
 # A [3, 2] table that replay accepts, and each way to break it as a file.
@@ -93,14 +98,14 @@ BREAKS = {
 # The argv that starts each kind of run. "compare" is the scored side of the
 # none-vs-policy recipe: a generate run given the none run's latent dump.
 RUNS = {
-    "generate": ["generate", *TINY_SHAPE],
-    "compare": ["generate", *TINY_SHAPE, "--reference-latent", "none/latent.bin"],
+    "generate": ["generate", *TINY],
+    "compare": ["generate", *TINY, "--reference-latent", "none/latent.bin"],
     "replay": ["replay", "--trace", str(FIXTURES / "replay_trace.npy")],
 }
 
 
 def run_generate(out, *extra):
-    return main(["generate", *TINY_SHAPE, "--out", str(out), *extra])
+    return main(["generate", *TINY, "--out", str(out), *extra])
 
 
 def fill_with_longer_files(out: Path, exports: dict[str, bytes]) -> Path:
@@ -142,12 +147,9 @@ class TestGenerate:
         step and at the reused steps."""
         assert run_generate(tmp_path, "--delta", "0.9") == 0
         table = np.load(tmp_path / "heatmap.npy", allow_pickle=False)
-        config = ModelConfig(
-            n_blocks=2, hidden_dim=16, n_heads=2, frames=2, tokens_per_frame=3, steps=7
-        )
-        policy = replace(CachePolicyConfig.recommended(7), delta=0.9)
-        _, trace = run_policy(config, policy)
-        assert table.dtype == np.float64 and table.shape == (7, 2)
+        policy = replace(CachePolicyConfig.recommended(30), delta=0.9)
+        _, trace = run_policy(TINY_CONFIG, policy)
+        assert table.dtype == np.float64 and table.shape == (30, 8)
         reused = [i for i, d in enumerate(trace.decisions) if d.action is Action.REUSED]
         assert reused  # the run reuses, so NaN rows other than the first are checked
         unmeasured = np.isnan(table).any(axis=1)
@@ -167,10 +169,7 @@ class TestGenerate:
     def test_dump_latent_is_the_run_latent_as_npy(self, tmp_path):
         """np.load returns the run's final float32 latent bit for bit."""
         assert run_generate(tmp_path) == 0
-        config = ModelConfig(
-            n_blocks=2, hidden_dim=16, n_heads=2, frames=2, tokens_per_frame=3, steps=7
-        )  # TINY_SHAPE under the default policy
-        final, _ = run_policy(config, CachePolicyConfig.recommended(7))
+        final, _ = run_policy(TINY_CONFIG, CachePolicyConfig.recommended(30))
         back = np.load(tmp_path / "latent.bin", allow_pickle=False)
         assert back.dtype == np.float32 and back.tobytes() == final.tobytes()
 
@@ -179,7 +178,7 @@ class TestGenerate:
         assert run_generate(tmp_path, "--policy", "none") == 0
         out = capsys.readouterr().out
         assert "policy=none" in out
-        assert "reused=0/7" in out
+        assert "reused=0/30" in out
 
     def test_reference_latent_scores_quality(self, tmp_path):
         """Scoring against a reference latent fills psnr_db and ssim."""
@@ -269,7 +268,7 @@ class TestGenerate:
         environment holds: the variable that once moved them is not read."""
         monkeypatch.setenv("BWCACHE_OUT_DIR", str(tmp_path / "ignored"))
         monkeypatch.chdir(tmp_path)
-        assert main(["generate", *TINY_SHAPE]) == 0
+        assert main(["generate", *TINY]) == 0
         assert (tmp_path / "bwcache_out" / "summary.json").exists()
         assert not (tmp_path / "ignored").exists()
 
@@ -294,7 +293,7 @@ class TestGenerate:
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             out = tmp_path / f"threads{threads}"
-            argv = ["generate", "--dim", "256", "--steps", "4", "--deterministic"]
+            argv = ["generate", "--dim", "256", "--deterministic"]
             done = subprocess.run(
                 [sys.executable, "-m", "bwcache.cli", *argv, "--out", str(out)],
                 env=env, capture_output=True, text=True,
@@ -475,14 +474,14 @@ class TestCompare:
     def test_identical_policies_report_inf_psnr(self, tmp_path):
         """none scored against its own dump is bit-equal: psnr serializes as
         "inf", ssim is 1."""
-        _, scored = run_comparison(tmp_path, TINY_SHAPE, "--policy", "none")
+        _, scored = run_comparison(tmp_path, TINY, "--policy", "none")
         assert scored["psnr_db"] == "inf"
         assert scored["ssim"] == 1.0
 
     def test_speedup_present_with_real_timings(self, tmp_path):
         """A speedup is the ratio of the two summaries' wall_seconds; with
         real timings both are positive, so it is defined."""
-        none, scored = run_comparison(tmp_path, TINY_SHAPE, "--policy", "none")
+        none, scored = run_comparison(tmp_path, TINY, "--policy", "none")
         assert isinstance(none["wall_seconds"], float) and none["wall_seconds"] > 0.0
         assert isinstance(scored["wall_seconds"], float) and scored["wall_seconds"] > 0.0
         assert none["wall_seconds"] / scored["wall_seconds"] > 0.0
@@ -490,20 +489,20 @@ class TestCompare:
     def test_draws_block_weights_once(self, tmp_path):
         """Both runs share one model config, so the second reuses the first's build."""
         _build_weights.cache_clear()
-        run_comparison(tmp_path, TINY_SHAPE, "--delta", "0.9")
+        run_comparison(tmp_path, TINY, "--delta", "0.9")
         info = _build_weights.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
     def test_speedup_null_in_deterministic_mode(self, tmp_path):
         """Zeroed timings leave no wall-clock ratio: both wall_seconds are 0."""
-        shape = [*TINY_SHAPE, "--deterministic"]
+        shape = [*TINY, "--deterministic"]
         none, scored = run_comparison(tmp_path, shape, "--policy", "none")
         assert none["wall_seconds"] == 0.0
         assert scored["wall_seconds"] == 0.0
 
     def test_cross_policy_fields(self, tmp_path):
         """A none-vs-bwcache comparison: each summary holds its own counters."""
-        none, scored = run_comparison(tmp_path, TINY_SHAPE, "--delta", "0.9")
+        none, scored = run_comparison(tmp_path, TINY, "--delta", "0.9")
         assert none["reuse_rate_steps"] == 0.0
         assert scored["reuse_rate_steps"] > 0.0
         assert none["flops_saved"] == 0
@@ -515,15 +514,12 @@ class TestCompare:
     def test_cross_quality_scores_b_against_a(self, tmp_path):
         """psnr_db and ssim equal the metrics of the scored run's decoded
         pixels against the none run's, computed here from two library runs."""
-        shape = [*TINY_SHAPE, "--deterministic"]
+        shape = [*TINY, "--deterministic"]
         _, scored = run_comparison(tmp_path, shape, "--delta", "0.9")
-        config = ModelConfig(
-            n_blocks=2, hidden_dim=16, n_heads=2, frames=2, tokens_per_frame=3, steps=7
-        )
-        recommended = CachePolicyConfig.recommended(7)
-        final_a, _ = run_policy(config, replace(recommended, kind=PolicyKind.NONE))
-        final_b, _ = run_policy(config, replace(recommended, delta=0.9))
-        px_a, px_b = decode_latent(final_a, config), decode_latent(final_b, config)
+        recommended = CachePolicyConfig.recommended(30)
+        final_a, _ = run_policy(TINY_CONFIG, replace(recommended, kind=PolicyKind.NONE))
+        final_b, _ = run_policy(TINY_CONFIG, replace(recommended, delta=0.9))
+        px_a, px_b = decode_latent(final_a, TINY_CONFIG), decode_latent(final_b, TINY_CONFIG)
         assert scored["psnr_db"] == psnr(px_a, px_b)
         assert scored["ssim"] == ssim_frames(px_a, px_b)
 
@@ -727,13 +723,15 @@ class TestReplayFingerprint:
 
 
 class TestDefaults:
-    def test_reuse_interval_defaults_to_tenth_of_steps(self):
-        """Without --reuse-interval the cap is ceil(steps / 10)."""
-        parser = build_parser()
+    def test_reuse_interval_defaults_to_tenth_of_steps(self, tmp_path, monkeypatch):
+        """Without --reuse-interval the cap is ceil(steps / 10): a replay of a
+        table of that many steps hashes it."""
         for steps, expected in [(30, 3), (42, 5), (101, 11)]:
-            args = parser.parse_args(["generate", "--steps", str(steps)])
-            policy = _policy_from_args(args, total_steps=steps)
-            assert policy.reuse_interval == expected
+            table = tmp_path / f"table{steps}.npy"
+            table.write_bytes(npy_header((steps, 1), "<f8") + np.full(steps, 0.5).tobytes())
+            argv = ["replay", "--trace", str(table)]
+            records = records_of(argv, tmp_path / str(steps), monkeypatch)
+            assert records["policy"]["reuse_interval"] == expected
 
     def test_generate_policy_defaults(self):
         args = build_parser().parse_args(["generate"])
@@ -761,6 +759,18 @@ class TestDefaults:
         """Every run writes all of its exports; there is no selector flag."""
         assert main([*RUNS[command], "--emit", "heatmap"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--steps", "7"), ("--blocks", "2"), ("--heads", "2")])
+    def test_generate_refuses_model_shape_flags(self, tmp_path, monkeypatch, capsys, flag, value):
+        """generate has no step, block or head flag: each exits 2 at parse
+        time, samples nothing and creates no output directory."""
+        sampled = []
+        monkeypatch.setattr(cli, "run_policy", lambda *args: sampled.append(args))
+        out = tmp_path / "out"
+        assert main([*RUNS["generate"], flag, value, "--out", str(out)]) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert sampled == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["generate", "compare"])
     def test_every_generate_refuses_dump_latent(self, tmp_path, capsys, command):
         """Every generate writes latent.bin, so --dump-latent selects nothing:
@@ -770,17 +780,22 @@ class TestDefaults:
         assert "unrecognized arguments: --dump-latent" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("steps", [7, 30])
-    def test_compare_side_a_is_the_default_none_policy(self, tmp_path, steps):
+    def test_compare_side_a_is_the_default_none_policy(self, tmp_path):
         """The recipe's none run keeps the default policy fields under kind
         none, so its fingerprint is that of the plain uncached run."""
-        shape = [*TINY, "--steps", str(steps), "--blocks", "2", "--deterministic"]
-        none, _ = run_comparison(tmp_path, shape)
-        config = ModelConfig(
-            n_blocks=2, hidden_dim=16, n_heads=2, frames=2, tokens_per_frame=3, steps=steps
-        )
-        default_none = replace(CachePolicyConfig.recommended(steps), kind=PolicyKind.NONE)
-        assert none["config_fingerprint"] == config_fingerprint(config, default_none)
+        none, _ = run_comparison(tmp_path, [*TINY, "--deterministic"])
+        default_none = replace(CachePolicyConfig.recommended(30), kind=PolicyKind.NONE)
+        assert none["config_fingerprint"] == config_fingerprint(TINY_CONFIG, default_none)
+
+    def test_none_replay_keeps_the_default_policy_fields(self, tmp_path):
+        """A none replay of the 7-step fixture keeps the default policy fields
+        of 7 steps under kind none, its reuse interval of 1 included."""
+        assert main([*RUNS["replay"], "--policy", "none", "--out", str(tmp_path)]) == 0
+        config = ModelConfig(steps=7, n_blocks=1, n_heads=1, seed=0)
+        default_none = replace(CachePolicyConfig.recommended(7), kind=PolicyKind.NONE)
+        table = read_heatmap(FIXTURES / "replay_trace.npy")
+        want = config_fingerprint(config, default_none, table)
+        assert summary_of(tmp_path)["config_fingerprint"] == want
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -807,7 +822,7 @@ class TestDefaults:
         """Two generate runs score a policy against none; there is no compare,
         so it exits 2 at parse time and creates no output directory."""
         out = tmp_path / "out"
-        assert main(["compare", *TINY_SHAPE, "--out", str(out)]) == 2
+        assert main(["compare", *TINY, "--out", str(out)]) == 2
         assert "invalid choice: 'compare'" in capsys.readouterr().err
         assert not out.exists()
 
@@ -817,20 +832,17 @@ class TestDefaults:
         assert main(["replay", "--trace", trace, "--deterministic", "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            [*RUNS["generate"], "--tail", "fixed:99"],
-            [*RUNS["compare"], "--tail", "fixed:99"],
-            [*RUNS["replay"], "--tail", "fixed:99"],
-        ],
+        "command, steps",
+        [("generate", 30), ("compare", 30), ("replay", 7)],
         ids=["generate", "compare", "replay"],
     )
-    def test_refused_run_leaves_no_output_directory(self, tmp_path, capsys, argv):
+    def test_refused_run_leaves_no_output_directory(self, tmp_path, capsys, command, steps):
         """Inputs refused after parsing (a tail covering the run, in a plain,
         a scored or a replayed run) exit 2 before the output directory exists."""
         out = tmp_path / "out"
-        assert main([*argv, "--out", str(out)]) == 2
-        assert "fixed tail of 99 covers the whole run of 7 steps" in capsys.readouterr().err
+        assert main([*RUNS[command], "--tail", "fixed:99", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"fixed tail of 99 covers the whole run of {steps} steps" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "compare"])
@@ -846,8 +858,8 @@ class TestDefaults:
         monkeypatch.setattr(model, "rand_normal", refuse_to_draw)
         monkeypatch.setattr(cli, "read_latent", refuse_to_draw)
         out = tmp_path / "out"
-        assert main([*RUNS[command], "--tail", "fixed:7", "--out", str(out)]) == 2
-        assert "fixed tail of 7 covers the whole run of 7 steps" in capsys.readouterr().err
+        assert main([*RUNS[command], "--tail", "fixed:30", "--out", str(out)]) == 2
+        assert "fixed tail of 30 covers the whole run of 30 steps" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -858,10 +870,7 @@ class TestDefaults:
 # --static-stride runs on a static base, the one kind that reads it.
 ALTERNATES = {
     "generate": {
-        "--steps": "6",
-        "--blocks": "3",
         "--dim": "8",
-        "--heads": "4",
         "--frames": "3",
         "--tokens": "4",
         "--seed": "1",
@@ -925,11 +934,11 @@ class TestEveryFlagIsRead:
         monkeypatch.chdir(tmp_path)
         if option == "--reference-latent":
             none_dump = ["--policy", "none", "--deterministic", "--out", "ref"]
-            assert main(["generate", *TINY_SHAPE, *none_dump]) == 0
+            assert main(["generate", *TINY, *none_dump]) == 0
         if command == "replay":
             base = ["replay", "--trace", str(FIXTURES / "replay_trace.npy")]
         else:
-            base = ["generate", *TINY_SHAPE]
+            base = ["generate", *TINY]
             if option != "--deterministic":
                 base.append("--deterministic")
         if option == "--static-stride":
@@ -948,12 +957,12 @@ class TestEveryFlagIsRead:
     @pytest.mark.parametrize(
         "base, unread",
         [
-            (["generate", *TINY_SHAPE], ["--static-stride", "2"]),
+            (["generate", *TINY], ["--static-stride", "2"]),
             (
-                ["generate", *TINY_SHAPE, "--policy", "none"],
+                ["generate", *TINY, "--policy", "none"],
                 ["--delta", "0.9", "--tail", "third", "--reuse-interval", "7", "--static-stride", "5"],
             ),
-            (["generate", *TINY_SHAPE, "--policy", "static", "--static-stride", "2"], ["--delta", "0.9"]),
+            (["generate", *TINY, "--policy", "static", "--static-stride", "2"], ["--delta", "0.9"]),
             (RUNS["replay"], ["--static-stride", "2"]),
         ],
         ids=["generate-bwcache", "generate-none", "generate-static", "replay-bwcache"],
@@ -970,6 +979,60 @@ class TestEveryFlagIsRead:
         assert exports[0] == exports[1]
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each ``bwcache`` line in README's sh blocks."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", (REPO / "README.md").read_text(), re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("bwcache ")]
+
+
+def traffic_strings() -> set[str]:
+    """Every string that the repo's traffic can pass as a flag: the string
+    literals of the non-test modules under perfbench/ and tools/, and the
+    tokens of README's bwcache lines."""
+    found = {token for argv in readme_commands() for token in argv}
+    for path in sorted([*REPO.glob("perfbench/**/*.py"), *REPO.glob("tools/**/*.py")]):
+        if not path.name.startswith("test_"):
+            tree = ast.parse(path.read_text())
+            found |= {
+                node.value
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            }
+    return found
+
+
+class TestEveryFlagHasTraffic:
+    """No option is declared that no traffic sets: each one appears in a
+    perfbench workload, a tools/ script or a README recipe. -h is argparse's."""
+
+    @pytest.fixture(scope="class")
+    def traffic(self) -> set[str]:
+        return traffic_strings()
+
+    @pytest.mark.parametrize(
+        "option", sorted(set().union(*declared_options().values()) - {"-h"})
+    )
+    def test_option_is_passed_by_some_traffic(self, traffic, option):
+        assert option in traffic
+
+    def test_readme_recipe_runs(self, tmp_path, monkeypatch):
+        """The three bwcache lines of README's CLI block run as written: a
+        none reference, a run scored against its latent, and a replay of its
+        table."""
+        monkeypatch.chdir(tmp_path)
+        commands = readme_commands()
+        assert [argv[0] for argv in commands] == ["generate", "generate", "replay"]
+        for argv in commands:
+            assert main(argv) == 0, argv
+        assert (tmp_path / "ref" / "latent.bin").exists()
+        assert math.isfinite(summary_of(tmp_path / "run1")["psnr_db"])
+        assert (tmp_path / "replayed" / "reuse_profile.csv").exists()
+
+
 def test_every_option_explains_itself():
     """Every declared option of both subcommands has a help string."""
     for command, parser in subcommands().items():
@@ -981,10 +1044,7 @@ def test_every_option_explains_itself():
 # that a flag feeds its own field and no other. --deterministic and
 # --reference-latent set no field.
 FIELD_OF = {
-    "--steps": ("model", "steps"),
-    "--blocks": ("model", "n_blocks"),
     "--dim": ("model", "hidden_dim"),
-    "--heads": ("model", "n_heads"),
     "--frames": ("model", "frames"),
     "--tokens": ("model", "tokens_per_frame"),
     "--seed": ("model", "seed"),
@@ -1058,7 +1118,7 @@ def flag_text(value) -> str:
     return str(value)
 
 
-# A policy of each kind. A tiny run's step distances are about 0.1 to 0.5,
+# A policy of each kind. A tiny run's step distances are about 0.03 to 0.25,
 # so a bwcache run mostly reuses, and its R and tail move the exports.
 KIND_POLICIES = {
     PolicyKind.NONE: st.just(CachePolicyConfig(kind=PolicyKind.NONE)),
@@ -1076,17 +1136,15 @@ KIND_POLICIES = {
 
 @st.composite
 def fingerprint_twins(draw, kind: PolicyKind):
-    """A tiny model config and two policies of ``kind``, each with the text
-    of its --delta, that differ only where the fingerprint does not look: in
-    a field that the kind never reads, in the spelling of a zero delta, or
-    in an int delta against the float it equals."""
+    """A tiny model config of the fields that generate's flags set and two
+    policies of ``kind``, each with the text of its --delta, that differ only
+    where the fingerprint does not look: in a field that the kind never
+    reads, in the spelling of a zero delta, or in an int delta against the
+    float it equals."""
     config = ModelConfig(
-        n_blocks=draw(st.integers(min_value=1, max_value=2)),
         hidden_dim=draw(st.sampled_from([4, 8])),
-        n_heads=draw(st.sampled_from([1, 2])),
         frames=draw(st.integers(min_value=1, max_value=2)),
         tokens_per_frame=draw(st.integers(min_value=1, max_value=3)),
-        steps=draw(st.integers(min_value=6, max_value=10)),
         seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
     )
     policy = draw(KIND_POLICIES[kind])

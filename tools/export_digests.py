@@ -5,10 +5,10 @@ The runs form a fixed grid: widths 64, 192, 256 and 320; a grid of 4
 frames x 16 tokens (64 token rows) and one of 1 frame x 4 tokens; the
 ``none`` policy, the default policy, the criterion-08 policy (bwcache, delta
 0.5, reuse interval 5, the third tail) and ``static`` with stride 2; seeds
-0-2. Each run takes every other option at its default, so 30 steps and 8
-blocks. At each grid point, after its four ``generate`` runs, the ``none``
-run's ``heatmap.npy`` is replayed under the same four policies, with the
-point's width and frame grid.
+0-2. Every other option takes its default, and generate has no step, block
+or head flag. At each grid point, after its four ``generate`` runs, the
+``none`` run's ``heatmap.npy`` is replayed under the same four policies,
+with the point's width and frame grid.
 
 Run as ``python3 tools/export_digests.py`` from any directory: it imports
 ``bwcache`` from the ``src/`` of the checkout that holds it, and writes the
