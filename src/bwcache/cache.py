@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -83,76 +83,67 @@ class ProtocolError(RuntimeError):
     """Raised when decide() is driven without an indicator it needs."""
 
 
-_FRACTION_NAMES = {
-    Fraction(1, 3): "third",
-    Fraction(1, 2): "half",
-    Fraction(2, 3): "twothirds",
-}
+# The tail fractions that a rule may name, by their spellings.
+_FRACTIONS = {"third": Fraction(1, 3), "half": Fraction(1, 2), "twothirds": Fraction(2, 3)}
 
 
 @dataclass(frozen=True)
 class TailRule:
     """Size of the always-recomputed tail once reuse has triggered at step k.
 
-    Either a fraction of the k + 1 remaining steps (ceil, exact integer
-    arithmetic) or a fixed count. Only the fractions 1/3, 1/2 and 2/3 are
-    meaningful here; anything else is a config error.
+    A rule is its spelling. 'third', 'half' and 'twothirds' name that
+    fraction of the k + 1 remaining steps (ceil, exact integer arithmetic);
+    'fixed:<m>' names a count of m steps, with m in ASCII digits and no sign,
+    separator or leading zero. Any other spelling is a config error.
+    ``fraction`` and ``fixed_count`` are read from the spelling once, at
+    construction, and exactly one of them is None.
     """
 
-    fraction: Fraction | None = None
-    fixed_count: int | None = None
+    spelling: str
+    fraction: Fraction | None = field(init=False)
+    fixed_count: int | None = field(init=False)
 
     def __post_init__(self):
-        if (self.fraction is None) == (self.fixed_count is None):
-            raise ValueError("tail rule needs exactly one of fraction or fixed_count")
-        if self.fraction is not None:
-            require_field_types(self, (Fraction,), "fraction")
-            if self.fraction not in _FRACTION_NAMES:
-                raise ValueError(f"unsupported tail fraction {self.fraction}")
-        if self.fixed_count is not None:
-            require_field_types(self, (int,), "fixed_count")
-            if self.fixed_count < 0:
-                raise ValueError("fixed tail count must be nonnegative")
+        require_field_types(self, (str,), "spelling")
+        count = None
+        if self.spelling.startswith("fixed:"):
+            digits = self.spelling[len("fixed:") :]
+            # int() also reads a sign, '_', spaces, leading zeros and non-ASCII
+            # digits: a count is spelled only in canonical ASCII digits.
+            if not (digits.isascii() and digits.isdigit()) or digits != (digits.lstrip("0") or "0"):
+                raise ValueError(f"bad fixed tail count in {self.spelling!r}")
+            count = int(digits)
+        elif self.spelling not in _FRACTIONS:
+            raise ValueError(f"unknown tail rule {self.spelling!r}")
+        object.__setattr__(self, "fraction", _FRACTIONS.get(self.spelling))
+        object.__setattr__(self, "fixed_count", count)
 
     @classmethod
     def third(cls) -> "TailRule":
-        return cls(fraction=Fraction(1, 3))
+        return cls("third")
 
     @classmethod
     def half(cls) -> "TailRule":
-        return cls(fraction=Fraction(1, 2))
+        return cls("half")
 
     @classmethod
     def twothirds(cls) -> "TailRule":
-        return cls(fraction=Fraction(2, 3))
+        return cls("twothirds")
 
     @classmethod
     def fixed(cls, count: int) -> "TailRule":
-        return cls(fixed_count=count)
+        """The rule of a fixed count, which must be an int (not a bool)."""
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise ValueError(f"fixed_count must be int, got {count!r}")
+        return cls(f"fixed:{count}")
 
     @classmethod
     def parse(cls, text: str) -> "TailRule":
-        """Parse 'third' | 'half' | 'twothirds' | 'fixed:<m>', spelled only as
-        canonical() spells it."""
-        names = {v: k for k, v in _FRACTION_NAMES.items()}
-        if text in names:
-            return cls(fraction=names[text])
-        if text.startswith("fixed:"):
-            try:
-                rule = cls.fixed(int(text[len("fixed:") :]))
-            except ValueError:
-                rule = None
-            # int() also reads a sign, '_', spaces, leading zeros and non-ASCII
-            # digits: only the spelling canonical() writes is a count.
-            if rule is None or rule.canonical() != text:
-                raise ValueError(f"bad fixed tail count in {text!r}")
-            return rule
-        raise ValueError(f"unknown tail rule {text!r}")
+        """The rule that ``text`` spells."""
+        return cls(text)
 
     def canonical(self) -> str:
-        if self.fraction is not None:
-            return _FRACTION_NAMES[self.fraction]
-        return f"fixed:{self.fixed_count}"
+        return self.spelling
 
     def size(self, trigger_step: int) -> int:
         """Number of final steps (step < size) protected after a trigger at k."""

@@ -41,7 +41,7 @@ from bwcache.cache import (
     run_policy,
 )
 from bwcache.metrics import RunSummary, summarize
-from bwcache.model import ModelConfig
+from bwcache.model import ModelConfig, decode_latent
 from bwcache.traceio import (
     RunTrace,
     TraceFormatError,
@@ -145,7 +145,8 @@ def _write_run(trace: RunTrace, summary: RunSummary, n_blocks: int, out: Path) -
 
 def _read_reference(path, config: ModelConfig) -> tensor.Tensor:
     """A --reference-latent dump, refused unless it has this run's latent
-    layout and only finite values."""
+    layout, only finite values, and decoded pixels with a value range to
+    score against."""
     reference = read_latent(path)
     want = (config.tokens, config.hidden_dim)
     if reference.dtype != np.float32 or reference.shape != want:
@@ -155,6 +156,9 @@ def _read_reference(path, config: ModelConfig) -> tensor.Tensor:
         )
     if not np.isfinite(reference).all():
         raise ValueError("reference latent holds a non-finite value")
+    pixels = decode_latent(reference, config)
+    if pixels.min() == pixels.max():
+        raise ValueError(f"reference latent {path} decodes to pixels of zero value range")
     return reference
 
 

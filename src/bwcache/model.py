@@ -52,7 +52,7 @@ the same bytes (see _TRANSPOSABLE and ``tensor.matmul``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
@@ -196,24 +196,24 @@ class DiTBlockWeights:
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Variance schedule; float64 so the cumulative products stay exact enough."""
+    """Variance schedule: the betas, and the cumulative products of 1 - beta
+    derived from them, in float64 so the products stay exact enough."""
 
     betas: Tensor
-    alphas_cumprod: Tensor
+    alphas_cumprod: Tensor = field(init=False)
 
     def __post_init__(self):
-        if self.betas.ndim != 1 or self.betas.shape != self.alphas_cumprod.shape:
-            raise DimensionError("schedule arrays must be 1-d and equally sized")
+        if self.betas.ndim != 1:
+            raise DimensionError("betas must be 1-d")
         if not ((self.betas > 0.0).all() and (self.betas < 1.0).all()):
             raise ValueError("betas must lie in (0, 1)")
+        object.__setattr__(self, "alphas_cumprod", np.cumprod(1.0 - self.betas))
 
     @classmethod
     def linear(cls, steps: int) -> "NoiseSchedule":
         if steps < 1:
             raise ValueError("steps must be positive")
-        betas = np.linspace(BETA_START, BETA_END, steps, dtype=np.float64)
-        alphas_cumprod = np.cumprod(1.0 - betas)
-        return cls(betas=betas, alphas_cumprod=alphas_cumprod)
+        return cls(np.linspace(BETA_START, BETA_END, steps, dtype=np.float64))
 
     def __len__(self) -> int:
         return len(self.betas)

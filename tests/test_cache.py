@@ -150,6 +150,11 @@ class TestTailRule:
         with pytest.raises(ValueError, match=re.escape(f"bad fixed tail count in {text!r}")):
             TailRule.parse(text)
 
+    def test_negative_count_is_refused_as_a_bad_count(self):
+        """fixed(-3) spells a sign, so it is refused as the spelling it makes."""
+        with pytest.raises(ValueError, match=re.escape("bad fixed tail count in 'fixed:-3'")):
+            TailRule.fixed(-3)
+
     @settings(max_examples=500, deadline=None)
     @given(
         text=st.one_of(
@@ -186,19 +191,31 @@ class TestTailRule:
     def test_only_known_fractions_allowed(self):
         from fractions import Fraction
 
-        with pytest.raises(ValueError):
-            TailRule(fraction=Fraction(1, 4))
-        with pytest.raises(ValueError):
-            TailRule(fraction=Fraction(1, 2), fixed_count=3)
+        with pytest.raises(ValueError, match="unknown tail rule 'quarter'"):
+            TailRule("quarter")
+        with pytest.raises(ValueError, match="spelling"):
+            TailRule(Fraction(1, 2))
 
     @pytest.mark.parametrize(
         "field, value",
-        [("fixed_count", True), ("fixed_count", 2.0), ("fixed_count", np.int64(2)), ("fraction", 0.5)],
+        [("fixed_count", True), ("fixed_count", 2.0), ("fixed_count", np.int64(2)), ("spelling", 0.5)],
     )
     def test_wrong_typed_field_refused_naming_it(self, field, value):
-        """A bool, float or numpy count, or a float fraction, is refused at construction."""
+        """A bool, float or numpy count passed to fixed(), or a spelling that
+        is not a str, is refused at construction."""
+        make = TailRule.fixed if field == "fixed_count" else TailRule
         with pytest.raises(ValueError, match=field):
-            TailRule(**{field: value})
+            make(value)
+
+    def test_fields_are_read_from_the_spelling(self):
+        """Each constructor's rule is the rule of its spelling, with exactly
+        one of fraction and fixed_count set."""
+        from fractions import Fraction
+
+        assert TailRule.third() == TailRule("third")
+        assert (TailRule.half().fraction, TailRule.half().fixed_count) == (Fraction(1, 2), None)
+        assert (TailRule.fixed(0).fraction, TailRule.fixed(0).fixed_count) == (None, 0)
+        assert TailRule.fixed(12) == TailRule.parse("fixed:12")
 
 
 class TestPolicyConfig:

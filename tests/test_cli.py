@@ -239,6 +239,19 @@ class TestGenerate:
         assert "reference latent holds a non-finite value" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_range_reference_is_refused_before_sampling(self, tmp_path, monkeypatch, capsys):
+        """An all-zero latent decodes to constant pixels, which no PSNR can be
+        scored against: exit 2 naming the reference, with nothing sampled.
+        Decoding draws the decode matrix, so the spy is on the sampler."""
+        reference = tmp_path / "ref.bin"
+        write_latent(np.zeros((6, 16), dtype=np.float32), reference)  # the TINY layout
+        monkeypatch.setattr(cli, "run_policy", refuse_to_sample)
+        out = tmp_path / "out"
+        assert run_generate(out, "--reference-latent", str(reference)) == 2
+        err = capsys.readouterr().err
+        assert f"reference latent {reference} decodes to pixels of zero value range" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", list(MALFORMED))
     def test_malformed_reference_is_refused_before_any_draw(
         self, tmp_path, monkeypatch, capsys, name
