@@ -226,9 +226,5 @@ def main(argv=None) -> int:
         return 1
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

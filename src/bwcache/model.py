@@ -156,7 +156,7 @@ class ModelConfig:
         if self.hidden_dim < 2 or self.hidden_dim % 2 != 0:
             raise ValueError("hidden_dim must be even (sin/cos embedding halves)")
         if self.n_heads < 1 or self.hidden_dim % self.n_heads != 0:
-            raise ValueError("n_heads must divide hidden_dim")
+            raise ValueError(f"n_heads {self.n_heads} must divide hidden_dim {self.hidden_dim}")
         if self.frames < 1 or self.tokens_per_frame < 1:
             raise ValueError("frames and tokens_per_frame must be positive")
         if self.steps < 1:
@@ -267,9 +267,6 @@ def _build_weights(
     # one draw per array would.
     flat = rand_normal(mix_seed(seed, _SALT_WEIGHTS), 16 * d * d * n_blocks)
     shapes = _block_shapes(d)
-    # The scaled copy of the weight being transposed, reused for each one:
-    # 1 MiB at d=256, no more than the draw's own temporaries.
-    scratch = np.empty(max((math.prod(shapes[name]) for name in transposed), default=0), np.float32)
     offset = 0
 
     def take(name):
@@ -280,11 +277,12 @@ def _build_weights(
         if name not in transposed:
             part *= WEIGHT_STD
             return _read_only(part.reshape(k, n))
-        scaled = scratch[: k * n]
-        np.multiply(part, WEIGHT_STD, out=scaled)
-        stored = part.reshape(n, k)
-        np.copyto(stored, scaled.reshape(k, n).T)
-        return _read_only(stored.T)
+        # The scaled transpose, as one C-order temporary of this weight's
+        # size (1 MiB at d=256), written back over the segment it came from.
+        # Scaling the whole draw at once instead would add a second write
+        # pass over the transposed weights, 11/16 of the buffer.
+        part[:] = np.multiply(part.reshape(k, n).T, WEIGHT_STD, order="C").ravel()
+        return _read_only(part.reshape(n, k).T)
 
     blocks = tuple(
         DiTBlockWeights(axis=_axis(i), **{name: take(name) for name in shapes})
@@ -304,6 +302,14 @@ def timestep_embedding(t: int, dim: int) -> Tensor:
     return np.concatenate([np.sin(ang), np.cos(ang)]).astype(np.float32)
 
 
+# The axis permutations that group qkv by its attended axis and ungroup the
+# context. A temporal block is a spatial block on the transposed token grid,
+# [S, F] in place of [F, S], so the two axes differ only in these
+# permutations, which swap the places of F and S.
+_GROUP_AXES = {Axis.SPATIAL: (2, 0, 3, 1, 4), Axis.TEMPORAL: (2, 1, 3, 0, 4)}
+_UNGROUP_AXES = {Axis.SPATIAL: (0, 2, 1, 3), Axis.TEMPORAL: (2, 0, 1, 3)}
+
+
 def _group_qkv(qkv: Tensor, axis: Axis, frames: int, tokens_per_frame: int, n_heads: int) -> Tensor:
     """[F*S, 3d] -> [3, groups * heads, L, head_dim] where L is the attended axis.
 
@@ -312,23 +318,16 @@ def _group_qkv(qkv: Tensor, axis: Axis, frames: int, tokens_per_frame: int, n_he
     view, so the attention products see the same operands whether qkv came
     C-ordered or as the transpose view of a transposed product.
     """
-    f, s, h = frames, tokens_per_frame, n_heads
-    dh = qkv.shape[1] // (3 * h)
-    z = qkv.reshape(f, s, 3, h, dh)
-    if axis is Axis.SPATIAL:
-        return np.ascontiguousarray(z.transpose(2, 0, 3, 1, 4)).reshape(3, f * h, s, dh)
-    return np.ascontiguousarray(z.transpose(2, 1, 3, 0, 4)).reshape(3, s * h, f, dh)
+    dh = qkv.shape[1] // (3 * n_heads)
+    z = qkv.reshape(frames, tokens_per_frame, 3, n_heads, dh)
+    z = np.ascontiguousarray(z.transpose(_GROUP_AXES[axis]))
+    return z.reshape(3, -1, z.shape[3], dh)
 
 
-def _ungroup_heads(z: Tensor, axis: Axis, frames: int, tokens_per_frame: int, n_heads: int) -> Tensor:
+def _ungroup_heads(z: Tensor, axis: Axis, n_heads: int) -> Tensor:
     """Inverse of the per-tensor grouping of _group_qkv, back to frame-major [F*S, d]."""
-    f, s, h = frames, tokens_per_frame, n_heads
-    dh = z.shape[2]
-    if axis is Axis.SPATIAL:
-        z = z.reshape(f, h, s, dh).transpose(0, 2, 1, 3)
-    else:
-        z = z.reshape(s, h, f, dh).transpose(2, 0, 1, 3)
-    return z.reshape(f * s, h * dh)
+    _, length, dh = z.shape
+    return z.reshape(-1, n_heads, length, dh).transpose(_UNGROUP_AXES[axis]).reshape(-1, n_heads * dh)
 
 
 def dit_block_forward(h: Tensor, weights: DiTBlockWeights, t_emb: Tensor, config: ModelConfig) -> Tensor:
@@ -349,7 +348,7 @@ def dit_block_forward(h: Tensor, weights: DiTBlockWeights, t_emb: Tensor, config
     scores = batched_matmul(qg, kg.transpose(0, 2, 1))
     scores *= 1.0 / math.sqrt(config.head_dim)
     ctx = batched_matmul(softmax_rows(scores), vg)
-    ctx = _ungroup_heads(ctx, weights.axis, config.frames, config.tokens_per_frame, config.n_heads)
+    ctx = _ungroup_heads(ctx, weights.axis, config.n_heads)
     h1 = matmul(ctx, weights.out_proj)
     h1 += h
 

@@ -7,6 +7,7 @@ of the contract (0 ok, 1 runtime failure, 2 bad configuration or trace).
 
 import argparse
 import ast
+import importlib
 import json
 import math
 import os
@@ -315,6 +316,50 @@ class TestGenerate:
             outs.append(exported_bytes(out))
         assert set(outs[0]) == {"heatmap.npy", "latent.bin", "reuse_profile.csv", "summary.json"}
         assert outs[0] == outs[1]
+
+    def test_width_the_four_heads_do_not_divide_is_refused_naming_both(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """generate has no head flag, so a --dim that ModelConfig's 4 heads do
+        not divide exits 2 with a message that names both values, before any
+        draw and creating nothing."""
+
+        def refuse(*args):
+            raise AssertionError("drew before the width was checked")
+
+        monkeypatch.setattr(model, "rand_normal", refuse)
+        out = tmp_path / "out"
+        assert main(["generate", "--dim", "6", "--out", str(out)]) == 2
+        assert "n_heads 4 must divide hidden_dim 6" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestEntryPoint:
+    def test_module_run_exits_with_mains_code(self, tmp_path):
+        """``python -m bwcache.cli`` exits with the code that main returns: 2
+        for an unknown tail rule, named on stderr, with no output made."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-m", "bwcache.cli", "generate", "--tail", "quarter", "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2
+        assert "unknown tail rule 'quarter'" in done.stderr
+        assert not out.exists()
+
+    def test_every_project_script_names_a_callable(self):
+        """Each [project.scripts] target in pyproject.toml is a callable of
+        the package, which the installed wrapper calls and exits with."""
+        tomllib = pytest.importorskip("tomllib")
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = tomllib.loads(text)["project"]["scripts"]
+        assert scripts == {"bwcache": "bwcache.cli:main"}
+        for target in scripts.values():
+            module, _, name = target.partition(":")
+            assert callable(getattr(importlib.import_module(module), name))
 
     @pytest.mark.parametrize("command", ["generate", "replay"])
     def test_empty_out_is_refused_before_any_draw(

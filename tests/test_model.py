@@ -424,18 +424,20 @@ class TestBuildCache:
     @pytest.mark.parametrize(
         "d, bound",
         [
-            # The 1 MiB scratch is no more than the draw's own temporaries.
+            # The 1 MiB temporary of the largest transposed weight is no
+            # more than the draw's own temporaries.
             pytest.param(256, 1.5 * 2**20, id="d256"),
-            # Above d=256 the scratch is the largest transposed weight, 4d^2
-            # values (1.56 MiB at d=320), on top of the draw's chunk
+            # Above d=256 the temporary of the largest transposed weight, 4d^2
+            # values (1.56 MiB at d=320), is on top of the draw's chunk
             # temporaries (1.07 MiB for a 2^15-value chunk).
             pytest.param(320, 4 * 320**2 * 4 + 1.1 * 2**20, id="d320"),
         ],
     )
     def test_a_build_holds_at_most_its_scratch_beyond_its_buffer(self, d, bound):
-        """Transposing the wide projections goes through one reused scratch
-        buffer, the largest transposed weight, so a fresh build's peak beyond
-        its weight buffer is bounded by that and the draw's temporaries."""
+        """Each wide projection is transposed through one scaled temporary of
+        its own size, freed before the next, so a fresh build's peak beyond
+        its weight buffer is bounded by the largest transposed weight and the
+        draw's temporaries."""
         _build_weights.cache_clear()
         config = ModelConfig(hidden_dim=d, n_blocks=1)
         tracemalloc.start()
