@@ -195,17 +195,26 @@ class BlockCacheState:
 
 
 def relative_l1(current: Tensor, previous: Tensor) -> float:
-    """sum |current - previous| / sum |previous|, accumulated in float64."""
+    """sum |current - previous| / sum |previous|, accumulated in float64.
+
+    Both sums run over one float64 work array, |previous| and then, written
+    over it in place, |current - previous|: with ``previous`` in float64, two
+    arrays of its size at most. For a C-ordered ``previous``, as every block
+    output is, the result is that of
+    ``np.abs(c64 - p64).sum() / np.abs(p64).sum()`` bit for bit: the same
+    values, summed in the same order.
+    """
     if current.shape != previous.shape:
         raise DimensionError(
             f"relative_l1 shapes differ: {current.shape} vs {previous.shape}"
         )
     prev64 = previous.astype(np.float64, copy=False)
-    denom = float(np.abs(prev64).sum())
+    work = np.abs(prev64)
+    denom = float(work.sum())
     if denom == 0.0:
         raise ZeroDenominatorError("reference features have zero L1 norm")
-    num = float(np.abs(current.astype(np.float64, copy=False) - prev64).sum())
-    return num / denom
+    np.subtract(current, prev64, out=work)
+    return float(np.abs(work, out=work).sum()) / denom
 
 
 def aggregate_distances(per_block: Sequence[float]) -> tuple[float, float]:

